@@ -45,6 +45,18 @@ EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_DIVERGED = 4
 
+_PRECONDITION_ERRORS = (
+    PreconditionError,
+    UnsupportedDomainError,
+    NotRepairableError,
+    SingularInputError,
+    NotPSDError,
+)
+
+
+class ConfigError(ValueError):
+    """A recipe that cannot be built on its domain, found only at run time."""
+
 
 @dataclass
 class ExperimentConfig:
@@ -162,6 +174,16 @@ def _resolve_domain(config: ExperimentConfig, spec: GenSpec):
     return parse_group_spec(config.group)
 
 
+def _build(config: ExperimentConfig, spec: GenSpec):
+    """Build the seeded map; a ``ValueError`` that is no precondition error is a config error."""
+    try:
+        return build_map(spec, _resolve_domain(config, spec))
+    except _PRECONDITION_ERRORS:
+        raise
+    except ValueError as err:
+        raise ConfigError(str(err)) from err
+
+
 def _parallel(jobs, workers: int) -> list:
     if workers <= 1 or len(jobs) <= 1:
         return [job() for job in jobs]
@@ -175,7 +197,7 @@ def _cmd_gen(config: ExperimentConfig) -> Report:
     records = []
     for seed in config.effective_seeds():
         spec = _spec_for_seed(config, seed)
-        phi = build_map(spec, _resolve_domain(config, spec))
+        phi = _build(config, spec)
         row = {
             "seed": seed,
             "genspec": spec.to_dict(),
@@ -197,7 +219,7 @@ def _cmd_defects(config: ExperimentConfig) -> Report:
     records = []
     for seed in config.effective_seeds():
         spec = _spec_for_seed(config, seed)
-        phi = build_map(spec, _resolve_domain(config, spec))
+        phi = _build(config, spec)
         row = {
             "seed": seed,
             "group": phi.domain.label,
@@ -215,7 +237,7 @@ def _cmd_defects(config: ExperimentConfig) -> Report:
 
 def _stabilize_one(config: ExperimentConfig, seed: int, theta: float | None = None) -> dict:
     spec = _spec_for_seed(config, seed, theta)
-    phi = build_map(spec, _resolve_domain(config, spec))
+    phi = _build(config, spec)
     row: dict = {"seed": seed, "group": phi.domain.label, "dim": phi.dim}
     if theta is not None:
         row["theta"] = theta
@@ -292,7 +314,7 @@ def _cmd_dixmier(config: ExperimentConfig) -> Report:
     records = []
     for seed in config.effective_seeds():
         spec = _spec_for_seed(config, seed)
-        psi = build_map(spec, _resolve_domain(config, spec))
+        psi = _build(config, spec)
         _, report = dixmier_unitarize(psi)
         records.append({"seed": seed, "group": psi.domain.label, "dim": psi.dim, "report": report})
     passed = all(r["report"].passed for r in records)
@@ -442,15 +464,12 @@ def _finish(command: str, **kwargs) -> None:
         raise click.UsageError(str(err))
     try:
         report = run(config)
-    except (
-        PreconditionError,
-        UnsupportedDomainError,
-        NotRepairableError,
-        SingularInputError,
-        NotPSDError,
-    ) as err:
+    except _PRECONDITION_ERRORS as err:
         click.echo(f"precondition error: {err}", err=True)
         sys.exit(EXIT_PRECONDITION)
+    except ConfigError as err:
+        click.echo(f"configuration error: {err}", err=True)
+        sys.exit(EXIT_CONFIG)
     text = render_report(report, config.ndjson)
     if config.out:
         Path(config.out).write_text(text)

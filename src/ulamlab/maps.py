@@ -107,25 +107,38 @@ def batch_norms(mats: np.ndarray, kind: NormKind = OPERATOR) -> np.ndarray:
     return np.atleast_1d(linalg.gauge(linalg.singular_values(mats), kind))
 
 
+def _pair_scan(phi: GroupMap, kind: NormKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``x`` and ``y`` of every defined pair and the norm of its defect."""
+    xs, ys, ks = _pair_arrays(phi.domain)
+    chunk = max(1, _PAIR_CHUNK // (phi.dim * phi.dim))
+    norms = np.empty(len(xs))
+    for lo in range(0, len(xs), chunk):
+        sl = slice(lo, lo + chunk)
+        diff = phi.values[xs[sl]] @ phi.values[ys[sl]] - phi.values[ks[sl]]
+        norms[sl] = batch_norms(diff, kind)
+    return xs, ys, norms
+
+
+def pair_defect_norms(phi: GroupMap, kind: NormKind = OPERATOR) -> np.ndarray:
+    """Norm of ``phi(x)phi(y) - phi(xy)`` for every defined pair.
+
+    Entries follow the order of ``_pair_arrays``, so a finite group's result
+    reshapes to ``(n, n)`` indexed by ``[x, y]``.  Products are formed
+    ``_PAIR_CHUNK`` complex entries at a time, which bounds the memory of the
+    scan independently of the number of pairs.
+    """
+    return _pair_scan(phi, kind)[2]
+
+
 def mult_defect(phi: GroupMap, kind: NormKind = OPERATOR) -> tuple[float, tuple[int, int]]:
-    """Worst deviation from multiplicativity and the pair attaining it.
+    """Worst deviation from multiplicativity and the first pair attaining it.
 
     Free-ball domains are scanned only over pairs whose product stays in the
     ball.
     """
-    xs, ys, ks, = _pair_arrays(phi.domain)
-    chunk = max(1, _PAIR_CHUNK // (phi.dim * phi.dim))
-    worst = -1.0
-    witness = (int(xs[0]), int(ys[0]))
-    for lo in range(0, len(xs), chunk):
-        sl = slice(lo, lo + chunk)
-        diff = phi.values[xs[sl]] @ phi.values[ys[sl]] - phi.values[ks[sl]]
-        norms = batch_norms(diff, kind)
-        w = int(np.argmax(norms))
-        if norms[w] > worst:
-            worst = float(norms[w])
-            witness = (int(xs[sl][w]), int(ys[sl][w]))
-    return worst, witness
+    xs, ys, norms = _pair_scan(phi, kind)
+    w = int(np.argmax(norms))
+    return float(norms[w]), (int(xs[w]), int(ys[w]))
 
 
 def unit_defect(phi: GroupMap) -> tuple[float, int]:

@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from .groups import FreeBall, UnsupportedDomainError
 from .maps import GroupMap, PreconditionError, distance, mult_defect, pd_min_eig, sup_norm, unit_defect
-from .averaging import average_pd
+from .averaging import average_pd, form
 
 UNITARY_TOL = 1e-9
 CERTIFIED_EPSILON = 0.1
@@ -409,8 +409,7 @@ def dixmier_unitarize(psi: GroupMap) -> tuple[GroupMap, DixmierReport]:
         raise PreconditionError(
             f"unitarization needs invertible values; smallest singular value is {smallest:.3e}"
         )
-    n = len(psi.values)
-    gram = np.einsum("xji,xjk->ik", psi.values.conj(), psi.values) / n
+    gram = form(psi, psi)
     gram = (gram + gram.conj().T) / 2.0
     w, v = np.linalg.eigh(gram)
     if w[0] < 1e-12:

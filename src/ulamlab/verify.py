@@ -39,6 +39,7 @@ from .maps import (
     batch_norms,
     distance,
     mult_defect,
+    pair_defect_norms,
     pd_min_eig,
     perturbation_bound_report,
     unit_defect,
@@ -162,8 +163,7 @@ def stinespring_inequality_suite(seeds: Sequence[int]) -> SuiteResult:
         e = phi.identity_index
         left_defect = batch_norms(v[e][None] - v @ adj(v))
         right_defect = batch_norms(v[e][None] - adj(v) @ v)
-        prods = np.einsum("xij,yjk->xyik", v, v)
-        mults = np.linalg.svd(prods - v[g.mul], compute_uv=False)[..., 0]
+        mults = pair_defect_norms(phi).reshape(g.order, g.order)
         bound = np.sqrt(left_defect[:, None] * right_defect[None, :])
         _note(notes, "stinespring_margin", float((bound - mults).min()))
     return SuiteResult(

@@ -147,6 +147,8 @@ class TestExitCodes:
             ["gen", "--genspec", '{"kind": "wat"}'],
             ["stabilize", "--tol", "0"],
             ["stabilize", "--max-iter", "0"],
+            ["gen", "--group", "dihedral:3", "--genspec", '{"kind":"character","k":1}'],
+            ["gen", "--genspec", '{"kind":"regular","group":"cyclic:300"}'],
         ]
         for args in cases:
             result = runner.invoke(main, args)

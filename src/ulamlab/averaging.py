@@ -17,6 +17,8 @@ from . import linalg, maps
 from .linalg import OPERATOR, NormKind
 from .groups import FiniteGroup, FreeBall, UnsupportedDomainError
 from .maps import (
+    Bound,
+    Certificate,
     GroupMap,
     adj,
     batch_norms,
@@ -107,62 +109,20 @@ def translate_coefficient(phi: GroupMap) -> GroupMap:
     return GroupMap(phi.domain, phi.dim, m, label=label)
 
 
-@dataclass
-class ConditionBReport:
-    """Checks that the mean and the form cooperate.
-
-    ``form_at_one`` pairs the constant identity map with itself and must be
-    the identity; ``bound_ratio`` is the worst ``||<phi, phi>|| / ||phi||^2``
-    over the sampled maps; ``pd_min_eigs`` are Gram minima of the translate
-    coefficient maps.
-    """
-
-    group_label: str
-    dim: int
-    trials: int
-    seed: int
-    form_at_one: np.ndarray
-    bound_ratio: float
-    pd_min_eigs: list[float] = field(default_factory=list)
-
-    IDENTITY_TOL = 1e-12
-    RATIO_TOL = 1e-10
-    PD_TOL = 1e-9
-
-    @property
-    def identity_residual(self) -> float:
-        return float(linalg.op_norm(self.form_at_one - np.eye(self.dim)))
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.identity_residual <= self.IDENTITY_TOL
-            and self.bound_ratio <= 1.0 + self.RATIO_TOL
-            and all(e >= -self.PD_TOL for e in self.pd_min_eigs)
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group_label,
-            "dim": self.dim,
-            "trials": self.trials,
-            "seed": self.seed,
-            "identity_residual": self.identity_residual,
-            "bound_ratio": self.bound_ratio,
-            "pd_min_eigs": list(self.pd_min_eigs),
-            "worst_pd_min_eig": min(self.pd_min_eigs, default=0.0),
-            "passed": self.passed,
-        }
-
-
 def condition_b_report(
     group: FiniteGroup, dim: int, trials: int = 20, seed: int = 0
-) -> ConditionBReport:
-    """Sample random bounded maps and measure the mean/form compatibility."""
+) -> Certificate:
+    """Sample random bounded maps and certify that the mean and the form cooperate.
+
+    ``identity``: the constant identity map paired with itself is the
+    identity.  ``ratio``: ``||<phi, phi>|| / ||phi||^2`` is at most one over
+    the sampled maps.  ``pd``: the Gram of every translate coefficient map is
+    positive semidefinite (its worst minimum eigenvalue is at least zero).
+    """
     from .generators import random_map  # deferred to keep module load acyclic
 
     ones = constant_identity(group, dim)
-    form_at_one = form(ones, ones)
+    identity_residual = float(linalg.op_norm(form(ones, ones) - np.eye(dim)))
     ratios = [0.0]
     eigs = []
     for t in range(trials):
@@ -171,14 +131,10 @@ def condition_b_report(
         if norm > 0:
             ratios.append(float(linalg.op_norm(form(phi, phi))) / norm**2)
         eigs.append(pd_min_eig(translate_coefficient(phi)))
-    return ConditionBReport(
-        group_label=group.label,
-        dim=dim,
-        trials=trials,
-        seed=seed,
-        form_at_one=form_at_one,
-        bound_ratio=max(ratios),
-        pd_min_eigs=eigs,
+    return Certificate(
+        identity=Bound(identity_residual, 0.0, tol=1e-12),
+        ratio=Bound(max(ratios), 1.0, tol=1e-10),
+        pd=Bound(0.0, min(eigs, default=0.0), tol=1e-9),
     )
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import NotPSDError, SingularInputError, parse_norm
 from .groups import FiniteGroup, NotAGroupError, UnsupportedDomainError, parse_group_spec
-from .maps import PreconditionError, defect_report, map_to_dict, pd_min_eig
+from .maps import PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
 from .generators import GenSpec, build_map, derive_seed, parse_genspec
 from .stabilize import (
     CERTIFIED_EPSILON,
@@ -34,7 +34,7 @@ from .stabilize import (
 )
 from .verify import SUITES, run_all_suites
 
-SCHEMA_VERSION = "ulamlab-report/1"
+SCHEMA_VERSION = "ulamlab-report/2"
 SEED_SALT_ENV = "ULAMLAB_SEED_SALT"
 MAX_SEEDS = 100000
 MAX_EMBEDDED_MAP = 65536  # entries; larger maps are left out of gen reports
@@ -64,7 +64,6 @@ class ExperimentConfig:
     group: str = "cyclic:2"
     genspec: dict | None = None
     theta: tuple[float, ...] = (0.05,)
-    dim: int = 2
     tol: float = 1e-12
     max_iter: int = 50
     norm: str = "operator"
@@ -429,8 +428,6 @@ def _common_options(f):
         click.option("--theta", default="0.05", show_default=True,
                      callback=_parse_theta_opt,
                      help="Perturbation size; sweep takes a comma list."),
-        click.option("--dim", default=2, show_default=True, type=int,
-                     help="Dimension for recipes that need one."),
         click.option("--tol", default=1e-12, show_default=True, type=float,
                      help="Stabilization stopping tolerance."),
         click.option("--max-iter", default=50, show_default=True, type=int,
@@ -467,7 +464,7 @@ def _finish(command: str, **kwargs) -> None:
     except _PRECONDITION_ERRORS as err:
         click.echo(f"precondition error: {err}", err=True)
         sys.exit(EXIT_PRECONDITION)
-    except ConfigError as err:
+    except (ConfigError, SizeLimitError) as err:
         click.echo(f"configuration error: {err}", err=True)
         sys.exit(EXIT_CONFIG)
     text = render_report(report, config.ndjson)

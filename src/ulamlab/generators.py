@@ -302,22 +302,6 @@ def parse_genspec(text: str) -> GenSpec:
     raise ValueError(f"genspec {text!r} is neither inline JSON nor an existing file")
 
 
-def spec_dim(spec: GenSpec, domain: FiniteGroup | FreeBall) -> int:
-    """Dimension the recipe will produce on the given domain."""
-    if spec.kind == "regular":
-        return n_elements(domain)
-    if spec.kind in ("trivial", "character"):
-        return 1
-    if spec.kind == "direct_sum":
-        return sum(spec_dim(p, domain) for p in spec.parts)
-    if spec.kind == "compressed":
-        return spec.sub_dim
-    if spec.kind == "random_map":
-        return spec.dim
-    base = spec.base or GenSpec("regular")
-    return spec_dim(base, domain)
-
-
 def build_map(spec: GenSpec, domain: FiniteGroup | FreeBall | None = None) -> GroupMap:
     """Materialize a recipe into a map, resolving the domain if embedded."""
     from .groups import parse_group_spec

@@ -78,14 +78,6 @@ def n_elements(domain: FiniteGroup | FreeBall) -> int:
     return len(domain.words)
 
 
-def inverse_indices(domain: FiniteGroup | FreeBall) -> np.ndarray:
-    """Index of each element's inverse; ball words invert within the ball."""
-    if isinstance(domain, FiniteGroup):
-        return domain.inv
-    out = [domain.index[tuple(-letter for letter in reversed(w))] for w in domain.words]
-    return np.array(out, dtype=np.int64)
-
-
 def cyclic(n: int) -> FiniteGroup:
     if not 1 <= n <= MAX_CYCLIC:
         raise ValueError(f"cyclic order must be in [1, {MAX_CYCLIC}], got {n}")

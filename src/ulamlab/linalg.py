@@ -167,12 +167,6 @@ def polar(a, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> tuple[np.ndarray, 
     return u, p
 
 
-def herm_min_eig(h) -> float:
-    """Smallest eigenvalue of a Hermitian matrix (symmetrized before solving)."""
-    m = _require_hermitian(as_matrix(h), "eigenvalue bound")
-    return float(np.linalg.eigvalsh(m)[0])
-
-
 def psd_sqrt(h) -> np.ndarray:
     """PSD square root; eigenvalues in ``[-PSD_TOL, 0)`` are clamped to zero."""
     m = _require_hermitian(as_matrix(h), "PSD square root")

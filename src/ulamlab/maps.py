@@ -17,7 +17,6 @@ from .groups import (
     FiniteGroup,
     FreeBall,
     UnsupportedDomainError,
-    inverse_indices,
     n_elements,
     parse_group_spec,
 )
@@ -29,6 +28,44 @@ _PAIR_CHUNK = 1 << 22  # complex entries per batch of pair products
 
 class PreconditionError(ValueError):
     """Input violates a documented precondition of the operation."""
+
+
+class SizeLimitError(ValueError):
+    """Input is larger than a limit that bounds the memory or time of a scan."""
+
+
+@dataclass(frozen=True)
+class Bound:
+    """One certified inequality ``measured <= bound``, allowed ``tol`` of rounding.
+
+    ``margin`` is ``bound - measured`` and the check passes while the margin
+    is at least ``-tol``.  A lower bound ``value >= floor`` is written
+    ``Bound(floor, value)``, so its margin is ``value - floor``.
+    """
+
+    measured: float
+    bound: float
+    tol: float = 0.0
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.measured
+
+    @property
+    def passed(self) -> bool:
+        return self.margin >= -self.tol
+
+    def strict(self) -> "Bound":
+        """The same check with ``tol`` moved into the bound and none left over."""
+        return Bound(self.measured, self.bound + self.tol)
+
+
+class Certificate(dict[str, Bound]):
+    """Named bounds that together certify one result."""
+
+    @property
+    def passed(self) -> bool:
+        return all(b.passed for b in self.values())
 
 
 def adj(values: np.ndarray) -> np.ndarray:
@@ -62,9 +99,6 @@ class GroupMap:
     def restricted(self) -> bool:
         """True when products are only defined on the domain's pair index."""
         return isinstance(self.domain, FreeBall)
-
-    def value(self, x: int) -> np.ndarray:
-        return self.values[x]
 
 
 def constant_identity(domain: FiniteGroup | FreeBall, dim: int) -> GroupMap:
@@ -183,19 +217,12 @@ def pd_min_eig(phi: GroupMap) -> float:
     g = phi.domain
     n, d = g.order, phi.dim
     if n * d > MAX_GRAM_DIM:
-        raise ValueError(f"Gram dimension {n * d} exceeds {MAX_GRAM_DIM}")
+        raise SizeLimitError(f"Gram dimension {n * d} exceeds MAX_GRAM_DIM = {MAX_GRAM_DIM}")
     blocks = phi.values[g.mul[g.inv[:, None], np.arange(n)[None, :]]]
     big = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
     if linalg.op_norm(big - big.conj().T) > GRAM_HERMITIAN_TOL:
         return float("-inf")
     return float(np.linalg.eigvalsh((big + big.conj().T) / 2.0)[0])
-
-
-def adjoint_map(phi: GroupMap) -> GroupMap:
-    """The map ``x -> phi(inv(x))*``; fixes representations pointwise."""
-    ii = inverse_indices(phi.domain)
-    label = f"adj({phi.label})" if phi.label else "adj"
-    return GroupMap(phi.domain, phi.dim, adj(phi.values[ii]), label=label)
 
 
 @dataclass
@@ -242,59 +269,12 @@ def defect_report(phi: GroupMap, kind: NormKind = OPERATOR) -> DefectReport:
     )
 
 
-@dataclass
-class PerturbationBoundReport:
-    """Measured defects of a nearby map against bounds predicted from the base.
+def perturbation_bound_report(phi: GroupMap, psi: GroupMap) -> Certificate:
+    """The defects of ``psi`` against bounds predicted from ``phi``.
 
-    Each predicted value is the base defect plus the growth a uniform
-    perturbation of size ``eta`` can cause; slack is predicted minus measured.
+    Each bound is the defect of ``phi`` plus the growth a uniform
+    perturbation of size ``eta = distance(phi, psi)`` can cause.
     """
-
-    eta: float
-    predicted_iso: float
-    measured_iso: float
-    predicted_unit: float
-    measured_unit: float
-    predicted_mult: float
-    measured_mult: float
-
-    SLACK_TOL = 1e-10
-
-    @property
-    def iso_slack(self) -> float:
-        return self.predicted_iso - self.measured_iso
-
-    @property
-    def unit_slack(self) -> float:
-        return self.predicted_unit - self.measured_unit
-
-    @property
-    def mult_slack(self) -> float:
-        return self.predicted_mult - self.measured_mult
-
-    @property
-    def passed(self) -> bool:
-        tol = self.SLACK_TOL
-        return self.iso_slack >= -tol and self.unit_slack >= -tol and self.mult_slack >= -tol
-
-    def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "predicted_iso": self.predicted_iso,
-            "measured_iso": self.measured_iso,
-            "predicted_unit": self.predicted_unit,
-            "measured_unit": self.measured_unit,
-            "predicted_mult": self.predicted_mult,
-            "measured_mult": self.measured_mult,
-            "iso_slack": self.iso_slack,
-            "unit_slack": self.unit_slack,
-            "mult_slack": self.mult_slack,
-            "passed": self.passed,
-        }
-
-
-def perturbation_bound_report(phi: GroupMap, psi: GroupMap) -> PerturbationBoundReport:
-    """How the defects of ``psi`` compare with bounds predicted from ``phi``."""
     _require_compatible(phi, psi)
     eta = distance(phi, psi)
     norms = sup_norm(phi) + sup_norm(psi)
@@ -302,14 +282,10 @@ def perturbation_bound_report(phi: GroupMap, psi: GroupMap) -> PerturbationBound
     unit_phi, _ = unit_defect(phi)
     eps_psi, _ = mult_defect(psi)
     unit_psi, _ = unit_defect(psi)
-    return PerturbationBoundReport(
-        eta=eta,
-        predicted_iso=iso_defect(phi) + norms * eta,
-        measured_iso=iso_defect(psi),
-        predicted_unit=unit_phi + norms * eta,
-        measured_unit=unit_psi,
-        predicted_mult=eps_phi + (1.0 + norms) * eta,
-        measured_mult=eps_psi,
+    return Certificate(
+        iso=Bound(iso_defect(psi), iso_defect(phi) + norms * eta, tol=1e-10),
+        unit=Bound(unit_psi, unit_phi + norms * eta, tol=1e-10),
+        mult=Bound(eps_psi, eps_phi + (1.0 + norms) * eta, tol=1e-10),
     )
 
 

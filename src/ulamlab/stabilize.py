@@ -15,7 +15,17 @@ import numpy as np
 
 from . import linalg
 from .groups import FreeBall, UnsupportedDomainError
-from .maps import GroupMap, PreconditionError, distance, mult_defect, pd_min_eig, sup_norm, unit_defect
+from .maps import (
+    Bound,
+    Certificate,
+    GroupMap,
+    PreconditionError,
+    distance,
+    mult_defect,
+    pd_min_eig,
+    sup_norm,
+    unit_defect,
+)
 from .averaging import average_pd, form
 
 UNITARY_TOL = 1e-9
@@ -115,53 +125,13 @@ def product_constant(c: float, p: float, delta: float) -> float:
     return out
 
 
-@dataclass
-class RepairReport:
-    epsilon_in: float
-    delta_in: float
-    distance: float
-    unit_defect_out: float
-    mult_defect_out: float
-
-    UNIT_TOL = 1e-11
-    DISTANCE_SLACK = 1e-10
-    MULT_SLACK = 1e-9
-
-    @property
-    def distance_bound(self) -> float:
-        return self.delta_in
-
-    @property
-    def mult_bound(self) -> float:
-        return self.epsilon_in + 4.0 * self.delta_in
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.unit_defect_out <= self.UNIT_TOL
-            and self.distance <= self.distance_bound + self.DISTANCE_SLACK
-            and self.mult_defect_out <= self.mult_bound + self.MULT_SLACK
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon_in": self.epsilon_in,
-            "delta_in": self.delta_in,
-            "distance": self.distance,
-            "distance_bound": self.distance_bound,
-            "unit_defect_out": self.unit_defect_out,
-            "mult_defect_out": self.mult_defect_out,
-            "mult_bound": self.mult_bound,
-            "passed": self.passed,
-        }
-
-
-def polar_repair(phi: GroupMap) -> tuple[GroupMap, RepairReport]:
+def polar_repair(phi: GroupMap) -> tuple[GroupMap, Certificate]:
     """Replace each value by the unitary factor of its polar decomposition.
 
     The unit defect must be strictly below one; each value then moves by at
-    most that defect, and the multiplicative defect grows by at most four
-    times it.
+    most that defect (``distance``), the result is unitary (``unit``), and
+    the multiplicative defect grows by at most four times the unit defect
+    (``mult``).
     """
     delta, _ = unit_defect(phi)
     if delta >= 1.0 - 1e-9:
@@ -172,71 +142,20 @@ def polar_repair(phi: GroupMap) -> tuple[GroupMap, RepairReport]:
     psi = GroupMap(phi.domain, phi.dim, repaired, label=label)
     out_delta, _ = unit_defect(psi)
     out_eps, _ = mult_defect(psi)
-    report = RepairReport(
-        epsilon_in=eps,
-        delta_in=delta,
-        distance=distance(phi, psi),
-        unit_defect_out=out_delta,
-        mult_defect_out=out_eps,
+    return psi, Certificate(
+        unit=Bound(out_delta, 0.0, tol=1e-11),
+        distance=Bound(distance(phi, psi), delta, tol=1e-10),
+        mult=Bound(out_eps, eps + 4.0 * delta, tol=1e-9),
     )
-    return psi, report
 
 
-@dataclass
-class KazhdanReport:
-    epsilon_in: float
-    unital_residual: float
-    pd_min_eig: float
-    distance: float
-    unit_defect_out: float
-
-    UNITAL_TOL = 1e-11
-    PD_TOL = 1e-9
-    DISTANCE_SLACK = 1e-10
-    SHARP_SLACK = 1e-10
-
-    @property
-    def distance_bound(self) -> float:
-        return self.epsilon_in
-
-    @property
-    def sharp_bound(self) -> float:
-        return self.epsilon_in**2
-
-    @property
-    def crude_bound(self) -> float:
-        return 2.0 * self.epsilon_in**2
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.unital_residual <= self.UNITAL_TOL
-            and self.pd_min_eig >= -self.PD_TOL
-            and self.distance <= self.distance_bound + self.DISTANCE_SLACK
-            and self.unit_defect_out <= self.sharp_bound + self.SHARP_SLACK
-            and self.unit_defect_out <= self.crude_bound + self.SHARP_SLACK
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon_in": self.epsilon_in,
-            "unital_residual": self.unital_residual,
-            "pd_min_eig": self.pd_min_eig,
-            "distance": self.distance,
-            "distance_bound": self.distance_bound,
-            "unit_defect_out": self.unit_defect_out,
-            "sharp_bound": self.sharp_bound,
-            "crude_bound": self.crude_bound,
-            "passed": self.passed,
-        }
-
-
-def kazhdan_step(phi: GroupMap) -> tuple[GroupMap, KazhdanReport]:
+def kazhdan_step(phi: GroupMap) -> tuple[GroupMap, Certificate]:
     """One averaging round for a unitary-valued map.
 
-    The averaged map is unital and positive definite, sits within the
-    multiplicative defect of the input, and its unit defect drops to the
-    square of that defect.
+    The averaged map is unital (``unital``) and positive definite (``pd``),
+    sits within the multiplicative defect of the input (``distance``), and
+    its unit defect drops to the square of that defect (``sharp``; ``crude``
+    is twice the square).
     """
     delta, _ = unit_defect(phi)
     if delta > UNITARY_TOL:
@@ -247,14 +166,14 @@ def kazhdan_step(phi: GroupMap) -> tuple[GroupMap, KazhdanReport]:
     psi = average_pd(phi)
     eye = np.eye(phi.dim, dtype=np.complex128)
     out_delta, _ = unit_defect(psi)
-    report = KazhdanReport(
-        epsilon_in=eps,
-        unital_residual=float(linalg.op_norm(psi.values[psi.identity_index] - eye)),
-        pd_min_eig=pd_min_eig(psi),
-        distance=distance(phi, psi),
-        unit_defect_out=out_delta,
+    unital_residual = float(linalg.op_norm(psi.values[psi.identity_index] - eye))
+    return psi, Certificate(
+        unital=Bound(unital_residual, 0.0, tol=1e-11),
+        pd=Bound(0.0, pd_min_eig(psi), tol=1e-9),
+        distance=Bound(distance(phi, psi), eps, tol=1e-10),
+        sharp=Bound(out_delta, eps**2, tol=1e-10),
+        crude=Bound(out_delta, 2.0 * eps**2, tol=1e-10),
     )
-    return psi, report
 
 
 @dataclass
@@ -278,19 +197,6 @@ class StabilizationTrace:
     final_defect: float = 0.0
     converged: bool = False
     theory: BoundCertificate | None = None
-
-    @property
-    def step_distance_sum(self) -> float:
-        return sum(rec.step_distance for rec in self.iterations)
-
-    def to_dict(self) -> dict:
-        return {
-            "iterations": [rec.to_dict() for rec in self.iterations],
-            "total_distance": self.total_distance,
-            "final_defect": self.final_defect,
-            "converged": self.converged,
-            "theory": self.theory.to_dict() if self.theory else None,
-        }
 
 
 def _theory_certificate(eps0: float) -> BoundCertificate:
@@ -332,12 +238,12 @@ def stabilize(
     for _ in range(max_iter):
         if eps_n < tol:
             break
-        averaged, step_report = kazhdan_step(current)
+        averaged, step = kazhdan_step(current)
         repaired, _ = polar_repair(averaged)
         trace.iterations.append(
             IterationRecord(
                 epsilon_n=eps_n,
-                delta_n=step_report.unit_defect_out,
+                delta_n=step["sharp"].measured,
                 step_distance=distance(current, repaired),
             )
         )
@@ -358,32 +264,28 @@ def stabilize(
 
 @dataclass
 class DixmierReport:
+    """Diagnostics of one unitarization and the certificate of its result.
+
+    ``certificate`` holds ``unit`` (the result is unitary) and ``distance``
+    (the movement is at most ``||psi|| (||psi||^2 - 1)``).
+    """
+
     sup_norm_in: float
     condition: float
-    distance: float
-    unit_defect_out: float
-
-    UNIT_TOL = 1e-9
-    DISTANCE_SLACK = 1e-8
-
-    @property
-    def distance_bound(self) -> float:
-        return self.sup_norm_in * (self.sup_norm_in**2 - 1.0)
+    certificate: Certificate
 
     @property
     def passed(self) -> bool:
-        return (
-            self.unit_defect_out <= self.UNIT_TOL
-            and self.distance <= self.distance_bound + self.DISTANCE_SLACK
-        )
+        return self.certificate.passed
 
     def to_dict(self) -> dict:
+        moved = self.certificate["distance"]
         return {
             "sup_norm_in": self.sup_norm_in,
             "condition": self.condition,
-            "distance": self.distance,
-            "distance_bound": self.distance_bound,
-            "unit_defect_out": self.unit_defect_out,
+            "distance": moved.measured,
+            "distance_bound": moved.bound,
+            "unit_defect_out": self.certificate["unit"].measured,
             "passed": self.passed,
         }
 
@@ -421,10 +323,9 @@ def dixmier_unitarize(psi: GroupMap) -> tuple[GroupMap, DixmierReport]:
     label = f"unitarized({psi.label})" if psi.label else "unitarized"
     pi = GroupMap(psi.domain, psi.dim, s @ psi.values @ s_inv, label=label)
     out_delta, _ = unit_defect(pi)
-    report = DixmierReport(
-        sup_norm_in=sup_norm(psi),
-        condition=float(np.sqrt(w[-1] / w[0])),
-        distance=distance(psi, pi),
-        unit_defect_out=out_delta,
+    norm = sup_norm(psi)
+    certificate = Certificate(
+        unit=Bound(out_delta, 0.0, tol=1e-9),
+        distance=Bound(distance(psi, pi), norm * (norm**2 - 1.0), tol=1e-8),
     )
-    return pi, report
+    return pi, DixmierReport(norm, float(np.sqrt(w[-1] / w[0])), certificate)

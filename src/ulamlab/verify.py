@@ -1,9 +1,9 @@
 """Seeded verification suites for the library's quantitative guarantees.
 
-Each suite draws a deterministic corpus from its seed list, measures the
-margins by which the guaranteed bounds hold, and reports the worst case.
-A margin compares a bound against a measurement, so passing means every
-margin stays above minus its tolerance.
+Each suite draws a deterministic corpus from its seed list, checks the
+guaranteed bounds on it as :class:`~ulamlab.maps.Bound` records, and reports
+the worst margin of each.  A margin compares a bound against a measurement,
+so passing means every margin stays above minus its tolerance.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .linalg import OPERATOR, ky_fan, schatten
 from .averaging import (
-    average_pd,
+    MarginReport,
     closeness_bound_check,
     condition_b_report,
     condition_c_check,
@@ -34,13 +34,12 @@ from .generators import (
 )
 from .groups import parse_group_spec
 from .maps import (
+    Bound,
     GroupMap,
     adj,
     batch_norms,
-    distance,
     mult_defect,
     pair_defect_norms,
-    pd_min_eig,
     perturbation_bound_report,
     unit_defect,
 )
@@ -83,8 +82,9 @@ def _suite_rng(seed: int, label: str) -> np.random.Generator:
 class SuiteResult:
     """Worst-case margins of one suite over its corpus.
 
-    ``notes`` maps a margin name to its worst observed value; the margin
-    passes when it is at least minus the matching tolerance.
+    ``notes`` maps a margin name to its worst observed value and
+    ``tolerances`` to the tolerance of the bound it was taken from; the
+    margin passes when it is at least minus that tolerance.
     """
 
     name: str
@@ -94,9 +94,13 @@ class SuiteResult:
 
     @property
     def passed(self) -> bool:
-        return all(
-            self.notes[key] >= -self.tolerances.get(key, 0.0) for key in self.notes
-        )
+        return all(self.notes[key] >= -self.tolerances[key] for key in self.notes)
+
+    def note(self, key: str, check: Bound) -> None:
+        """Keep the worst margin under ``key`` and the tolerance of its bound."""
+        margin = float(check.margin)
+        self.notes[key] = min(self.notes.get(key, margin), margin)
+        self.tolerances[key] = check.tol
 
     def to_dict(self) -> dict:
         return {
@@ -122,13 +126,15 @@ class SuiteResult:
         )
 
 
-def _note(notes: dict[str, float], key: str, value: float) -> None:
-    notes[key] = min(notes.get(key, value), float(value))
+def _worst(report: MarginReport) -> Bound:
+    """The worst per-element margin as a lower bound at zero; a skipped check fails."""
+    worst = report.worst_margin if not report.skipped else float("-inf")
+    return Bound(0.0, worst, tol=MarginReport.MARGIN_TOL)
 
 
 def square_inequality_suite(seeds: Sequence[int]) -> SuiteResult:
     """``||1 - a|| <= ||1 - a^2||`` for PSD ``a`` under every supported gauge."""
-    notes: dict[str, float] = {}
+    result = SuiteResult("square_inequality", len(seeds))
     for seed in seeds:
         rng = _suite_rng(seed, "square")
         d = int(rng.integers(2, 9))
@@ -146,14 +152,14 @@ def square_inequality_suite(seeds: Sequence[int]) -> SuiteResult:
             ky_fan(int(rng.integers(1, d + 1))),
         ]
         for kind in kinds:
-            margin = linalg.uinorm(eye - a @ a, kind) - linalg.uinorm(eye - a, kind)
-            _note(notes, "square_margin", margin)
-    return SuiteResult("square_inequality", len(seeds), notes, {"square_margin": 1e-10})
+            lower, upper = linalg.uinorm(eye - a, kind), linalg.uinorm(eye - a @ a, kind)
+            result.note("square_margin", Bound(lower, upper, tol=1e-10))
+    return result
 
 
 def stinespring_inequality_suite(seeds: Sequence[int]) -> SuiteResult:
     """Compression defect factors through the unit defects of both arguments."""
-    notes: dict[str, float] = {}
+    result = SuiteResult("stinespring_inequality", len(seeds))
     for seed in seeds:
         rng = _suite_rng(seed, "stinespring")
         g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
@@ -165,10 +171,9 @@ def stinespring_inequality_suite(seeds: Sequence[int]) -> SuiteResult:
         right_defect = batch_norms(v[e][None] - adj(v) @ v)
         mults = pair_defect_norms(phi).reshape(g.order, g.order)
         bound = np.sqrt(left_defect[:, None] * right_defect[None, :])
-        _note(notes, "stinespring_margin", float((bound - mults).min()))
-    return SuiteResult(
-        "stinespring_inequality", len(seeds), notes, {"stinespring_margin": 1e-10}
-    )
+        w = np.unravel_index(np.argmin(bound - mults), bound.shape)
+        result.note("stinespring_margin", Bound(float(mults[w]), float(bound[w]), tol=1e-10))
+    return result
 
 
 def _noisy_copy(phi: GroupMap, eta: float, rng: np.random.Generator) -> GroupMap:
@@ -181,7 +186,7 @@ def _noisy_copy(phi: GroupMap, eta: float, rng: np.random.Generator) -> GroupMap
 
 def perturbation_bounds_suite(seeds: Sequence[int]) -> SuiteResult:
     """Predicted defect growth under a uniform perturbation dominates measured."""
-    notes: dict[str, float] = {}
+    result = SuiteResult("perturbation_bounds", len(seeds))
     for seed in seeds:
         rng = _suite_rng(seed, "perturbation")
         g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
@@ -196,17 +201,14 @@ def perturbation_bounds_suite(seeds: Sequence[int]) -> SuiteResult:
             phi = compress_rep(regular_rep(g), int(rng.integers(1, min(8, g.order) + 1)), seed)
         psi = _noisy_copy(phi, float(rng.uniform(0, 0.2)), rng)
         report = perturbation_bound_report(phi, psi)
-        _note(notes, "perturbation_iso_margin", report.iso_slack)
-        _note(notes, "perturbation_unit_margin", report.unit_slack)
-        _note(notes, "perturbation_mult_margin", report.mult_slack)
-    tol = {"perturbation_iso_margin": 1e-10, "perturbation_unit_margin": 1e-10,
-           "perturbation_mult_margin": 1e-10}
-    return SuiteResult("perturbation_bounds", len(seeds), notes, tol)
+        for name in ("iso", "unit", "mult"):
+            result.note(f"perturbation_{name}_margin", report[name])
+    return result
 
 
 def unital_equivalence_suite(seeds: Sequence[int]) -> SuiteResult:
     """For unital positive definite maps the unit and mult defects coincide."""
-    notes: dict[str, float] = {}
+    result = SuiteResult("unital_defect_equivalence", len(seeds))
     for seed in seeds:
         rng = _suite_rng(seed, "unital")
         g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
@@ -219,29 +221,23 @@ def unital_equivalence_suite(seeds: Sequence[int]) -> SuiteResult:
         phi = GroupMap(g, sub_dim, q.conj().T @ (pi.values @ q), label="unital")
         eps, _ = mult_defect(phi)
         delta, _ = unit_defect(phi)
-        _note(notes, "unit_le_mult_margin", eps - delta)
-        _note(notes, "mult_le_unit_margin", delta - eps)
-    tol = {"unit_le_mult_margin": 1e-9, "mult_le_unit_margin": 1e-9}
-    return SuiteResult("unital_defect_equivalence", len(seeds), notes, tol)
+        result.note("unit_le_mult_margin", Bound(delta, eps, tol=1e-9))
+        result.note("mult_le_unit_margin", Bound(eps, delta, tol=1e-9))
+    return result
 
 
 def condition_b_suite(seeds: Sequence[int]) -> SuiteResult:
     """Mean/form compatibility over random bounded maps on the group pool."""
-    notes: dict[str, float] = {}
+    result = SuiteResult("condition_b", len(seeds))
     for seed in seeds:
         rng = _suite_rng(seed, "condition_b")
         spec = POOL_SPECS[seed % len(POOL_SPECS)]
         dim = int(rng.integers(1, 5))
         report = condition_b_report(pool_group(spec), dim, trials=1, seed=seed)
-        _note(notes, "condition_b_identity_margin", 1e-12 - report.identity_residual)
-        _note(notes, "condition_b_ratio_margin", 1.0 + 1e-10 - report.bound_ratio)
-        _note(notes, "condition_b_pd_min_eig", min(report.pd_min_eigs))
-    tol = {
-        "condition_b_identity_margin": 0.0,
-        "condition_b_ratio_margin": 0.0,
-        "condition_b_pd_min_eig": 1e-9,
-    }
-    return SuiteResult("condition_b", len(seeds), notes, tol)
+        result.note("condition_b_identity_margin", report["identity"].strict())
+        result.note("condition_b_ratio_margin", report["ratio"].strict())
+        result.note("condition_b_pd_min_eig", report["pd"])
+    return result
 
 
 def averaging_suite(
@@ -252,52 +248,32 @@ def averaging_suite(
     """Averaging identity, closeness and norm estimates, and the sharp
     quadratic bound, over seeded unitary perturbations of regular
     representations."""
-    notes: dict[str, float] = {}
+    result = SuiteResult("averaging_checks", len(seeds))
     for seed in seeds:
         rng = _suite_rng(seed, "averaging")
         g = pool_group(group_specs[int(rng.integers(len(group_specs)))])
         theta = float(rng.uniform(0.0, theta_max))
         phi = perturb_unitary(regular_rep(g), theta, seed)
-        psi = average_pd(phi)
-        eps, _ = mult_defect(phi)
-        delta_out, _ = unit_defect(psi)
-        _note(notes, "condition_c_margin", 1e-10 - condition_c_check(phi, psi))
-        closeness = closeness_bound_check(phi, psi)
-        _note(
-            notes,
-            "closeness_margin",
-            closeness.worst_margin if not closeness.skipped else float("-inf"),
-        )
+        psi, step = kazhdan_step(phi)
+        identity = Bound(condition_c_check(phi, psi), 0.0, tol=1e-10)
+        result.note("condition_c_margin", identity.strict())
+        result.note("closeness_margin", _worst(closeness_bound_check(phi, psi)))
         for kind, key in (
             (schatten(1, normalized=True), "norm_estimate_s1_margin"),
             (schatten(2, normalized=True), "norm_estimate_s2_margin"),
             (OPERATOR, "norm_estimate_operator_margin"),
         ):
-            estimate = norm_estimate_check(phi, psi, kind)
-            _note(
-                notes, key, estimate.worst_margin if not estimate.skipped else float("-inf")
-            )
-        _note(notes, "kazhdan_sharp_margin", eps**2 - delta_out)
-        _note(notes, "kazhdan_crude_margin", 2.0 * eps**2 - delta_out)
-        _note(notes, "kazhdan_distance_margin", eps - distance(phi, psi))
-        _note(notes, "average_pd_min_eig", pd_min_eig(psi))
-    tol = {
-        "condition_c_margin": 0.0,
-        "closeness_margin": 1e-10,
-        "norm_estimate_s1_margin": 1e-10,
-        "norm_estimate_s2_margin": 1e-10,
-        "norm_estimate_operator_margin": 1e-10,
-        "kazhdan_sharp_margin": 1e-10,
-        "kazhdan_crude_margin": 1e-10,
-        "kazhdan_distance_margin": 1e-10,
-        "average_pd_min_eig": 1e-9,
-    }
-    return SuiteResult("averaging_checks", len(seeds), notes, tol)
+            result.note(key, _worst(norm_estimate_check(phi, psi, kind)))
+        result.note("kazhdan_sharp_margin", step["sharp"])
+        result.note("kazhdan_crude_margin", step["crude"])
+        result.note("kazhdan_distance_margin", step["distance"])
+        result.note("average_pd_min_eig", step["pd"])
+    return result
 
 
 def polar_repair_suite(seeds: Sequence[int]) -> SuiteResult:
     """Polar repair contract on near-unitary maps with sizable unit defect."""
-    notes: dict[str, float] = {}
+    result = SuiteResult("polar_repair_contract", len(seeds))
     for seed in seeds:
         rng = _suite_rng(seed, "repair")
         g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
@@ -312,76 +288,39 @@ def polar_repair_suite(seeds: Sequence[int]) -> SuiteResult:
             if scale > 0:
                 vals[x] = vals[x] @ (np.eye(rho.dim) + b * (amplitude / scale))
         phi = GroupMap(g, rho.dim, vals, label="near_unitary")
-        psi, report = polar_repair(phi)
-        _note(notes, "repair_unit_margin", report.UNIT_TOL - report.unit_defect_out)
-        _note(
-            notes,
-            "repair_distance_margin",
-            report.distance_bound + report.DISTANCE_SLACK - report.distance,
-        )
-        _note(
-            notes,
-            "repair_mult_margin",
-            report.mult_bound + report.MULT_SLACK - report.mult_defect_out,
-        )
-    tol = {
-        "repair_unit_margin": 0.0,
-        "repair_distance_margin": 0.0,
-        "repair_mult_margin": 0.0,
-    }
-    return SuiteResult("polar_repair_contract", len(seeds), notes, tol)
+        _, report = polar_repair(phi)
+        for name in ("unit", "distance", "mult"):
+            result.note(f"repair_{name}_margin", report[name].strict())
+    return result
 
 
 def kazhdan_contract_suite(seeds: Sequence[int]) -> SuiteResult:
     """Averaging-step certificate over seeded unitary perturbations."""
-    notes: dict[str, float] = {}
+    result = SuiteResult("kazhdan_contract", len(seeds))
     for seed in seeds:
         rng = _suite_rng(seed, "kazhdan")
         g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
         phi = perturb_unitary(regular_rep(g), float(rng.uniform(0, 0.03)), seed)
         _, report = kazhdan_step(phi)
-        _note(notes, "kazhdan_unital_margin", report.UNITAL_TOL - report.unital_residual)
-        _note(notes, "kazhdan_pd_min_eig", report.pd_min_eig)
-        _note(
-            notes,
-            "kazhdan_step_distance_margin",
-            report.distance_bound + report.DISTANCE_SLACK - report.distance,
-        )
-        _note(
-            notes,
-            "kazhdan_step_sharp_margin",
-            report.sharp_bound + report.SHARP_SLACK - report.unit_defect_out,
-        )
-    tol = {
-        "kazhdan_unital_margin": 0.0,
-        "kazhdan_pd_min_eig": 1e-9,
-        "kazhdan_step_distance_margin": 0.0,
-        "kazhdan_step_sharp_margin": 0.0,
-    }
-    return SuiteResult("kazhdan_contract", len(seeds), notes, tol)
+        result.note("kazhdan_unital_margin", report["unital"].strict())
+        result.note("kazhdan_pd_min_eig", report["pd"])
+        result.note("kazhdan_step_distance_margin", report["distance"].strict())
+        result.note("kazhdan_step_sharp_margin", report["sharp"].strict())
+    return result
 
 
 def dixmier_contract_suite(seeds: Sequence[int], bound: float = 2.0) -> SuiteResult:
     """Unitarization certificate over seeded similarity twists."""
-    notes: dict[str, float] = {}
+    result = SuiteResult("dixmier_contract", len(seeds))
     for seed in seeds:
         rng = _suite_rng(seed, "dixmier")
         g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
         psi, cond = similarity_twist(regular_rep(g), bound, seed)
         _, report = dixmier_unitarize(psi)
-        _note(notes, "twist_condition_margin", bound - cond)
-        _note(notes, "dixmier_unit_margin", report.UNIT_TOL - report.unit_defect_out)
-        _note(
-            notes,
-            "dixmier_distance_margin",
-            report.distance_bound + report.DISTANCE_SLACK - report.distance,
-        )
-    tol = {
-        "twist_condition_margin": 1e-12,
-        "dixmier_unit_margin": 0.0,
-        "dixmier_distance_margin": 0.0,
-    }
-    return SuiteResult("dixmier_contract", len(seeds), notes, tol)
+        result.note("twist_condition_margin", Bound(cond, bound, tol=1e-12))
+        result.note("dixmier_unit_margin", report.certificate["unit"].strict())
+        result.note("dixmier_distance_margin", report.certificate["distance"].strict())
+    return result
 
 
 SUITES: dict[str, Callable[[Sequence[int]], SuiteResult]] = {

@@ -114,17 +114,16 @@ def test_condition_b_report_passes(group_pool):
     for g in group_pool[:4]:
         rep = condition_b_report(g, dim=2, trials=4, seed=0)
         assert rep.passed
-        assert rep.identity_residual <= 1e-12
-        assert rep.bound_ratio <= 1.0 + 1e-10
-        assert all(e >= -1e-9 for e in rep.pd_min_eigs)
+        assert rep["identity"].measured <= 1e-12
+        assert rep["ratio"].measured <= 1.0 + 1e-10
+        assert rep["pd"].bound >= -1e-9
 
 
 def test_condition_b_report_dict_shape():
     rep = condition_b_report(cyclic(2), dim=1, trials=2, seed=5)
-    data = rep.to_dict()
-    assert data["passed"] is True
-    assert data["trials"] == 2
-    assert "worst_pd_min_eig" in data
+    assert rep.passed is True
+    assert set(rep) == {"identity", "ratio", "pd"}
+    assert rep["ratio"].bound == 1.0
 
 
 def test_condition_c_zero_for_exact_reps():

@@ -154,6 +154,14 @@ class TestExitCodes:
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)
 
+    def test_gram_size_limit_exits_two(self, runner, monkeypatch):
+        monkeypatch.setattr("ulamlab.maps.MAX_GRAM_DIM", 8)
+        for args in (["stabilize", "--group", "cyclic:4"], ["verify", "--seeds", "0"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (args, result.output)
+            assert "configuration error: Gram dimension" in result.output
+            assert "MAX_GRAM_DIM = 8" in result.output
+
     def test_bad_salt_exits_two(self, runner):
         result = runner.invoke(
             main, ["gen", "--group", "cyclic:2"], env={"ULAMLAB_SEED_SALT": "soup"}

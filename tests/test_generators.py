@@ -29,7 +29,7 @@ from ulamlab import (
     trivial_rep,
     unit_defect,
 )
-from ulamlab.generators import character_rep, spec_dim
+from ulamlab.generators import character_rep
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -258,17 +258,6 @@ def test_parse_genspec_inline_and_file(tmp_path):
     assert parse_genspec(str(path)).kind == "regular"
     with pytest.raises(ValueError):
         parse_genspec("no-such-file.json")
-
-
-def test_spec_dim_reflects_structure():
-    g = dihedral(3)
-    assert spec_dim(GenSpec("regular"), g) == 6
-    assert spec_dim(GenSpec("trivial"), g) == 1
-    assert spec_dim(GenSpec("compressed", sub_dim=4), g) == 4
-    nested = GenSpec(
-        "direct_sum", parts=(GenSpec("regular"), GenSpec("random_map", dim=2))
-    )
-    assert spec_dim(nested, g) == 8
 
 
 def test_build_map_resolves_embedded_group():

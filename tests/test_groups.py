@@ -15,7 +15,6 @@ from ulamlab.groups import (
     direct_product,
     free_ball,
     from_table,
-    inverse_indices,
     n_elements,
     parse_group_spec,
     reduce_word,
@@ -136,13 +135,6 @@ def test_from_table_rejects_out_of_range_entries():
         from_table([[0, 1], [1, 2]])
 
 
-def test_inverse_indices_matches_group_inverse():
-    g = dihedral(4)
-    inv = inverse_indices(g)
-    for a in range(g.order):
-        assert g.product(a, inv[a]) == g.identity
-
-
 def test_reduce_word_cancels_adjacent_inverses():
     assert reduce_word([1, -1]) == ()
     assert reduce_word([1, 2, -2, -1]) == ()
@@ -182,10 +174,9 @@ def test_free_ball_word_counts():
 def test_free_ball_identity_and_inverses():
     ball = free_ball(2, 3)
     assert ball.identity == 0
-    inv = inverse_indices(ball)
     for i, w in enumerate(ball.words):
-        expected = tuple(-a for a in reversed(w))
-        assert ball.words[inv[i]] == expected
+        inverse = ball.index[tuple(-a for a in reversed(w))]
+        assert ball.pair_index[(i, inverse)] == ball.identity
 
 
 def test_free_ball_pair_index_only_inside_radius():

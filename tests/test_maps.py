@@ -3,6 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ulamlab import (
+    Bound,
+    Certificate,
     GroupMap,
     OPERATOR,
     constant_identity,
@@ -22,7 +24,6 @@ from ulamlab import (
     sup_norm,
     unit_defect,
 )
-from ulamlab.maps import adjoint_map
 
 TWO_SIN_TENTH = 0.1996668332936563  # |1 - exp(0.2i)|
 
@@ -135,11 +136,6 @@ def test_pd_min_eig_requires_adjoint_symmetry():
     assert pd_min_eig(phi) == -np.inf
 
 
-def test_adjoint_map_fixes_representations():
-    rho = regular_rep(dihedral(3))
-    assert_allclose(adjoint_map(rho).values, rho.values, atol=1e-14)
-
-
 def test_group_map_validates_shapes():
     g = cyclic(2)
     with pytest.raises(ValueError):
@@ -168,16 +164,28 @@ def test_defect_report_on_free_ball_is_restricted():
     assert rep.epsilon == 0.0
 
 
+def test_bound_margin_strict_and_pass_edge():
+    b = Bound(0.3, 0.1, tol=1e-10)
+    assert b.strict().margin == 0.1 + 1e-10 - 0.3  # bit-equal, not approximate
+    assert b.strict().tol == 0.0
+    edge = Bound(1.0 + 2.0**-20, 1.0, tol=2.0**-20)  # margin is exactly -tol
+    assert edge.margin == -edge.tol
+    assert edge.passed
+    assert not Bound(np.nextafter(edge.measured, 2.0), 1.0, tol=2.0**-20).passed
+    assert Certificate(a=edge, b=Bound(0.0, 1.0)).passed
+    assert not Certificate(a=edge, b=Bound(2.0, 1.0)).passed
+
+
 def test_perturbation_bounds_scalar_tightness():
     # phi = 1, psi = 0.9 on Z2: unit bound (|phi|+|psi|) eta = 0.19 is exact
     g = cyclic(2)
     phi = scalar_map(g, [1.0, 1.0])
     psi = scalar_map(g, [0.9, 0.9])
     rep = perturbation_bound_report(phi, psi)
-    assert rep.eta == pytest.approx(0.1)
-    assert rep.predicted_unit == pytest.approx(0.19)
-    assert rep.measured_unit == pytest.approx(0.19)
-    assert rep.unit_slack == pytest.approx(0.0, abs=1e-12)
+    assert distance(phi, psi) == pytest.approx(0.1)
+    assert rep["unit"].bound == pytest.approx(0.19)
+    assert rep["unit"].measured == pytest.approx(0.19)
+    assert rep["unit"].margin == pytest.approx(0.0, abs=1e-12)
     assert rep.passed
 
 
@@ -188,9 +196,8 @@ def test_perturbation_bounds_hold_for_random_pairs(rng):
     psi = GroupMap(g, rho.dim, rho.values + 0.05 * noise)
     rep = perturbation_bound_report(rho, psi)
     assert rep.passed
-    assert rep.mult_slack >= -1e-10
-    assert rep.iso_slack >= -1e-10
-    assert rep.unit_slack >= -1e-10
+    assert set(rep) == {"iso", "unit", "mult"}
+    assert all(b.margin >= -1e-10 for b in rep.values())
 
 
 def test_map_round_trip_through_dict():

@@ -100,10 +100,11 @@ class TestPolarRepair:
         psi = GroupMap(g, 1, np.array([[[1.0]], [[COS_TENTH]]], dtype=complex))
         repaired, report = polar_repair(psi)
         assert repaired.values[1, 0, 0] == pytest.approx(1.0, abs=1e-14)
-        assert report.distance == pytest.approx(1 - COS_TENTH, abs=1e-12)
-        assert report.delta_in == pytest.approx(SIN_SQ_TENTH, abs=1e-12)
+        moved = report["distance"]
+        assert moved.measured == pytest.approx(1 - COS_TENTH, abs=1e-12)
+        assert moved.bound == pytest.approx(SIN_SQ_TENTH, abs=1e-12)  # the unit defect
         # the square-inequality route: 1 - cos <= sin^2 = delta
-        assert report.distance <= report.distance_bound + 1e-12
+        assert moved.margin >= -1e-12
         assert report.passed
 
     def test_repair_output_is_unitary(self):
@@ -128,17 +129,17 @@ class TestPolarRepair:
         contracted = GroupMap(g, phi.dim, phi.values * 0.97)
         repaired, report = polar_repair(contracted)
         eps_out, _ = mult_defect(repaired)
-        assert eps_out <= report.mult_bound + 1e-9
+        assert eps_out <= report["mult"].bound + 1e-9
 
 
 class TestKazhdanStep:
     def test_scalar_phase_oracle(self):
         psi, report = kazhdan_step(z2_phase())
-        assert report.epsilon_in == pytest.approx(TWO_SIN_TENTH, abs=1e-12)
+        assert report["distance"].bound == pytest.approx(TWO_SIN_TENTH, abs=1e-12)  # eps
         assert psi.values[1, 0, 0] == pytest.approx(COS_TENTH, abs=1e-12)
-        assert report.distance == pytest.approx(SIN_TENTH, abs=1e-12)
-        assert report.unit_defect_out == pytest.approx(SIN_SQ_TENTH, abs=1e-12)
-        assert report.unit_defect_out <= report.sharp_bound + 1e-12
+        assert report["distance"].measured == pytest.approx(SIN_TENTH, abs=1e-12)
+        assert report["sharp"].measured == pytest.approx(SIN_SQ_TENTH, abs=1e-12)
+        assert report["sharp"].margin >= -1e-12
         assert report.passed
 
     def test_requires_unitary_input(self):
@@ -150,8 +151,9 @@ class TestKazhdanStep:
             phi = perturb_unitary(regular_rep(dihedral(3)), 0.04, seed=seed)
             psi, report = kazhdan_step(phi)
             assert report.passed
-            assert report.unital_residual <= 1e-11
-            assert report.pd_min_eig >= -1e-9
+            assert set(report) == {"unital", "pd", "distance", "sharp", "crude"}
+            assert report["unital"].measured <= 1e-11
+            assert report["pd"].margin >= -1e-9
 
 
 class TestStabilize:
@@ -237,8 +239,8 @@ class TestDixmier:
         )
         pi, report = dixmier_unitarize(psi)
         assert_allclose(pi.values[1], [[0, 1], [1, 0]], atol=1e-12)
-        assert report.distance == pytest.approx(1.0, abs=1e-12)
-        assert report.distance_bound == pytest.approx(6.0, abs=1e-12)
+        assert report.certificate["distance"].measured == pytest.approx(1.0, abs=1e-12)
+        assert report.certificate["distance"].bound == pytest.approx(6.0, abs=1e-12)
         assert report.passed
 
     def test_twisted_rep_recovers_unitary(self):

@@ -55,6 +55,13 @@ def test_suite_result_to_dict_carries_margins():
     assert set(data["notes"]) == set(data["tolerances"])
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_every_note_carries_its_tolerance(name):
+    result = run_suite(name, [0, 1])
+    assert result.notes
+    assert set(result.notes) == set(result.tolerances)
+
+
 def test_run_all_suites_covers_registry():
     results = run_all_suites(SEEDS[:2])
     assert [r.name for r in results] == list(SUITES)

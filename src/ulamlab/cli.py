@@ -55,7 +55,7 @@ _PRECONDITION_ERRORS = (
 
 
 class ConfigError(ValueError):
-    """A recipe that cannot be built on its domain, found only at run time."""
+    """A recipe its domain cannot build, or a missing output directory."""
 
 
 @dataclass
@@ -460,6 +460,8 @@ def _finish(command: str, **kwargs) -> None:
     except ValueError as err:
         raise click.UsageError(str(err))
     try:
+        if config.out and not Path(config.out).parent.is_dir():
+            raise ConfigError(f"output directory {Path(config.out).parent} does not exist")
         report = run(config)
     except _PRECONDITION_ERRORS as err:
         click.echo(f"precondition error: {err}", err=True)
@@ -469,7 +471,11 @@ def _finish(command: str, **kwargs) -> None:
         sys.exit(EXIT_CONFIG)
     text = render_report(report, config.ndjson)
     if config.out:
-        Path(config.out).write_text(text)
+        try:
+            Path(config.out).write_text(text)
+        except OSError as err:
+            click.echo(f"configuration error: {err}", err=True)
+            sys.exit(EXIT_CONFIG)
         click.echo(f"pass={str(report.passed).lower()} -> {config.out}")
     else:
         click.echo(text, nl=False)
@@ -517,3 +523,7 @@ def verify(**kwargs):
 @_common_options
 def sweep(**kwargs):
     _finish("sweep", **kwargs)
+
+
+if __name__ == "__main__":
+    main()

@@ -9,7 +9,7 @@ the order of its initial defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -65,15 +65,7 @@ class BoundCertificate:
     truncation_error_bound: float
 
     def to_dict(self) -> dict:
-        return {
-            "kappa1": self.kappa1,
-            "kappa2": self.kappa2,
-            "p": self.p,
-            "delta": self.delta,
-            "series_constant": self.series_constant,
-            "truncation_terms": self.truncation_terms,
-            "truncation_error_bound": self.truncation_error_bound,
-        }
+        return asdict(self)
 
 
 def bound_certificate(kappa1: float, kappa2: float, p: float, delta: float) -> BoundCertificate:
@@ -125,6 +117,16 @@ def product_constant(c: float, p: float, delta: float) -> float:
     return out
 
 
+def _unitary_part(phi: GroupMap) -> tuple[GroupMap, float]:
+    """The polar unitary factor of every value, and the unit defect it removed."""
+    delta, _ = unit_defect(phi)
+    if delta >= 1.0 - 1e-9:
+        raise NotRepairableError(f"unit defect {delta:.6g} is not strictly below 1")
+    repaired = np.stack([linalg.polar(value)[0] for value in phi.values])
+    label = f"repair({phi.label})" if phi.label else "repair"
+    return GroupMap(phi.domain, phi.dim, repaired, label=label), delta
+
+
 def polar_repair(phi: GroupMap) -> tuple[GroupMap, Certificate]:
     """Replace each value by the unitary factor of its polar decomposition.
 
@@ -133,13 +135,8 @@ def polar_repair(phi: GroupMap) -> tuple[GroupMap, Certificate]:
     the multiplicative defect grows by at most four times the unit defect
     (``mult``).
     """
-    delta, _ = unit_defect(phi)
-    if delta >= 1.0 - 1e-9:
-        raise NotRepairableError(f"unit defect {delta:.6g} is not strictly below 1")
+    psi, delta = _unitary_part(phi)
     eps, _ = mult_defect(phi)
-    repaired = np.stack([linalg.polar(phi.values[i])[0] for i in range(len(phi.values))])
-    label = f"repair({phi.label})" if phi.label else "repair"
-    psi = GroupMap(phi.domain, phi.dim, repaired, label=label)
     out_delta, _ = unit_defect(psi)
     out_eps, _ = mult_defect(psi)
     return psi, Certificate(
@@ -183,11 +180,7 @@ class IterationRecord:
     step_distance: float
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon_n": self.epsilon_n,
-            "delta_n": self.delta_n,
-            "step_distance": self.step_distance,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -211,10 +204,12 @@ def stabilize(
 ) -> tuple[GroupMap, StabilizationTrace]:
     """Iterate averaging and polar repair until the map is a representation.
 
-    The distance certificate (total movement at most twice the starting
-    defect) is guaranteed for starting defects up to ``CERTIFIED_EPSILON``;
-    larger inputs still run but may legitimately fail to converge, which the
-    trace records instead of raising.
+    Each round computes only: ``average_pd``, the polar snap and one mult
+    defect scan.  ``kazhdan_step`` and ``polar_repair`` certify the same two
+    steps.  The distance certificate (total movement at most twice the
+    starting defect) is guaranteed for starting defects up to
+    ``CERTIFIED_EPSILON``; larger inputs still run but may legitimately fail
+    to converge, which the trace records instead of raising.
     """
     if isinstance(phi.domain, FreeBall):
         raise UnsupportedDomainError(
@@ -238,15 +233,9 @@ def stabilize(
     for _ in range(max_iter):
         if eps_n < tol:
             break
-        averaged, step = kazhdan_step(current)
-        repaired, _ = polar_repair(averaged)
-        trace.iterations.append(
-            IterationRecord(
-                epsilon_n=eps_n,
-                delta_n=step["sharp"].measured,
-                step_distance=distance(current, repaired),
-            )
-        )
+        # averaging needs unitary input: delta0 checks round 1, the snap the rest
+        repaired, delta_n = _unitary_part(average_pd(current))
+        trace.iterations.append(IterationRecord(eps_n, delta_n, distance(current, repaired)))
         current = repaired
         eps_n, _ = mult_defect(current)
     trace.converged = eps_n < tol

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ulamlab
 from ulamlab.cli import (
     EXIT_DIVERGED,
     EXIT_FAIL,
@@ -156,11 +161,32 @@ class TestExitCodes:
 
     def test_gram_size_limit_exits_two(self, runner, monkeypatch):
         monkeypatch.setattr("ulamlab.maps.MAX_GRAM_DIM", 8)
-        for args in (["stabilize", "--group", "cyclic:4"], ["verify", "--seeds", "0"]):
+        for args in (["defects", "--group", "cyclic:4"], ["verify", "--seeds", "0"]):
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)
             assert "configuration error: Gram dimension" in result.output
             assert "MAX_GRAM_DIM = 8" in result.output
+
+    def test_stabilize_builds_no_gram(self, runner, monkeypatch):
+        args = ["stabilize", "--group", "cyclic:4"]
+        unlimited = invoke_json(runner, args)
+        monkeypatch.setattr("ulamlab.maps.MAX_GRAM_DIM", 8)
+        assert strip_timings(invoke_json(runner, args)) == strip_timings(unlimited)
+
+    def test_out_into_missing_directory_exits_two(self, runner, tmp_path):
+        out = tmp_path / "missing" / "report.json"
+        result = runner.invoke(main, ["gen", "--group", "cyclic:2", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("configuration error: output directory")
+        assert "Traceback" not in result.output
+        assert not out.parent.exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_failed_write_exits_two(self, runner):
+        result = runner.invoke(main, ["gen", "--group", "cyclic:2", "--out", "/dev/full"])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("configuration error:")
+        assert "Traceback" not in result.output
 
     def test_bad_salt_exits_two(self, runner):
         result = runner.invoke(
@@ -198,6 +224,20 @@ class TestExitCodes:
         monkeypatch.setitem(cli_mod._COMMANDS, "gen", failing)
         result = runner.invoke(main, ["gen", "--group", "cyclic:2"])
         assert result.exit_code == EXIT_FAIL
+
+
+def test_module_entry_point_runs():
+    src = str(Path(ulamlab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ulamlab.cli", "gen", "--group", "cyclic:2"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["schema_version"].startswith("ulamlab-report/")
 
 
 class TestHelpers:

@@ -1,3 +1,6 @@
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +15,7 @@ from ulamlab import (
     bound_certificate,
     cyclic,
     dihedral,
+    distance,
     dixmier_unitarize,
     free_ball,
     kazhdan_step,
@@ -23,9 +27,12 @@ from ulamlab import (
     regular_rep,
     similarity_twist,
     stabilize,
+    symmetric,
     trivial_rep,
     unit_defect,
 )
+
+stabilize_module = importlib.import_module("ulamlab.stabilize")
 
 TWO_SIN_TENTH = 0.1996668332936563
 COS_TENTH = 0.9950041652780258
@@ -229,6 +236,50 @@ class TestStabilize:
         assert eps0 > CERTIFIED_EPSILON
         _, trace = stabilize(phi, max_iter=1)
         assert trace.converged is False
+
+    def test_each_round_is_one_average_and_one_scan(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            inner = getattr(stabilize_module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("mult_defect", "average_pd", "pd_min_eig", "kazhdan_step", "polar_repair"):
+            monkeypatch.setattr(stabilize_module, name, counted(name))
+        phi = perturb_unitary(regular_rep(dihedral(4)), 0.03, seed=0)
+        _, trace = stabilize_module.stabilize(phi)
+        rounds = len(trace.iterations)
+        assert rounds >= 2
+        assert calls["mult_defect"] == rounds + 1
+        assert calls["average_pd"] == rounds
+        assert calls["pd_min_eig"] == calls["kazhdan_step"] == calls["polar_repair"] == 0
+
+    @pytest.mark.parametrize("group", [cyclic(6), dihedral(4), symmetric(3)], ids=lambda g: g.label)
+    def test_loop_equals_certified_replay(self, group):
+        for seed in range(3):
+            phi = perturb_unitary(regular_rep(group), 0.03, seed=seed)
+            result, trace = stabilize(phi)
+            current, records = phi, []
+            eps, _ = mult_defect(phi)
+            while eps >= 1e-12:  # the default tol of stabilize
+                averaged, step = kazhdan_step(current)
+                repaired, repair = polar_repair(averaged)
+                assert step.passed and repair.passed, (seed, len(records))
+                records.append(
+                    stabilize_module.IterationRecord(
+                        eps, step["sharp"].measured, distance(current, repaired)
+                    )
+                )
+                current = repaired
+                eps, _ = mult_defect(current)
+            assert np.array_equal(result.values, current.values)
+            assert trace.iterations == records
+            assert trace.total_distance == distance(phi, current)
 
 
 class TestDixmier:

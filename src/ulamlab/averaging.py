@@ -9,7 +9,7 @@ average against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -48,13 +48,6 @@ def mean(phi: GroupMap) -> np.ndarray:
     return phi.values.mean(axis=0)
 
 
-def _row_blocks(g: FiniteGroup, dim: int):
-    """Slices of ``x`` rows whose translates ``phi(x y)`` fit in ``_PAIR_CHUNK`` entries."""
-    rows = max(1, maps._PAIR_CHUNK // (g.order * dim * dim))
-    for lo in range(0, g.order, rows):
-        yield slice(lo, lo + rows)
-
-
 def translate_average(
     phi: GroupMap, f: Callable[[np.ndarray, np.ndarray], np.ndarray]
 ) -> np.ndarray:
@@ -68,7 +61,7 @@ def translate_average(
     """
     g = _require_finite(phi.domain, "translate averaging")
     sums = np.empty(phi.values.shape, dtype=np.complex128)
-    for rows in _row_blocks(g, phi.dim):
+    for rows in maps._blocks(g.order, g.order * phi.dim * phi.dim):
         sums[rows] = f(phi.values[g.mul[rows]], phi.values)
     return sums / g.order
 
@@ -150,7 +143,7 @@ def condition_c_check(phi: GroupMap, psi: GroupMap) -> float:
     # certifies average_pd, which is built on that kernel.
     star = adj(phi.values)
     worst = 0.0
-    for rows in _row_blocks(g, phi.dim):
+    for rows in maps._blocks(g.order, g.order * phi.dim * phi.dim):
         translated = phi.values[g.mul[rows]]  # translated[x, y] = phi(x y)
         right = ((star[rows, None] @ translated) @ star[None]).sum(axis=1) / g.order
         left = star[rows] @ psi.values[rows]
@@ -188,58 +181,70 @@ class MarginReport:
         }
 
 
-def _averaging_skip_reason(phi: GroupMap, psi: GroupMap) -> str:
-    """Why ``phi`` is not unitary or ``psi`` not its average; empty when both hold."""
+def estimate_checks(
+    phi: GroupMap, psi: GroupMap, kinds: Sequence[NormKind] = ()
+) -> tuple[MarginReport, list[MarginReport], float]:
+    """The closeness bound and the mean-based norm estimates, from one pair scan.
+
+    Closeness: ``||phi(x) - psi(x)|| <= max_y ||phi(x)phi(y) - phi(x y)||``.
+    Estimate under each of ``kinds``:
+    ``||phi(x) - psi(x)||_kind <= mean_y ||phi(x y) - phi(x)phi(y)||_kind``,
+    the mean-based sharpening; Schatten norms must be trace normalized there
+    (the bound lives in the normalized-trace setting) and are skipped
+    otherwise.  Both need ``phi`` unitary-valued and ``psi`` tied to ``phi``
+    by the averaging identity; when either fails every check reports itself
+    as skipped rather than asserting a bound that does not apply.
+
+    Returns the closeness report, one estimate report per kind, and the
+    averaging-identity residual ``condition_c_check(phi, psi)``.
+    """
+    g = _require_finite(phi.domain, "closeness and norm estimates")
+    _require_compatible(phi, psi)
+    residual = condition_c_check(phi, psi)
     delta, _ = unit_defect(phi)
     if delta > PRECONDITION_TOL:
-        return f"unit defect {delta:.3e} exceeds {PRECONDITION_TOL:.0e}"
-    residual = condition_c_check(phi, psi)
-    if residual > PRECONDITION_TOL:
-        return f"averaging residual {residual:.3e} exceeds {PRECONDITION_TOL:.0e}"
-    return ""
+        reason = f"unit defect {delta:.3e} exceeds {PRECONDITION_TOL:.0e}"
+    elif residual > PRECONDITION_TOL:
+        reason = f"averaging residual {residual:.3e} exceeds {PRECONDITION_TOL:.0e}"
+    else:
+        reason = ""
+    closeness = MarginReport(name="closeness", skipped=bool(reason), reason=reason)
+    estimates = []
+    for kind in kinds:
+        why = reason
+        if kind.kind == "schatten" and not kind.trace_normalized:
+            why = "Schatten norms must be trace normalized for this estimate"
+        name = f"norm_estimate[{kind.describe()}]"
+        estimates.append(MarginReport(name=name, skipped=bool(why), reason=why))
+    if reason:
+        return closeness, estimates, residual
+    # closeness takes the row max of the operator norms, each estimate its row mean
+    measured = [(closeness, OPERATOR, np.max)]
+    measured += [(r, k, np.mean) for r, k in zip(estimates, kinds) if not r.skipped]
+    norms = pair_defect_norms(phi, [kind for _, kind, _ in measured])
+    sigma = linalg.singular_values(phi.values - psi.values)
+    for (report, kind, reduce), row in zip(measured, norms):
+        bounds = reduce(row.reshape(g.order, g.order), axis=1)
+        lefts = np.atleast_1d(linalg.gauge(sigma, kind))
+        report.margins = [float(b - l) for b, l in zip(bounds, lefts)]
+    return closeness, estimates, residual
 
 
 def closeness_bound_check(phi: GroupMap, psi: GroupMap) -> MarginReport:
-    """Check ``||phi(x) - psi(x)|| <= max_y ||phi(x)phi(y) - phi(x y)||``.
+    """The closeness report of :func:`estimate_checks`.
 
-    Needs ``phi`` unitary-valued and ``psi`` tied to ``phi`` by the averaging
-    identity; when either precondition fails the check reports itself as
-    skipped rather than asserting a bound that does not apply.
+    Kept under this name because the benchmark's tracer (``bench/spans.py``)
+    looks it up; nothing in the package calls it.
     """
-    g = _require_finite(phi.domain, "closeness bound")
-    _require_compatible(phi, psi)
-    report = MarginReport(name="closeness")
-    report.reason = _averaging_skip_reason(phi, psi)
-    if report.reason:
-        report.skipped = True
-        return report
-    bounds = pair_defect_norms(phi).reshape(g.order, g.order).max(axis=1)
-    lefts = batch_norms(phi.values - psi.values)
-    report.margins = [float(b - l) for b, l in zip(bounds, lefts)]
-    return report
+    return estimate_checks(phi, psi)[0]
 
 
 def norm_estimate_check(
     phi: GroupMap, psi: GroupMap, kind: NormKind = OPERATOR
 ) -> MarginReport:
-    """Check ``||phi(x) - psi(x)||_kind <= mean_y ||phi(x y) - phi(x)phi(y)||_kind``.
+    """The estimate report of :func:`estimate_checks` under ``kind``.
 
-    The mean-based sharpening of the closeness bound.  Schatten norms must be
-    trace normalized here (the bound lives in the normalized-trace setting);
-    the unitarity and averaging preconditions match the closeness check.
+    Kept under this name because the benchmark's tracer (``bench/spans.py``)
+    looks it up; nothing in the package calls it.
     """
-    g = _require_finite(phi.domain, "norm estimate")
-    _require_compatible(phi, psi)
-    report = MarginReport(name=f"norm_estimate[{kind.describe()}]")
-    if kind.kind == "schatten" and not kind.trace_normalized:
-        report.skipped = True
-        report.reason = "Schatten norms must be trace normalized for this estimate"
-        return report
-    report.reason = _averaging_skip_reason(phi, psi)
-    if report.reason:
-        report.skipped = True
-        return report
-    bounds = pair_defect_norms(phi, kind).reshape(g.order, g.order).mean(axis=1)
-    lefts = batch_norms(phi.values - psi.values, kind)
-    report.margins = [float(b - l) for b, l in zip(bounds, lefts)]
-    return report
+    return estimate_checks(phi, psi, (kind,))[1][0]

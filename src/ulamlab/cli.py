@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -74,16 +75,16 @@ class ExperimentConfig:
     salt: int | None = None
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max-iter must be >= 1, got {self.max_iter}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not self.seeds:
             raise ValueError("seed range is empty")
-        if any(t < 0 for t in self.theta):
-            raise ValueError("theta values must be nonnegative")
+        if not all(t >= 0 and math.isfinite(t) for t in self.theta):
+            raise ValueError("theta values must be nonnegative and finite")
 
     def effective_seeds(self) -> list[int]:
         if self.salt is None:

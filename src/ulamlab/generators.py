@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import linalg
+from . import linalg, maps
 from .groups import FiniteGroup, FreeBall, UnsupportedDomainError, n_elements
 from .maps import GroupMap, PreconditionError, mult_defect, unit_defect
 
@@ -125,14 +126,18 @@ def perturb_unitary(pi: GroupMap, theta: float, seed: int) -> GroupMap:
     rng = _rng(seed, "perturb")
     vals = pi.values.copy()
     d = pi.dim
-    for x in range(len(vals)):
-        if x == pi.identity_index:
-            continue
-        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h = a + a.conj().T
-        scale = float(linalg.singular_values(h)[0])
-        if theta > 0.0 and scale > 0.0:
-            vals[x] = vals[x] @ linalg.unitary_exp(h * (theta / scale))
+    # the stream of one (d, d) real part, then one imaginary part, per element
+    others = np.delete(np.arange(len(vals)), pi.identity_index)
+    for block in maps._blocks(len(others), d * d):
+        xs = others[block]
+        parts = rng.standard_normal((len(xs), 2, d, d))
+        a = parts[:, 0] + 1j * parts[:, 1]
+        h = a + linalg.adj(a)
+        scale = linalg.singular_values(h)[:, 0]
+        if theta > 0.0:
+            keep = scale > 0.0
+            xs, h, scale = xs[keep], h[keep], scale[keep]
+            vals[xs] = vals[xs] @ linalg.unitary_exp(h * (theta / scale)[:, None, None])
     return GroupMap(pi.domain, d, vals, label=f"perturbed[{theta:g}]")
 
 
@@ -227,6 +232,9 @@ class GenSpec:
     def __post_init__(self) -> None:
         if self.kind not in GENSPEC_KINDS:
             raise ValueError(f"unknown genspec kind {self.kind!r}")
+        for name in ("theta", "bound", "sup"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.theta < 0:
             raise ValueError(f"theta must be nonnegative, got {self.theta}")
         if self.bound < 1:

@@ -250,5 +250,12 @@ def parse_group_spec(spec: str) -> FiniteGroup | FreeBall:
         return out
     if head == "table":
         data = json.loads(Path(rest).read_text())
+        if not isinstance(data, dict):
+            raise ValueError(
+                f"bad group spec {spec!r}: the table file must hold a JSON object, "
+                f"not {type(data).__name__}"
+            )
+        if "mul" not in data:
+            raise ValueError(f"bad group spec {spec!r}: the table file has no 'mul' field")
         return from_table(data["mul"], label=data.get("label", f"table:{rest}"))
     raise ValueError(f"unknown group spec {spec!r}")

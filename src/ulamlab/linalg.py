@@ -90,14 +90,27 @@ def parse_norm(text: str) -> NormKind:
     raise ValueError(f"bad norm spec {text!r}")
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a square complex matrix, rejecting non-finite entries."""
+def _as_matrices(a) -> np.ndarray:
+    """Coerce to a square complex matrix or a stack of them, rejecting non-finite entries."""
     m = np.asarray(a, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return m
+
+
+def as_matrix(a) -> np.ndarray:
+    """Coerce to a square complex matrix, rejecting non-finite entries."""
+    m = _as_matrices(a)
+    if m.ndim != 2:
+        raise ValueError(f"expected a nonempty square matrix, got shape {m.shape}")
+    return m
+
+
+def adj(values: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.conj(np.swapaxes(values, -1, -2))
 
 
 def singular_values(a: np.ndarray) -> np.ndarray:
@@ -135,35 +148,47 @@ def uinorm(a, kind: NormKind = OPERATOR) -> float:
     return float(gauge(singular_values(as_matrix(a)), kind))
 
 
-def _asymmetry(m: np.ndarray) -> float:
-    return float(singular_values(m - m.conj().T)[0])
+def _asymmetry(m: np.ndarray, tol: float) -> float:
+    """An upper bound on the worst ``||m - m*||`` (operator norm) over a stack.
+
+    The Frobenius norm bounds the operator norm from above, so it is returned
+    when it is within ``tol``; otherwise the exact operator norm is.
+    """
+    diff = m - adj(m)
+    frobenius = float(np.max(np.linalg.norm(diff, axis=(-2, -1)), initial=0.0))
+    if frobenius <= tol:
+        return frobenius
+    return float(singular_values(diff)[..., 0].max(initial=0.0))
 
 
 def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
-    defect = _asymmetry(m)
+    defect = _asymmetry(m, HERMITIAN_TOL)
     if defect > HERMITIAN_TOL:
         raise ValueError(
             f"{what} needs a Hermitian matrix: asymmetry {defect:.3e} "
             f"exceeds {HERMITIAN_TOL:.0e}"
         )
-    return (m + m.conj().T) / 2.0
+    return (m + adj(m)) / 2.0
 
 
 def polar(a, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition ``a = u @ p`` with ``u`` unitary and ``p`` PSD.
 
-    Raises :class:`SingularInputError` when the smallest singular value falls
-    below ``sigma_min_tol``.
+    ``a`` may be a stack, decomposed matrix by matrix.  Raises
+    :class:`SingularInputError` when a smallest singular value falls below
+    ``sigma_min_tol``, naming the first such matrix's.
     """
-    m = as_matrix(a)
+    m = _as_matrices(a)
     u_left, s, vh = np.linalg.svd(m)
-    if s[-1] < sigma_min_tol:
+    smallest = s[..., -1].ravel()
+    low = np.flatnonzero(smallest < sigma_min_tol)
+    if low.size:
         raise SingularInputError(
-            f"smallest singular value {s[-1]:.3e} is below {sigma_min_tol:.3e}"
+            f"smallest singular value {smallest[low[0]]:.3e} is below {sigma_min_tol:.3e}"
         )
     u = u_left @ vh
-    p = vh.conj().T @ (s[:, None] * vh)
-    p = (p + p.conj().T) / 2.0
+    p = adj(vh) @ (s[..., :, None] * vh)
+    p = (p + adj(p)) / 2.0
     return u, p
 
 
@@ -178,7 +203,7 @@ def psd_sqrt(h) -> np.ndarray:
 
 
 def unitary_exp(h) -> np.ndarray:
-    """``exp(i h)`` for Hermitian ``h``; the result is unitary."""
-    m = _require_hermitian(as_matrix(h), "unitary exponential")
+    """``exp(i h)`` for Hermitian ``h``, or for each matrix of a stack; the result is unitary."""
+    m = _require_hermitian(_as_matrices(h), "unitary exponential")
     w, v = np.linalg.eigh(m)
-    return (v * np.exp(1j * w)) @ v.conj().T
+    return (v * np.exp(1j * w)[..., None, :]) @ adj(v)

@@ -8,11 +8,12 @@ map is from being a multiplicative, unitary-valued representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import linalg
-from .linalg import OPERATOR, NormKind
+from .linalg import OPERATOR, NormKind, adj
 from .groups import (
     FiniteGroup,
     FreeBall,
@@ -66,11 +67,6 @@ class Certificate(dict[str, Bound]):
     @property
     def passed(self) -> bool:
         return all(b.passed for b in self.values())
-
-
-def adj(values: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of each matrix in a stack."""
-    return np.conj(np.swapaxes(values, -1, -2))
 
 
 @dataclass(eq=False)
@@ -141,27 +137,48 @@ def batch_norms(mats: np.ndarray, kind: NormKind = OPERATOR) -> np.ndarray:
     return np.atleast_1d(linalg.gauge(linalg.singular_values(mats), kind))
 
 
-def _pair_scan(phi: GroupMap, kind: NormKind) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``x`` and ``y`` of every defined pair and the norm of its defect."""
+def _blocks(count: int, entries: int):
+    """Slices of ``count`` items of ``entries`` complex entries each.
+
+    A block holds at most ``_PAIR_CHUNK`` entries, or one item when an item
+    is larger.
+    """
+    step = max(1, _PAIR_CHUNK // entries)
+    for lo in range(0, count, step):
+        yield slice(lo, lo + step)
+
+
+def _pair_scan(
+    phi: GroupMap, kinds: Sequence[NormKind]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``x`` and ``y`` of every defined pair and its defect norm under each kind.
+
+    The norms have one row per kind; every defect is decomposed once.
+    """
     xs, ys, ks = _pair_arrays(phi.domain)
-    chunk = max(1, _PAIR_CHUNK // (phi.dim * phi.dim))
-    norms = np.empty(len(xs))
-    for lo in range(0, len(xs), chunk):
-        sl = slice(lo, lo + chunk)
+    norms = np.empty((len(kinds), len(xs)))
+    for sl in _blocks(len(xs), phi.dim * phi.dim):
         diff = phi.values[xs[sl]] @ phi.values[ys[sl]] - phi.values[ks[sl]]
-        norms[sl] = batch_norms(diff, kind)
+        sigma = linalg.singular_values(diff)
+        for row, kind in enumerate(kinds):
+            norms[row, sl] = linalg.gauge(sigma, kind)
     return xs, ys, norms
 
 
-def pair_defect_norms(phi: GroupMap, kind: NormKind = OPERATOR) -> np.ndarray:
+def pair_defect_norms(
+    phi: GroupMap, kind: NormKind | Sequence[NormKind] = OPERATOR
+) -> np.ndarray:
     """Norm of ``phi(x)phi(y) - phi(xy)`` for every defined pair.
 
     Entries follow the order of ``_pair_arrays``, so a finite group's result
-    reshapes to ``(n, n)`` indexed by ``[x, y]``.  Products are formed
+    reshapes to ``(n, n)`` indexed by ``[x, y]``.  A sequence of kinds gives
+    one row per kind from a single scan.  Products are formed
     ``_PAIR_CHUNK`` complex entries at a time, which bounds the memory of the
     scan independently of the number of pairs.
     """
-    return _pair_scan(phi, kind)[2]
+    if isinstance(kind, NormKind):
+        return _pair_scan(phi, (kind,))[2][0]
+    return _pair_scan(phi, tuple(kind))[2]
 
 
 def mult_defect(phi: GroupMap, kind: NormKind = OPERATOR) -> tuple[float, tuple[int, int]]:
@@ -170,9 +187,9 @@ def mult_defect(phi: GroupMap, kind: NormKind = OPERATOR) -> tuple[float, tuple[
     Free-ball domains are scanned only over pairs whose product stays in the
     ball.
     """
-    xs, ys, norms = _pair_scan(phi, kind)
-    w = int(np.argmax(norms))
-    return float(norms[w]), (int(xs[w]), int(ys[w]))
+    xs, ys, norms = _pair_scan(phi, (kind,))
+    w = int(np.argmax(norms[0]))
+    return float(norms[0, w]), (int(xs[w]), int(ys[w]))
 
 
 def unit_defect(phi: GroupMap) -> tuple[float, int]:
@@ -207,8 +224,9 @@ def pd_min_eig(phi: GroupMap) -> float:
     """Smallest eigenvalue of the full-group Gram block matrix.
 
     The Gram has blocks ``phi(inv(x_i) * x_j)``.  A Gram that is not
-    Hermitian within ``GRAM_HERMITIAN_TOL`` is definitely not PSD and is
-    reported as ``-inf``.
+    Hermitian within ``GRAM_HERMITIAN_TOL`` (in operator norm, tested through
+    the Frobenius norm first) is definitely not PSD and is reported as
+    ``-inf``.
     """
     if isinstance(phi.domain, FreeBall):
         raise UnsupportedDomainError(
@@ -220,7 +238,7 @@ def pd_min_eig(phi: GroupMap) -> float:
         raise SizeLimitError(f"Gram dimension {n * d} exceeds MAX_GRAM_DIM = {MAX_GRAM_DIM}")
     blocks = phi.values[g.mul[g.inv[:, None], np.arange(n)[None, :]]]
     big = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    if linalg.op_norm(big - big.conj().T) > GRAM_HERMITIAN_TOL:
+    if linalg._asymmetry(big, GRAM_HERMITIAN_TOL) > GRAM_HERMITIAN_TOL:
         return float("-inf")
     return float(np.linalg.eigvalsh((big + big.conj().T) / 2.0)[0])
 

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, maps
 from .groups import FreeBall, UnsupportedDomainError
 from .maps import (
     Bound,
@@ -122,7 +122,9 @@ def _unitary_part(phi: GroupMap) -> tuple[GroupMap, float]:
     delta, _ = unit_defect(phi)
     if delta >= 1.0 - 1e-9:
         raise NotRepairableError(f"unit defect {delta:.6g} is not strictly below 1")
-    repaired = np.stack([linalg.polar(value)[0] for value in phi.values])
+    repaired = np.empty_like(phi.values)
+    for block in maps._blocks(len(phi.values), phi.dim * phi.dim):
+        repaired[block] = linalg.polar(phi.values[block])[0]
     label = f"repair({phi.label})" if phi.label else "repair"
     return GroupMap(phi.domain, phi.dim, repaired, label=label), delta
 

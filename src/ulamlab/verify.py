@@ -17,13 +17,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import OPERATOR, ky_fan, schatten
-from .averaging import (
-    MarginReport,
-    closeness_bound_check,
-    condition_b_report,
-    condition_c_check,
-    norm_estimate_check,
-)
+from .averaging import MarginReport, condition_b_report, estimate_checks
 from .generators import (
     compress_rep,
     derive_seed,
@@ -249,21 +243,22 @@ def averaging_suite(
     quadratic bound, over seeded unitary perturbations of regular
     representations."""
     result = SuiteResult("averaging_checks", len(seeds))
+    estimated = {
+        "norm_estimate_s1_margin": schatten(1, normalized=True),
+        "norm_estimate_s2_margin": schatten(2, normalized=True),
+        "norm_estimate_operator_margin": OPERATOR,
+    }
     for seed in seeds:
         rng = _suite_rng(seed, "averaging")
         g = pool_group(group_specs[int(rng.integers(len(group_specs)))])
         theta = float(rng.uniform(0.0, theta_max))
         phi = perturb_unitary(regular_rep(g), theta, seed)
         psi, step = kazhdan_step(phi)
-        identity = Bound(condition_c_check(phi, psi), 0.0, tol=1e-10)
-        result.note("condition_c_margin", identity.strict())
-        result.note("closeness_margin", _worst(closeness_bound_check(phi, psi)))
-        for kind, key in (
-            (schatten(1, normalized=True), "norm_estimate_s1_margin"),
-            (schatten(2, normalized=True), "norm_estimate_s2_margin"),
-            (OPERATOR, "norm_estimate_operator_margin"),
-        ):
-            result.note(key, _worst(norm_estimate_check(phi, psi, kind)))
+        closeness, estimates, residual = estimate_checks(phi, psi, list(estimated.values()))
+        result.note("condition_c_margin", Bound(residual, 0.0, tol=1e-10).strict())
+        result.note("closeness_margin", _worst(closeness))
+        for key, report in zip(estimated, estimates):
+            result.note(key, _worst(report))
         result.note("kazhdan_sharp_margin", step["sharp"])
         result.note("kazhdan_crude_margin", step["crude"])
         result.note("kazhdan_distance_margin", step["distance"])

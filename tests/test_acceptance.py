@@ -15,7 +15,6 @@ from ulamlab import (
     UnsupportedDomainError,
     average_pd,
     bound_certificate,
-    closeness_bound_check,
     condition_b_report,
     condition_c_check,
     constant_identity,
@@ -26,10 +25,10 @@ from ulamlab import (
     direct_product,
     distance,
     dixmier_unitarize,
+    estimate_checks,
     free_ball,
     mean,
     mult_defect,
-    norm_estimate_check,
     pd_min_eig,
     perturb_unitary,
     product_constant,
@@ -150,11 +149,11 @@ def test_criterion_6_closeness_and_norm_estimates(corpus):
     for phi, _ in maps:
         psi = average_pd(phi)
         assert condition_c_check(phi, psi) <= 1e-10
-        closeness = closeness_bound_check(phi, psi)
+        kinds = (schatten(1, normalized=True), schatten(2, normalized=True))
+        closeness, estimates, _ = estimate_checks(phi, psi, kinds)
         assert not closeness.skipped
         assert closeness.worst_margin >= -1e-10
-        for kind in (schatten(1, normalized=True), schatten(2, normalized=True)):
-            estimate = norm_estimate_check(phi, psi, kind)
+        for estimate in estimates:
             assert not estimate.skipped
             assert estimate.worst_margin >= -1e-10
 

@@ -6,16 +6,15 @@ from ulamlab import (
     GroupMap,
     UnsupportedDomainError,
     average_pd,
-    closeness_bound_check,
     condition_b_report,
     condition_c_check,
     cyclic,
     dihedral,
     distance,
+    estimate_checks,
     form,
     free_ball,
     mean,
-    norm_estimate_check,
     pd_min_eig,
     perturb_unitary,
     random_map,
@@ -142,7 +141,7 @@ def test_closeness_bound_on_perturbed_rep():
     g = dihedral(3)
     phi = perturb_unitary(regular_rep(g), 0.02, seed=2)
     psi = average_pd(phi)
-    report = closeness_bound_check(phi, psi)
+    report, _, _ = estimate_checks(phi, psi)
     assert not report.skipped
     assert report.worst_margin >= -1e-10
     assert report.passed
@@ -151,7 +150,7 @@ def test_closeness_bound_on_perturbed_rep():
 def test_closeness_bound_skips_nonunitary_input():
     phi = random_map(cyclic(3), 2, seed=0)
     psi = average_pd(phi)
-    report = closeness_bound_check(phi, psi)
+    report, _, _ = estimate_checks(phi, psi)
     assert report.skipped
     assert report.reason
     assert report.passed  # skipped checks do not fail
@@ -161,8 +160,8 @@ def test_norm_estimate_operator_and_normalized_schatten():
     g = cyclic(4)
     phi = perturb_unitary(regular_rep(g), 0.02, seed=4)
     psi = average_pd(phi)
-    for kind in (schatten(1, normalized=True), schatten(2, normalized=True)):
-        report = norm_estimate_check(phi, psi, kind)
+    kinds = (schatten(1, normalized=True), schatten(2, normalized=True))
+    for report in estimate_checks(phi, psi, kinds)[1]:
         assert not report.skipped
         assert report.worst_margin >= -1e-10
 
@@ -171,6 +170,6 @@ def test_norm_estimate_skips_unnormalized_schatten():
     g = cyclic(4)
     phi = perturb_unitary(regular_rep(g), 0.02, seed=4)
     psi = average_pd(phi)
-    report = norm_estimate_check(phi, psi, schatten(1))
+    (report,) = estimate_checks(phi, psi, [schatten(1)])[1]
     assert report.skipped
     assert "normalized" in report.reason

@@ -142,7 +142,10 @@ class TestNdjson:
 
 
 class TestExitCodes:
-    def test_config_errors_exit_two(self, runner):
+    def test_config_errors_exit_two(self, runner, tmp_path):
+        empty_table, list_table = tmp_path / "empty.json", tmp_path / "list.json"
+        empty_table.write_text("{}")
+        list_table.write_text("[[0]]")
         cases = [
             ["gen", "--group", "wat:3"],
             ["gen", "--seeds", "5..2"],
@@ -154,6 +157,13 @@ class TestExitCodes:
             ["stabilize", "--max-iter", "0"],
             ["gen", "--group", "dihedral:3", "--genspec", '{"kind":"character","k":1}'],
             ["gen", "--genspec", '{"kind":"regular","group":"cyclic:300"}'],
+            ["verify", "--theta", "nan", "--seeds", "0"],
+            ["stabilize", "--tol", "inf", "--group", "cyclic:3"],
+            ["stabilize", "--tol", "nan"],
+            ["verify", "--genspec", '{"kind":"twisted","bound":NaN}'],
+            ["dixmier", "--group", "cyclic:3", "--genspec", '{"kind":"twisted","bound":NaN}'],
+            ["gen", "--group", f"table:{empty_table}"],
+            ["gen", "--group", f"table:{list_table}"],
         ]
         for args in cases:
             result = runner.invoke(main, args)

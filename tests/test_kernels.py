@@ -1,9 +1,11 @@
-"""The two chunked kernels against dense references, and their memory bound.
+"""The chunked kernels against dense references, and their memory bound.
 
 ``pair_defect_norms`` and ``translate_average`` (and the checks built on the
 same chunking) form their products ``ulamlab.maps._PAIR_CHUNK`` complex
-entries at a time.  Shrinking that constant forces many chunks and a ragged
-last one, which must not change any result.
+entries at a time, and the batched polar snap and perturbation decompose
+their values in blocks of the same size.  Shrinking that constant forces many
+chunks and a ragged last one, which must not change any result.  The batched
+decompositions must equal their matrix-by-matrix forms bit for bit.
 """
 
 import contextlib
@@ -15,16 +17,18 @@ from hypothesis import given, settings, strategies as st
 import ulamlab.maps
 from ulamlab import (
     OPERATOR,
+    GroupMap,
     average_pd,
-    closeness_bound_check,
     condition_c_check,
     cyclic,
+    derive_seed,
     dihedral,
     direct_product,
+    estimate_checks,
     free_ball,
     ky_fan,
+    linalg,
     mult_defect,
-    norm_estimate_check,
     pair_defect_norms,
     perturb_unitary,
     random_map,
@@ -35,6 +39,8 @@ from ulamlab import (
     translate_coefficient,
     uinorm,
 )
+from ulamlab.generators import character_rep
+from ulamlab.stabilize import _unitary_part
 
 GROUPS = [
     cyclic(1),
@@ -129,17 +135,77 @@ def test_translate_average_chunked_matches_dense(phi, chunk):
     assert np.max(np.abs(coefficients - coeff)) <= TOL
 
 
+def test_multi_kind_pair_scan_equals_one_scan_per_kind():
+    phi = perturb_unitary(regular_rep(dihedral(4)), 0.05, seed=3)
+    kinds = KINDS + [schatten(1, normalized=True), OPERATOR]
+    rows = pair_defect_norms(phi, kinds)
+    assert rows.shape == (len(kinds), phi.domain.order**2)
+    for row, kind in zip(rows, kinds):
+        assert np.array_equal(row, pair_defect_norms(phi, kind))
+
+
+def perturb_reference(pi, theta, seed):
+    """The element-by-element perturbation loop, one draw and one exponential per value."""
+    rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, "perturb")))
+    vals = pi.values.copy()
+    d = pi.dim
+    for x in range(len(vals)):
+        if x == pi.identity_index:
+            continue
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h = a + a.conj().T
+        scale = float(linalg.singular_values(h)[0])
+        if theta > 0.0 and scale > 0.0:
+            m = h * (theta / scale)
+            w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+            vals[x] = vals[x] @ ((v * np.exp(1j * w)) @ v.conj().T)
+    return vals
+
+
+BASES = [
+    regular_rep(cyclic(6)),
+    regular_rep(dihedral(4)),
+    regular_rep(symmetric(3)),
+    character_rep(cyclic(7), 2),
+]
+
+
+def test_batched_perturbation_equals_element_loop():
+    for pi in BASES:
+        for theta in (0.0, 0.03, 1.0):
+            for seed in (0, 5):
+                expected = perturb_reference(pi, theta, seed)
+                assert np.array_equal(perturb_unitary(pi, theta, seed).values, expected)
+                # 3 values a block: ragged for 5, 7 and 23 non-identity elements
+                with pair_chunk(3 * pi.dim**2):
+                    assert np.array_equal(perturb_unitary(pi, theta, seed).values, expected)
+
+
+def test_batched_polar_snap_equals_value_loop():
+    for pi in BASES:
+        phi = perturb_unitary(pi, 0.05, seed=1)
+        near = GroupMap(phi.domain, phi.dim, 0.9 * phi.values + 0.01 * phi.values[::-1])
+        for m in (phi, near, average_pd(phi)):
+            expected = np.stack([linalg.polar(v)[0] for v in m.values])
+            assert np.array_equal(_unitary_part(m)[0].values, expected)
+            with pair_chunk(2 * m.dim**2):
+                assert np.array_equal(_unitary_part(m)[0].values, expected)
+
+
 def test_chunked_kernels_bound_memory():
     # Dense (n, n, d, d) intermediates would take 64000 * 40 * 16 bytes = 39 MiB.
-    phi = perturb_unitary(regular_rep(cyclic(40)), 0.05, seed=0)
+    rep = regular_rep(cyclic(40))
+    phi = perturb_unitary(rep, 0.05, seed=0)
     psi = average_pd(phi)
     calls = {
         "mult_defect": lambda: mult_defect(phi),
         "average_pd": lambda: average_pd(phi),
         "translate_coefficient": lambda: translate_coefficient(phi),
         "condition_c_check": lambda: condition_c_check(phi, psi),
-        "closeness_bound_check": lambda: closeness_bound_check(phi, psi),
-        "norm_estimate_check": lambda: norm_estimate_check(phi, psi),
+        "estimate_checks[closeness]": lambda: estimate_checks(phi, psi),
+        "estimate_checks[operator]": lambda: estimate_checks(phi, psi, [OPERATOR]),
+        "perturb_unitary": lambda: perturb_unitary(rep, 0.05, seed=0),
+        "_unitary_part": lambda: _unitary_part(psi),
     }
     peaks = {}
     with pair_chunk(MEMORY_CHUNK):
@@ -150,6 +216,8 @@ def test_chunked_kernels_bound_memory():
                 peaks[name] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            if hasattr(result, "skipped"):
-                assert not result.skipped, (name, result.reason)
+            if name.startswith("estimate_checks"):
+                closeness, estimates, _ = result
+                for report in [closeness, *estimates]:
+                    assert not report.skipped, (name, report.reason)
     assert all(peak < MEMORY_BOUND for peak in peaks.values()), peaks

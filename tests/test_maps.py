@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ulamlab.linalg
 from ulamlab import (
     Bound,
     Certificate,
     GroupMap,
     OPERATOR,
+    average_pd,
     constant_identity,
     cyclic,
     defect_report,
@@ -18,7 +20,9 @@ from ulamlab import (
     map_to_dict,
     mult_defect,
     pd_min_eig,
+    perturb_unitary,
     perturbation_bound_report,
+    random_map,
     regular_rep,
     schatten,
     sup_norm,
@@ -134,6 +138,33 @@ def test_pd_min_eig_requires_adjoint_symmetry():
     # phi(g) not equal to phi(g^-1)* makes the Gram non-Hermitian
     phi = scalar_map(cyclic(2), [1.0, 2.0j])
     assert pd_min_eig(phi) == -np.inf
+
+
+def test_pd_min_eig_checks_symmetry_by_frobenius_first(monkeypatch):
+    sv_calls = []
+    original = ulamlab.linalg.singular_values
+
+    def counted(a):
+        sv_calls.append(np.shape(a))
+        return original(a)
+
+    g = dihedral(4)
+    averaged = average_pd(perturb_unitary(regular_rep(g), 0.03, seed=0))
+    non_hermitian = random_map(g, 2, seed=0)
+    monkeypatch.setattr(ulamlab.linalg, "singular_values", counted)
+    assert pd_min_eig(averaged) >= -1e-9
+    assert sv_calls == []
+    # Off by 4e-9 * (P_g - P_g^T) (x) 1: operator norm at most 8e-9, within the
+    # 1e-8 tolerance, Frobenius norm 4.5e-8 beyond it; one exact check passes it.
+    g_index = 1
+    assert g.inv[g_index] != g_index
+    skewed = averaged.values.copy()
+    skewed[g_index] += 4e-9 * np.eye(averaged.dim)
+    assert np.isfinite(pd_min_eig(GroupMap(g, averaged.dim, skewed)))
+    assert len(sv_calls) == 1
+    # a non-Hermitian Gram is still refused
+    assert pd_min_eig(non_hermitian) == -np.inf
+    assert len(sv_calls) == 2
 
 
 def test_group_map_validates_shapes():

@@ -1,5 +1,9 @@
+import sys
+from collections import Counter
+
 import pytest
 
+import ulamlab
 from ulamlab import SUITES, SuiteResult, run_all_suites, run_suite
 from ulamlab.verify import (
     averaging_suite,
@@ -89,3 +93,23 @@ def test_contract_suites_have_expected_margin_keys():
     assert "unit_le_mult_margin" in unital_equivalence_suite(SEEDS[:2]).notes
     assert "perturbation_mult_margin" in perturbation_bounds_suite(SEEDS[:2]).notes
     assert "condition_b_pd_min_eig" in condition_b_suite(SEEDS[:2]).notes
+
+
+def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
+    # every module binding of the counted functions, as the benchmark tracer patches them
+    calls = Counter()
+    modules = [m for key, m in sys.modules.items() if key.startswith("ulamlab.")]
+    for module, name in ((ulamlab.averaging, "condition_c_check"), (ulamlab.maps, "_pair_scan")):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for target in modules:
+            for attr, value in list(vars(target).items()):
+                if value is original:
+                    monkeypatch.setattr(target, attr, counted)
+    result = averaging_suite([0], group_specs=("dihedral:4",))
+    assert result.passed, result.notes
+    assert calls == {"condition_c_check": 1, "_pair_scan": 2}

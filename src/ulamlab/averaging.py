@@ -8,7 +8,6 @@ average against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -151,39 +150,9 @@ def condition_c_check(phi: GroupMap, psi: GroupMap) -> float:
     return worst
 
 
-@dataclass
-class MarginReport:
-    """Per-element margins of a bound check; skipped when preconditions fail."""
-
-    name: str
-    margins: list[float] = field(default_factory=list)
-    skipped: bool = False
-    reason: str = ""
-
-    MARGIN_TOL = 1e-10
-
-    @property
-    def worst_margin(self) -> float:
-        return min(self.margins, default=0.0)
-
-    @property
-    def passed(self) -> bool:
-        return self.skipped or self.worst_margin >= -self.MARGIN_TOL
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "margins": list(self.margins),
-            "worst_margin": self.worst_margin,
-            "skipped": self.skipped,
-            "reason": self.reason,
-            "passed": self.passed,
-        }
-
-
 def estimate_checks(
     phi: GroupMap, psi: GroupMap, kinds: Sequence[NormKind] = ()
-) -> tuple[MarginReport, list[MarginReport], float]:
+) -> tuple[Certificate, dict[str, str], float]:
     """The closeness bound and the mean-based norm estimates, from one pair scan.
 
     Closeness: ``||phi(x) - psi(x)|| <= max_y ||phi(x)phi(y) - phi(x y)||``.
@@ -192,11 +161,14 @@ def estimate_checks(
     the mean-based sharpening; Schatten norms must be trace normalized there
     (the bound lives in the normalized-trace setting) and are skipped
     otherwise.  Both need ``phi`` unitary-valued and ``psi`` tied to ``phi``
-    by the averaging identity; when either fails every check reports itself
-    as skipped rather than asserting a bound that does not apply.
+    by the averaging identity; when either fails every check is skipped
+    rather than asserting a bound that does not apply.
 
-    Returns the closeness report, one estimate report per kind, and the
-    averaging-identity residual ``condition_c_check(phi, psi)``.
+    Returns a certificate with one :class:`~ulamlab.maps.Bound` per check
+    that ran, taken at the element of smallest margin and keyed
+    ``closeness`` and ``norm_estimate[<kind>]``; the reason of each skipped
+    check under the same key; and the averaging-identity residual
+    ``condition_c_check(phi, psi)``.
     """
     g = _require_finite(phi.domain, "closeness and norm estimates")
     _require_compatible(phi, psi)
@@ -208,43 +180,43 @@ def estimate_checks(
         reason = f"averaging residual {residual:.3e} exceeds {PRECONDITION_TOL:.0e}"
     else:
         reason = ""
-    closeness = MarginReport(name="closeness", skipped=bool(reason), reason=reason)
-    estimates = []
+    # closeness takes the row max of the operator norms, each estimate its row mean
+    planned = [("closeness", OPERATOR, np.max, reason)]
     for kind in kinds:
         why = reason
         if kind.kind == "schatten" and not kind.trace_normalized:
             why = "Schatten norms must be trace normalized for this estimate"
-        name = f"norm_estimate[{kind.describe()}]"
-        estimates.append(MarginReport(name=name, skipped=bool(why), reason=why))
+        planned.append((f"norm_estimate[{kind.describe()}]", kind, np.mean, why))
+    skipped = {name: why for name, _, _, why in planned if why}
     if reason:
-        return closeness, estimates, residual
-    # closeness takes the row max of the operator norms, each estimate its row mean
-    measured = [(closeness, OPERATOR, np.max)]
-    measured += [(r, k, np.mean) for r, k in zip(estimates, kinds) if not r.skipped]
+        return Certificate(), skipped, residual
+    measured = [(name, kind, reduce) for name, kind, reduce, why in planned if not why]
+    checks = Certificate()
     norms = pair_defect_norms(phi, [kind for _, kind, _ in measured])
     sigma = linalg.singular_values(phi.values - psi.values)
-    for (report, kind, reduce), row in zip(measured, norms):
+    for (name, kind, reduce), row in zip(measured, norms):
         bounds = reduce(row.reshape(g.order, g.order), axis=1)
         lefts = np.atleast_1d(linalg.gauge(sigma, kind))
-        report.margins = [float(b - l) for b, l in zip(bounds, lefts)]
-    return closeness, estimates, residual
+        w = int(np.argmin(bounds - lefts))
+        checks[name] = Bound(float(lefts[w]), float(bounds[w]), tol=1e-10)
+    return checks, skipped, residual
 
 
-def closeness_bound_check(phi: GroupMap, psi: GroupMap) -> MarginReport:
-    """The closeness report of :func:`estimate_checks`.
+def closeness_bound_check(phi: GroupMap, psi: GroupMap) -> Bound | None:
+    """The closeness bound of :func:`estimate_checks`, or ``None`` when skipped.
 
     Kept under this name because the benchmark's tracer (``bench/spans.py``)
     looks it up; nothing in the package calls it.
     """
-    return estimate_checks(phi, psi)[0]
+    return estimate_checks(phi, psi)[0].get("closeness")
 
 
 def norm_estimate_check(
     phi: GroupMap, psi: GroupMap, kind: NormKind = OPERATOR
-) -> MarginReport:
-    """The estimate report of :func:`estimate_checks` under ``kind``.
+) -> Bound | None:
+    """The estimate bound of :func:`estimate_checks` under ``kind``, or ``None`` when skipped.
 
     Kept under this name because the benchmark's tracer (``bench/spans.py``)
     looks it up; nothing in the package calls it.
     """
-    return estimate_checks(phi, psi, (kind,))[1][0]
+    return estimate_checks(phi, psi, (kind,))[0].get(f"norm_estimate[{kind.describe()}]")

@@ -22,9 +22,9 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .linalg import NotPSDError, SingularInputError, parse_norm
+from .linalg import SingularInputError, parse_norm
 from .groups import FiniteGroup, NotAGroupError, UnsupportedDomainError, parse_group_spec
-from .maps import PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
+from .maps import Bound, PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
 from .generators import GenSpec, build_map, derive_seed, parse_genspec
 from .stabilize import (
     CERTIFIED_EPSILON,
@@ -33,7 +33,7 @@ from .stabilize import (
     dixmier_unitarize,
     stabilize,
 )
-from .verify import SUITES, run_all_suites
+from .verify import SUITES, SuiteResult, run_suite
 
 SCHEMA_VERSION = "ulamlab-report/2"
 SEED_SALT_ENV = "ULAMLAB_SEED_SALT"
@@ -51,7 +51,6 @@ _PRECONDITION_ERRORS = (
     UnsupportedDomainError,
     NotRepairableError,
     SingularInputError,
-    NotPSDError,
 )
 
 
@@ -175,12 +174,16 @@ def _resolve_domain(config: ExperimentConfig, spec: GenSpec):
 
 
 def _build(config: ExperimentConfig, spec: GenSpec):
-    """Build the seeded map; a ``ValueError`` that is no precondition error is a config error."""
+    """Build the seeded map.
+
+    A ``ValueError`` that is no precondition error, or an ``OSError`` from
+    reading a ``table:`` file, is a config error.
+    """
     try:
         return build_map(spec, _resolve_domain(config, spec))
     except _PRECONDITION_ERRORS:
         raise
-    except ValueError as err:
+    except (ValueError, OSError) as err:
         raise ConfigError(str(err)) from err
 
 
@@ -271,8 +274,9 @@ def _stabilize_one(config: ExperimentConfig, seed: int, theta: float | None = No
         }
     )
     if certified:
-        row["distance_bound"] = 2.0 * eps0 + 1e-9
-        row["distance_ok"] = trace.total_distance <= row["distance_bound"]
+        moved = Bound(trace.total_distance, 2.0 * eps0, tol=1e-9).strict()
+        row["distance_bound"] = moved.bound
+        row["distance_ok"] = moved.passed
         row["ok"] = trace.converged and row["distance_ok"]
     else:
         row["ok"] = True  # outside the certified regime nothing is promised
@@ -323,7 +327,13 @@ def _cmd_dixmier(config: ExperimentConfig) -> Report:
 
 def _cmd_verify(config: ExperimentConfig) -> Report:
     seeds = config.effective_seeds()
-    results = run_all_suites(seeds, workers=config.workers)
+    # each suite runs in w interleaved seed slices, merged back in input order
+    w = min(config.workers, len(seeds))
+    jobs = [
+        lambda name=name, i=i: run_suite(name, seeds[i::w]) for name in SUITES for i in range(w)
+    ]
+    parts = _parallel(jobs, config.workers)
+    results = [SuiteResult.merge(parts[k : k + w]) for k in range(0, len(parts), w)]
     passed = all(r.passed for r in results)
     summary = {
         "suites": list(SUITES),

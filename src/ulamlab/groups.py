@@ -19,6 +19,7 @@ MAX_CYCLIC = 4096
 MAX_DIHEDRAL = 512
 MAX_SYMMETRIC = 6
 MAX_PRODUCT_ORDER = 4096
+MAX_TABLE_ORDER = 1024  # validation makes n gathers of n^2 entries
 MAX_BALL_WORDS = 20000
 
 
@@ -43,9 +44,6 @@ class FiniteGroup:
 
     def inverse(self, a: int) -> int:
         return int(self.inv[a])
-
-    def to_dict(self) -> dict:
-        return {"label": self.label, "mul": self.mul.tolist()}
 
 
 @dataclass(eq=False)
@@ -135,12 +133,15 @@ def from_table(mul, label: str = "table") -> FiniteGroup:
     """Validate a multiplication table and build the group it defines.
 
     Raises :class:`NotAGroupError` naming the failing row, column, identity
-    or triple.
+    or triple, and ``ValueError`` for a table larger than ``MAX_TABLE_ORDER``
+    before validating it.
     """
     t = np.asarray(mul, dtype=np.int64)
     if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
         raise NotAGroupError(f"table must be square and nonempty, got shape {t.shape}")
     n = t.shape[0]
+    if n > MAX_TABLE_ORDER:
+        raise ValueError(f"table order {n} exceeds MAX_TABLE_ORDER = {MAX_TABLE_ORDER}")
     if t.min() < 0 or t.max() >= n:
         raise NotAGroupError("table entries must be element indices in [0, order)")
     full = np.arange(n, dtype=np.int64)

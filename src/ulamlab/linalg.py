@@ -1,5 +1,5 @@
-"""Dense complex matrix helpers: unitarily invariant norms, polar form,
-PSD square roots, and unitary exponentials.
+"""Dense complex matrix helpers: unitarily invariant norms, polar form and
+unitary exponentials.
 
 Decompositions are delegated to LAPACK through numpy; the wrappers enforce
 the tolerances and error taxonomy the rest of the library relies on.
@@ -12,16 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-PSD_TOL = 1e-10
 DEFAULT_SIGMA_MIN_TOL = 1e-8
 
 
 class SingularInputError(ValueError):
     """Input is singular beyond the configured tolerance."""
-
-
-class NotPSDError(ValueError):
-    """Hermitian input has an eigenvalue below the PSD tolerance."""
 
 
 @dataclass(frozen=True)
@@ -190,16 +185,6 @@ def polar(a, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> tuple[np.ndarray, 
     p = adj(vh) @ (s[..., :, None] * vh)
     p = (p + adj(p)) / 2.0
     return u, p
-
-
-def psd_sqrt(h) -> np.ndarray:
-    """PSD square root; eigenvalues in ``[-PSD_TOL, 0)`` are clamped to zero."""
-    m = _require_hermitian(as_matrix(h), "PSD square root")
-    w, v = np.linalg.eigh(m)
-    if w[0] < -PSD_TOL:
-        raise NotPSDError(f"minimum eigenvalue {w[0]:.3e} is below -{PSD_TOL:.0e}")
-    w = np.maximum(w, 0.0)
-    return (v * np.sqrt(w)) @ v.conj().T
 
 
 def unitary_exp(h) -> np.ndarray:

@@ -19,7 +19,6 @@ from .groups import (
     FreeBall,
     UnsupportedDomainError,
     n_elements,
-    parse_group_spec,
 )
 
 GRAM_HERMITIAN_TOL = 1e-8
@@ -311,10 +310,6 @@ def _encode_matrix(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
-def _decode_matrix(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
-
-
 def map_to_dict(phi: GroupMap) -> dict:
     """JSON form: complex scalars as [re, im] pairs, matrices row-major."""
     return {
@@ -323,13 +318,3 @@ def map_to_dict(phi: GroupMap) -> dict:
         "values": {str(i): _encode_matrix(phi.values[i]) for i in range(len(phi.values))},
     }
 
-
-def map_from_dict(data: dict, domain: FiniteGroup | FreeBall | None = None) -> GroupMap:
-    if domain is None:
-        domain = parse_group_spec(data["group"])
-    dim = int(data["dim"])
-    n = n_elements(domain)
-    vals = np.zeros((n, dim, dim), dtype=np.complex128)
-    for key, rows in data["values"].items():
-        vals[int(key)] = _decode_matrix(rows)
-    return GroupMap(domain, dim, vals, label=data.get("label", ""))

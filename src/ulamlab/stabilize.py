@@ -47,7 +47,7 @@ class DivergedError(RuntimeError):
 
 
 @dataclass
-class BoundCertificate:
+class ContractionSeries:
     """Closed-form constant for the quadratic-contraction series.
 
     ``series_constant`` evaluates
@@ -68,7 +68,7 @@ class BoundCertificate:
         return asdict(self)
 
 
-def bound_certificate(kappa1: float, kappa2: float, p: float, delta: float) -> BoundCertificate:
+def contraction_series(kappa1: float, kappa2: float, p: float, delta: float) -> ContractionSeries:
     if kappa1 <= 0 or kappa2 <= 0:
         raise ValueError("kappa1 and kappa2 must be positive")
     if not p > 1:
@@ -89,7 +89,7 @@ def bound_certificate(kappa1: float, kappa2: float, p: float, delta: float) -> B
     next_term = delta ** (p**n - 1.0)
     ratio = delta ** ((p - 1.0) * p**n)
     tail = next_term / (1.0 - ratio) if ratio < 1.0 else float("inf")
-    return BoundCertificate(
+    return ContractionSeries(
         kappa1=kappa1,
         kappa2=kappa2,
         p=p,
@@ -191,14 +191,14 @@ class StabilizationTrace:
     total_distance: float = 0.0
     final_defect: float = 0.0
     converged: bool = False
-    theory: BoundCertificate | None = None
+    theory: ContractionSeries | None = None
 
 
-def _theory_certificate(eps0: float) -> BoundCertificate:
+def _theory_series(eps0: float) -> ContractionSeries:
     # the concrete loop contracts with kappa1 = 5, p = 2; delta = 5*eps0 keeps
-    # 5*eps^2 = delta*eps, clamped into (0, 1) so the certificate stays valid
+    # 5*eps^2 = delta*eps, clamped into (0, 1) so the series stays valid
     delta = min(max(EPSILON_CONTRACTION * eps0, 1e-300), 1.0 - 1e-12)
-    return bound_certificate(EPSILON_CONTRACTION, 1.0 + eps0, 2.0, delta)
+    return contraction_series(EPSILON_CONTRACTION, 1.0 + eps0, 2.0, delta)
 
 
 def stabilize(
@@ -231,7 +231,7 @@ def stabilize(
     certified = eps0 <= CERTIFIED_EPSILON
     current = phi
     eps_n = eps0
-    trace = StabilizationTrace(theory=_theory_certificate(eps0))
+    trace = StabilizationTrace(theory=_theory_series(eps0))
     for _ in range(max_iter):
         if eps_n < tol:
             break

@@ -8,7 +8,6 @@ so passing means every margin stays above minus its tolerance.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -17,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import OPERATOR, ky_fan, schatten
-from .averaging import MarginReport, condition_b_report, estimate_checks
+from .averaging import condition_b_report, estimate_checks
 from .generators import (
     compress_rep,
     derive_seed,
@@ -29,6 +28,7 @@ from .generators import (
 from .groups import parse_group_spec
 from .maps import (
     Bound,
+    Certificate,
     GroupMap,
     adj,
     batch_norms,
@@ -74,56 +74,46 @@ def _suite_rng(seed: int, label: str) -> np.random.Generator:
 
 @dataclass
 class SuiteResult:
-    """Worst-case margins of one suite over its corpus.
+    """Worst-case bounds of one suite over its corpus.
 
-    ``notes`` maps a margin name to its worst observed value and
-    ``tolerances`` to the tolerance of the bound it was taken from; the
-    margin passes when it is at least minus that tolerance.
+    ``bounds`` keeps, under each margin name, the observed :class:`Bound`
+    of smallest margin; ``notes`` gives those margins.  A margin passes when
+    it is at least minus the tolerance of its bound.
     """
 
     name: str
     trials: int
-    notes: dict[str, float] = field(default_factory=dict)
-    tolerances: dict[str, float] = field(default_factory=dict)
+    bounds: Certificate = field(default_factory=Certificate)
+
+    @property
+    def notes(self) -> dict[str, float]:
+        return {key: float(b.margin) for key, b in self.bounds.items()}
 
     @property
     def passed(self) -> bool:
-        return all(self.notes[key] >= -self.tolerances[key] for key in self.notes)
+        return self.bounds.passed
 
     def note(self, key: str, check: Bound) -> None:
-        """Keep the worst margin under ``key`` and the tolerance of its bound."""
-        margin = float(check.margin)
-        self.notes[key] = min(self.notes.get(key, margin), margin)
-        self.tolerances[key] = check.tol
+        """Keep ``check`` under ``key`` when its margin is below the one kept so far."""
+        if key not in self.bounds or check.margin < self.bounds[key].margin:
+            self.bounds[key] = check
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "trials": self.trials,
-            "notes": dict(self.notes),
-            "tolerances": dict(self.tolerances),
+            "notes": self.notes,
+            "tolerances": {key: b.tol for key, b in self.bounds.items()},
             "passed": self.passed,
         }
 
     @staticmethod
     def merge(parts: Sequence["SuiteResult"]) -> "SuiteResult":
-        head = parts[0]
-        notes = dict(head.notes)
-        for part in parts[1:]:
-            for key, value in part.notes.items():
-                notes[key] = min(notes.get(key, value), value)
-        return SuiteResult(
-            name=head.name,
-            trials=sum(p.trials for p in parts),
-            notes=notes,
-            tolerances=dict(head.tolerances),
-        )
-
-
-def _worst(report: MarginReport) -> Bound:
-    """The worst per-element margin as a lower bound at zero; a skipped check fails."""
-    worst = report.worst_margin if not report.skipped else float("-inf")
-    return Bound(0.0, worst, tol=MarginReport.MARGIN_TOL)
+        merged = SuiteResult(parts[0].name, sum(p.trials for p in parts))
+        for part in parts:
+            for key, check in part.bounds.items():
+                merged.note(key, check)
+        return merged
 
 
 def square_inequality_suite(seeds: Sequence[int]) -> SuiteResult:
@@ -248,17 +238,19 @@ def averaging_suite(
         "norm_estimate_s2_margin": schatten(2, normalized=True),
         "norm_estimate_operator_margin": OPERATOR,
     }
+    checked = {"closeness_margin": "closeness"}
+    checked.update({key: f"norm_estimate[{kind.describe()}]" for key, kind in estimated.items()})
+    skipped = Bound(0.0, float("-inf"), tol=1e-10)  # a skipped check fails
     for seed in seeds:
         rng = _suite_rng(seed, "averaging")
         g = pool_group(group_specs[int(rng.integers(len(group_specs)))])
         theta = float(rng.uniform(0.0, theta_max))
         phi = perturb_unitary(regular_rep(g), theta, seed)
         psi, step = kazhdan_step(phi)
-        closeness, estimates, residual = estimate_checks(phi, psi, list(estimated.values()))
+        checks, _, residual = estimate_checks(phi, psi, list(estimated.values()))
         result.note("condition_c_margin", Bound(residual, 0.0, tol=1e-10).strict())
-        result.note("closeness_margin", _worst(closeness))
-        for key, report in zip(estimated, estimates):
-            result.note(key, _worst(report))
+        for key, name in checked.items():
+            result.note(key, checks.get(name, skipped))
         result.note("kazhdan_sharp_margin", step["sharp"])
         result.note("kazhdan_crude_margin", step["crude"])
         result.note("kazhdan_distance_margin", step["distance"])
@@ -331,23 +323,10 @@ SUITES: dict[str, Callable[[Sequence[int]], SuiteResult]] = {
 }
 
 
-def _chunk(seeds: Sequence[int], workers: int) -> list[list[int]]:
-    workers = max(1, min(workers, len(seeds)))
-    return [list(seeds[i::workers]) for i in range(workers)]
+def run_suite(name: str, seeds: Sequence[int]) -> SuiteResult:
+    """Run the registered suite ``name`` over ``seeds``."""
+    return SUITES[name](list(seeds))
 
 
-def run_suite(name: str, seeds: Sequence[int], workers: int = 1) -> SuiteResult:
-    """Run one suite, splitting the seed list across workers."""
-    fn = SUITES[name]
-    if workers <= 1 or len(seeds) <= 1:
-        return fn(list(seeds))
-    chunks = _chunk(seeds, workers)
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(fn, chunks))
-    return SuiteResult.merge(parts)
-
-
-def run_all_suites(
-    seeds: Sequence[int], names: Sequence[str] | None = None, workers: int = 1
-) -> list[SuiteResult]:
-    return [run_suite(name, seeds, workers) for name in (names or SUITES)]
+def run_all_suites(seeds: Sequence[int], names: Sequence[str] | None = None) -> list[SuiteResult]:
+    return [run_suite(name, seeds) for name in (names or SUITES)]

@@ -14,10 +14,10 @@ from ulamlab import (
     GroupMap,
     UnsupportedDomainError,
     average_pd,
-    bound_certificate,
     condition_b_report,
     condition_c_check,
     constant_identity,
+    contraction_series,
     cyclic,
     defect_report,
     derive_seed,
@@ -150,12 +150,11 @@ def test_criterion_6_closeness_and_norm_estimates(corpus):
         psi = average_pd(phi)
         assert condition_c_check(phi, psi) <= 1e-10
         kinds = (schatten(1, normalized=True), schatten(2, normalized=True))
-        closeness, estimates, _ = estimate_checks(phi, psi, kinds)
-        assert not closeness.skipped
-        assert closeness.worst_margin >= -1e-10
-        for estimate in estimates:
-            assert not estimate.skipped
-            assert estimate.worst_margin >= -1e-10
+        checks, skipped, _ = estimate_checks(phi, psi, kinds)
+        assert not skipped
+        assert len(checks) == 1 + len(kinds)  # closeness and one estimate per kind
+        for check in checks.values():
+            assert check.margin >= -1e-10
 
 
 def test_criterion_7_unitarization_of_bounded_twists():
@@ -179,10 +178,10 @@ def test_criterion_7_unitarization_of_bounded_twists():
 
 
 def test_criterion_8_certificate_constants_against_direct_evaluation():
-    cert = bound_certificate(1, 1, 2, 0.1)
+    series = contraction_series(1, 1, 2, 0.1)
     direct_series = 1.0 * (1 + sum(0.1 ** (2**n - 1) for n in range(1, 60)))
-    assert cert.series_constant == pytest.approx(direct_series, abs=1e-9)
-    assert cert.series_constant == pytest.approx(1.1010001, abs=1e-7)
+    assert series.series_constant == pytest.approx(direct_series, abs=1e-9)
+    assert series.series_constant == pytest.approx(1.1010001, abs=1e-7)
 
     direct_product_value = 1.0
     for n in range(60):

@@ -141,19 +141,19 @@ def test_closeness_bound_on_perturbed_rep():
     g = dihedral(3)
     phi = perturb_unitary(regular_rep(g), 0.02, seed=2)
     psi = average_pd(phi)
-    report, _, _ = estimate_checks(phi, psi)
-    assert not report.skipped
-    assert report.worst_margin >= -1e-10
-    assert report.passed
+    checks, skipped, _ = estimate_checks(phi, psi)
+    assert "closeness" not in skipped
+    assert checks["closeness"].margin >= -1e-10
+    assert checks["closeness"].passed
 
 
 def test_closeness_bound_skips_nonunitary_input():
     phi = random_map(cyclic(3), 2, seed=0)
     psi = average_pd(phi)
-    report, _, _ = estimate_checks(phi, psi)
-    assert report.skipped
-    assert report.reason
-    assert report.passed  # skipped checks do not fail
+    checks, skipped, _ = estimate_checks(phi, psi)
+    assert "closeness" not in checks
+    assert skipped["closeness"]
+    assert checks.passed  # skipped checks do not fail
 
 
 def test_norm_estimate_operator_and_normalized_schatten():
@@ -161,15 +161,16 @@ def test_norm_estimate_operator_and_normalized_schatten():
     phi = perturb_unitary(regular_rep(g), 0.02, seed=4)
     psi = average_pd(phi)
     kinds = (schatten(1, normalized=True), schatten(2, normalized=True))
-    for report in estimate_checks(phi, psi, kinds)[1]:
-        assert not report.skipped
-        assert report.worst_margin >= -1e-10
+    checks, skipped, _ = estimate_checks(phi, psi, kinds)
+    assert not skipped
+    for kind in kinds:
+        assert checks[f"norm_estimate[{kind.describe()}]"].margin >= -1e-10
 
 
 def test_norm_estimate_skips_unnormalized_schatten():
     g = cyclic(4)
     phi = perturb_unitary(regular_rep(g), 0.02, seed=4)
     psi = average_pd(phi)
-    (report,) = estimate_checks(phi, psi, [schatten(1)])[1]
-    assert report.skipped
-    assert "normalized" in report.reason
+    checks, skipped, _ = estimate_checks(phi, psi, [schatten(1)])
+    assert "norm_estimate[schatten:1]" not in checks
+    assert "normalized" in skipped["norm_estimate[schatten:1]"]

@@ -110,11 +110,14 @@ class TestDeterminism:
         assert plain["results"] != salted["results"]
 
     def test_workers_do_not_change_results(self, runner):
-        base = ["sweep", "--group", "cyclic:3", "--theta", "0.02,0.04", "--seeds", "0..3"]
-        serial = invoke_json(runner, base + ["--workers", "1"])
-        threaded = invoke_json(runner, base + ["--workers", "4"])
-        assert serial["results"] == threaded["results"]
-        assert serial["pass"] == threaded["pass"]
+        for base in (
+            ["sweep", "--group", "cyclic:3", "--theta", "0.02,0.04", "--seeds", "0..3"],
+            ["verify", "--seeds", "0..8"],
+        ):
+            serial = invoke_json(runner, base + ["--workers", "1"])
+            threaded = invoke_json(runner, base + ["--workers", "4"])
+            assert serial["results"] == threaded["results"]
+            assert serial["pass"] == threaded["pass"]
 
 
 class TestNdjson:
@@ -144,6 +147,7 @@ class TestNdjson:
 class TestExitCodes:
     def test_config_errors_exit_two(self, runner, tmp_path):
         empty_table, list_table = tmp_path / "empty.json", tmp_path / "list.json"
+        missing = tmp_path / "missing.json"
         empty_table.write_text("{}")
         list_table.write_text("[[0]]")
         cases = [
@@ -164,6 +168,7 @@ class TestExitCodes:
             ["dixmier", "--group", "cyclic:3", "--genspec", '{"kind":"twisted","bound":NaN}'],
             ["gen", "--group", f"table:{empty_table}"],
             ["gen", "--group", f"table:{list_table}"],
+            ["gen", "--genspec", json.dumps({"kind": "regular", "group": f"table:{missing}"})],
         ]
         for args in cases:
             result = runner.invoke(main, args)
@@ -176,6 +181,14 @@ class TestExitCodes:
             assert result.exit_code == 2, (args, result.output)
             assert "configuration error: Gram dimension" in result.output
             assert "MAX_GRAM_DIM = 8" in result.output
+
+    def test_table_order_limit_exits_two(self, runner, monkeypatch, tmp_path):
+        table = tmp_path / "cyclic6.json"
+        table.write_text(json.dumps({"mul": ulamlab.cyclic(6).mul.tolist()}))
+        monkeypatch.setattr("ulamlab.groups.MAX_TABLE_ORDER", 4)
+        result = runner.invoke(main, ["gen", "--group", f"table:{table}"])
+        assert result.exit_code == 2, result.output
+        assert "MAX_TABLE_ORDER = 4" in result.output
 
     def test_stabilize_builds_no_gram(self, runner, monkeypatch):
         args = ["stabilize", "--group", "cyclic:4"]

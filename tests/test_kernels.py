@@ -20,6 +20,7 @@ from ulamlab import (
     GroupMap,
     average_pd,
     condition_c_check,
+    conjugate_rep,
     cyclic,
     derive_seed,
     dihedral,
@@ -217,7 +218,31 @@ def test_chunked_kernels_bound_memory():
             finally:
                 tracemalloc.stop()
             if name.startswith("estimate_checks"):
-                closeness, estimates, _ = result
-                for report in [closeness, *estimates]:
-                    assert not report.skipped, (name, report.reason)
+                _, skipped, _ = result
+                assert not skipped, (name, skipped)
     assert all(peak < MEMORY_BOUND for peak in peaks.values()), peaks
+
+
+def test_estimate_bounds_carry_the_worst_element_margin():
+    # Each check's Bound must carry the smallest of the per-element margins
+    # ``row max (closeness) or row mean (estimates) - ||phi(x) - psi(x)||``,
+    # bit for bit.  On a perturbed rep the bounds are tight at the identity,
+    # so the smallest margin sits there; on a conjugated (exact) rep every
+    # margin is rounding, so it sits at other elements.
+    kinds = [schatten(1, normalized=True), schatten(2, normalized=True)]
+    reduced = [("closeness", OPERATOR, np.max)]
+    reduced += [(f"norm_estimate[{kind.describe()}]", kind, np.mean) for kind in kinds]
+    maps = [perturb_unitary(regular_rep(dihedral(4)), 0.03, 3)]
+    maps.append(perturb_unitary(regular_rep(cyclic(6)), 0.03, 7))
+    maps += [conjugate_rep(regular_rep(g), seed=1) for g in (dihedral(4), cyclic(6))]
+    for phi in maps:
+        psi = average_pd(phi)
+        n = phi.domain.order
+        checks, skipped, _ = estimate_checks(phi, psi, kinds)
+        assert not skipped
+        sigma = linalg.singular_values(phi.values - psi.values)
+        for name, kind, reduce in reduced:
+            bounds = reduce(pair_defect_norms(phi, kind).reshape(n, n), axis=1)
+            lefts = linalg.gauge(sigma, kind)
+            margins = [float(b - left) for b, left in zip(bounds, lefts)]
+            assert checks[name].margin == min(margins), name

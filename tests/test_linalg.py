@@ -6,14 +6,12 @@ from numpy.testing import assert_allclose
 
 from ulamlab.linalg import (
     NormKind,
-    NotPSDError,
     OPERATOR,
     SingularInputError,
     ky_fan,
     op_norm,
     parse_norm,
     polar,
-    psd_sqrt,
     schatten,
     uinorm,
     unitary_exp,
@@ -76,24 +74,12 @@ def test_polar_rejects_singular():
         polar(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
-def test_psd_sqrt_on_diagonal():
-    assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-12)
-
-
-def test_psd_sqrt_rejects_negative():
-    with pytest.raises(NotPSDError):
-        psd_sqrt(np.diag([1.0, -1.0]))
-
-
-def test_psd_sqrt_clamps_roundoff_negatives():
-    h = np.diag([1.0, -1e-14])
-    r = psd_sqrt(h)
-    assert np.linalg.eigvalsh(r)[0] >= 0.0
-
-
-def test_psd_sqrt_rejects_nonhermitian():
-    with pytest.raises(ValueError):
-        psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_unitary_exp_rejects_nonhermitian():
+    jordan = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="Hermitian"):
+        unitary_exp(jordan)
+    with pytest.raises(ValueError, match="Hermitian"):
+        unitary_exp(np.stack([np.eye(2), jordan]))  # one bad matrix fails the stack
 
 
 def test_unitary_exp_pauli_x():

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 import ulamlab.linalg
 from ulamlab import (
@@ -16,8 +15,6 @@ from ulamlab import (
     distance,
     free_ball,
     iso_defect,
-    map_from_dict,
-    map_to_dict,
     mult_defect,
     pd_min_eig,
     perturb_unitary,
@@ -229,31 +226,6 @@ def test_perturbation_bounds_hold_for_random_pairs(rng):
     assert rep.passed
     assert set(rep) == {"iso", "unit", "mult"}
     assert all(b.margin >= -1e-10 for b in rep.values())
-
-
-def test_map_round_trip_through_dict():
-    g = dihedral(3)
-    rho = regular_rep(g)
-    data = map_to_dict(rho)
-    assert data["group"] == g.label
-    back = map_from_dict(data)
-    assert back.domain.label == g.label
-    assert_allclose(back.values, rho.values, atol=0)
-
-
-def test_map_round_trip_preserves_complex_entries():
-    g = cyclic(4)
-    values = np.array([[[np.exp(0.25j * np.pi * k)]] for k in range(4)])
-    phi = GroupMap(g, 1, values)
-    back = map_from_dict(map_to_dict(phi))
-    assert_allclose(back.values, phi.values, atol=0)
-
-
-def test_map_from_dict_accepts_domain_override():
-    g = cyclic(2)
-    phi = constant_identity(g, 2)
-    back = map_from_dict(map_to_dict(phi), domain=g)
-    assert back.domain is g
 
 
 def test_defect_report_schatten_kind():

@@ -12,7 +12,7 @@ from ulamlab import (
     NotRepairableError,
     PreconditionError,
     UnsupportedDomainError,
-    bound_certificate,
+    contraction_series,
     cyclic,
     dihedral,
     distance,
@@ -49,30 +49,30 @@ def z2_phase():
 
 class TestBoundCertificate:
     def test_frozen_series_values(self):
-        assert bound_certificate(1, 1, 2, 0.1).series_constant == pytest.approx(
+        assert contraction_series(1, 1, 2, 0.1).series_constant == pytest.approx(
             1.101000100000001, abs=1e-12
         )
-        assert bound_certificate(2, 1, 2, 0.5).series_constant == pytest.approx(
+        assert contraction_series(2, 1, 2, 0.5).series_constant == pytest.approx(
             1.3164215090218931, abs=1e-12
         )
 
     def test_matches_direct_partial_sum(self):
         k1, k2, p, d = 3.0, 1.5, 2.0, 0.3
         direct = k2 * (1 + k1 ** (-1 / (p - 1)) * sum(d ** (p**n - 1) for n in range(1, 60)))
-        cert = bound_certificate(k1, k2, p, d)
-        assert cert.series_constant == pytest.approx(direct, abs=1e-12)
-        assert cert.truncation_error_bound <= 1e-12
+        series = contraction_series(k1, k2, p, d)
+        assert series.series_constant == pytest.approx(direct, abs=1e-12)
+        assert series.truncation_error_bound <= 1e-12
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            bound_certificate(0, 1, 2, 0.1)
+            contraction_series(0, 1, 2, 0.1)
         with pytest.raises(ValueError):
-            bound_certificate(1, 1, 1.0, 0.1)
+            contraction_series(1, 1, 1.0, 0.1)
         with pytest.raises(ValueError):
-            bound_certificate(1, 1, 2, 1.0)
+            contraction_series(1, 1, 2, 1.0)
 
     def test_certificate_serializes(self):
-        data = bound_certificate(5, 1.1, 2, 0.5).to_dict()
+        data = contraction_series(5, 1.1, 2, 0.5).to_dict()
         assert data["kappa1"] == 5
         assert data["truncation_terms"] >= 1
 

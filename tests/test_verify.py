@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 import ulamlab
-from ulamlab import SUITES, SuiteResult, run_all_suites, run_suite
+from ulamlab import SUITES, Bound, Certificate, SuiteResult, run_all_suites, run_suite
 from ulamlab.verify import (
     averaging_suite,
     condition_b_suite,
@@ -34,21 +34,38 @@ def test_run_suite_rejects_unknown_name():
 
 
 def test_worker_chunking_merges_to_same_margins():
-    serial = run_suite("square_inequality", SEEDS, workers=1)
-    parallel = run_suite("square_inequality", SEEDS, workers=3)
+    # the slices `verify --workers 3` runs, merged in input order
+    serial = run_suite("square_inequality", SEEDS)
+    parallel = SuiteResult.merge([run_suite("square_inequality", SEEDS[i::3]) for i in range(3)])
     assert serial.trials == parallel.trials
     assert serial.notes.keys() == parallel.notes.keys()
     for key in serial.notes:
         assert serial.notes[key] == pytest.approx(parallel.notes[key], abs=0)
+    assert serial.to_dict() == parallel.to_dict()
 
 
 def test_merge_takes_worst_margin_and_sums_trials():
-    a = SuiteResult("demo", trials=2, notes={"m": 0.5}, tolerances={"m": 0.0})
-    b = SuiteResult("demo", trials=3, notes={"m": -0.2}, tolerances={"m": 0.0})
+    a = SuiteResult("demo", trials=2, bounds=Certificate(m=Bound(0.0, 0.5)))
+    b = SuiteResult("demo", trials=3, bounds=Certificate(m=Bound(0.0, -0.2)))
     merged = SuiteResult.merge([a, b])
     assert merged.trials == 5
     assert merged.notes["m"] == -0.2
     assert not merged.passed
+
+
+def test_note_keeps_the_first_bound_of_smallest_margin():
+    result = SuiteResult("demo", trials=1)
+    first = Bound(0.0, 0.25, tol=1e-10)
+    result.note("m", Bound(0.0, 0.5))
+    result.note("m", first)
+    result.note("m", Bound(0.0, 0.25, tol=1.0))  # a tie keeps the bound kept so far
+    result.note("m", Bound(0.0, float("nan")))  # NaN is below nothing
+    assert result.bounds["m"] is first
+    assert result.to_dict()["tolerances"] == {"m": 1e-10}
+    result.note("n", Bound(0.0, float("nan")))
+    result.note("n", Bound(0.0, -1.0))  # nothing is below NaN
+    assert result.notes["n"] != result.notes["n"]
+    assert not result.passed
 
 
 def test_suite_result_to_dict_carries_margins():
@@ -61,9 +78,9 @@ def test_suite_result_to_dict_carries_margins():
 
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_every_note_carries_its_tolerance(name):
-    result = run_suite(name, [0, 1])
-    assert result.notes
-    assert set(result.notes) == set(result.tolerances)
+    data = run_suite(name, [0, 1]).to_dict()
+    assert data["notes"]
+    assert set(data["notes"]) == set(data["tolerances"])
 
 
 def test_run_all_suites_covers_registry():

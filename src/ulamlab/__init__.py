@@ -4,170 +4,73 @@ The package measures how far a matrix-valued map on a group is from being a
 unitary representation, and implements the averaging constructions that pull
 an almost-representation back to an exact one: positive definite smoothing,
 polar repair, the quadratic stabilization loop, and similarity unitarization.
+
+Public names load with their module on first use (PEP 562), so importing the
+package loads no numpy; ``ulamlab.cli`` pins the BLAS threads before it does.
 """
 
-from .linalg import (
-    NormKind,
-    OPERATOR,
-    SingularInputError,
-    ky_fan,
-    op_norm,
-    parse_norm,
-    polar,
-    schatten,
-    uinorm,
-)
-from .groups import (
-    FiniteGroup,
-    FreeBall,
-    NotAGroupError,
-    UnsupportedDomainError,
-    cyclic,
-    dihedral,
-    direct_product,
-    free_ball,
-    from_table,
-    parse_group_spec,
-    reduce_word,
-    symmetric,
-)
-from .maps import (
-    Bound,
-    Certificate,
-    DefectReport,
-    GroupMap,
-    PreconditionError,
-    SizeLimitError,
-    constant_identity,
-    defect_report,
-    distance,
-    iso_defect,
-    map_to_dict,
-    mult_defect,
-    pair_defect_norms,
-    pd_min_eig,
-    perturbation_bound_report,
-    sup_norm,
-    unit_defect,
-)
-from .averaging import (
-    average_pd,
-    condition_b_report,
-    condition_c_check,
-    estimate_checks,
-    form,
-    mean,
-    translate_average,
-    translate_coefficient,
-)
-from .stabilize import (
-    CERTIFIED_EPSILON,
-    ContractionSeries,
-    DivergedError,
-    DixmierReport,
-    NotRepairableError,
-    StabilizationTrace,
-    contraction_series,
-    dixmier_unitarize,
-    kazhdan_step,
-    polar_repair,
-    product_constant,
-    stabilize,
-)
-from .generators import (
-    GenSpec,
-    build_map,
-    compress_rep,
-    conjugate_rep,
-    derive_seed,
-    direct_sum,
-    haar_unitary,
-    parse_genspec,
-    perturb_unitary,
-    random_map,
-    regular_rep,
-    similarity_twist,
-    trivial_rep,
-)
-from .verify import SUITES, SuiteResult, run_all_suites, run_suite
+import importlib
+import sys
+import types
+
+_EXPORTS = {
+    "linalg": (
+        "NormKind", "OPERATOR", "SingularInputError", "ky_fan", "op_norm", "parse_norm",
+        "polar", "schatten", "uinorm",
+    ),
+    "groups": (
+        "FiniteGroup", "FreeBall", "NotAGroupError", "UnsupportedDomainError", "cyclic",
+        "dihedral", "direct_product", "free_ball", "from_table", "parse_group_spec",
+        "reduce_word", "symmetric",
+    ),
+    "maps": (
+        "Bound", "Certificate", "DefectReport", "GroupMap", "PreconditionError",
+        "SizeLimitError", "constant_identity", "defect_report", "distance", "iso_defect",
+        "map_to_dict", "mult_defect", "pair_defect_norms", "pd_min_eig",
+        "perturbation_bound_report", "sup_norm", "unit_defect",
+    ),
+    "averaging": (
+        "average_pd", "condition_b_report", "condition_c_check", "estimate_checks", "form",
+        "mean", "translate_average", "translate_coefficient",
+    ),
+    "stabilize": (
+        "CERTIFIED_EPSILON", "ContractionSeries", "DivergedError", "DixmierReport",
+        "NotRepairableError", "StabilizationTrace", "contraction_series",
+        "dixmier_unitarize", "kazhdan_step", "polar_repair", "product_constant", "stabilize",
+    ),
+    "generators": (
+        "GenSpec", "build_map", "compress_rep", "conjugate_rep", "derive_seed", "direct_sum",
+        "haar_unitary", "parse_genspec", "perturb_unitary", "random_map", "regular_rep",
+        "similarity_twist", "trivial_rep",
+    ),
+    "verify": ("SUITES", "SuiteResult", "run_all_suites", "run_suite"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bound",
-    "CERTIFIED_EPSILON",
-    "Certificate",
-    "ContractionSeries",
-    "DefectReport",
-    "DivergedError",
-    "DixmierReport",
-    "FiniteGroup",
-    "FreeBall",
-    "GenSpec",
-    "GroupMap",
-    "NormKind",
-    "NotAGroupError",
-    "NotRepairableError",
-    "OPERATOR",
-    "PreconditionError",
-    "SUITES",
-    "SingularInputError",
-    "SizeLimitError",
-    "StabilizationTrace",
-    "SuiteResult",
-    "UnsupportedDomainError",
-    "average_pd",
-    "build_map",
-    "compress_rep",
-    "condition_b_report",
-    "condition_c_check",
-    "conjugate_rep",
-    "constant_identity",
-    "contraction_series",
-    "cyclic",
-    "defect_report",
-    "derive_seed",
-    "dihedral",
-    "direct_product",
-    "direct_sum",
-    "distance",
-    "dixmier_unitarize",
-    "estimate_checks",
-    "form",
-    "free_ball",
-    "from_table",
-    "haar_unitary",
-    "iso_defect",
-    "kazhdan_step",
-    "ky_fan",
-    "map_to_dict",
-    "mean",
-    "mult_defect",
-    "op_norm",
-    "pair_defect_norms",
-    "parse_genspec",
-    "parse_group_spec",
-    "parse_norm",
-    "pd_min_eig",
-    "perturb_unitary",
-    "perturbation_bound_report",
-    "polar",
-    "polar_repair",
-    "product_constant",
-    "random_map",
-    "reduce_word",
-    "regular_rep",
-    "run_all_suites",
-    "run_suite",
-    "schatten",
-    "similarity_twist",
-    "stabilize",
-    "sup_norm",
-    "symmetric",
-    "translate_average",
-    "translate_coefficient",
-    "trivial_rep",
-    "uinorm",
-    "unit_defect",
-    "__version__",
-]
+__all__ = sorted(_SOURCE) + ["__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+class _Package(types.ModuleType):
+    """Keeps ``ulamlab.stabilize`` the function when its submodule loads.
+
+    Importing a submodule binds it on the package under its own name; for
+    ``stabilize`` that would shadow the exported function of the same name.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if name in _SOURCE and isinstance(value, types.ModuleType):
+            return
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

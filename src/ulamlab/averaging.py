@@ -60,8 +60,11 @@ def translate_average(
     """
     g = _require_finite(phi.domain, "translate averaging")
     sums = np.empty(phi.values.shape, dtype=np.complex128)
-    for rows in maps._blocks(g.order, g.order * phi.dim * phi.dim):
+
+    def fill(rows: slice) -> None:
         sums[rows] = f(phi.values[g.mul[rows]], phi.values)
+
+    maps._for_blocks(g.order, g.order * phi.dim * phi.dim, fill)
     return sums / g.order
 
 
@@ -141,13 +144,14 @@ def condition_c_check(phi: GroupMap, psi: GroupMap) -> float:
     # Contracted directly rather than through translate_average: this check
     # certifies average_pd, which is built on that kernel.
     star = adj(phi.values)
-    worst = 0.0
-    for rows in maps._blocks(g.order, g.order * phi.dim * phi.dim):
+
+    def worst(rows: slice) -> float:
         translated = phi.values[g.mul[rows]]  # translated[x, y] = phi(x y)
         right = ((star[rows, None] @ translated) @ star[None]).sum(axis=1) / g.order
         left = star[rows] @ psi.values[rows]
-        worst = max(worst, float(batch_norms(left - right).max()))
-    return worst
+        return float(batch_norms(left - right).max())
+
+    return max(maps._for_blocks(g.order, g.order * phi.dim * phi.dim, worst), default=0.0)
 
 
 def estimate_checks(

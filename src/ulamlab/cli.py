@@ -9,10 +9,16 @@ domain errors, 4 divergence inside the certified regime.
 
 from __future__ import annotations
 
+import os
+
+# One BLAS thread, set before numpy loads: kernel threads are then the only
+# parallelism inside a map, and LAPACK results do not depend on the core count.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 import dataclasses
 import json
 import math
-import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,6 +28,7 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import maps
 from .linalg import SingularInputError, parse_norm
 from .groups import FiniteGroup, NotAGroupError, UnsupportedDomainError, parse_group_spec
 from .maps import Bound, PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
@@ -167,20 +174,17 @@ def _spec_for_seed(config: ExperimentConfig, seed: int, theta: float | None = No
     return dataclasses.replace(spec, seed=seed)
 
 
-def _resolve_domain(config: ExperimentConfig, spec: GenSpec):
-    if spec.group is not None:
-        return parse_group_spec(spec.group)
-    return parse_group_spec(config.group)
-
-
-def _build(config: ExperimentConfig, spec: GenSpec):
-    """Build the seeded map.
+def _build(config: ExperimentConfig, spec: GenSpec, domains: dict):
+    """Build the seeded map on its domain, parsed once per run into ``domains``.
 
     A ``ValueError`` that is no precondition error, or an ``OSError`` from
     reading a ``table:`` file, is a config error.
     """
+    group = spec.group if spec.group is not None else config.group
     try:
-        return build_map(spec, _resolve_domain(config, spec))
+        if group not in domains:
+            domains[group] = parse_group_spec(group)
+        return build_map(dataclasses.replace(spec, group=None), domains[group])
     except _PRECONDITION_ERRORS:
         raise
     except (ValueError, OSError) as err:
@@ -188,19 +192,31 @@ def _build(config: ExperimentConfig, spec: GenSpec):
 
 
 def _parallel(jobs, workers: int) -> list:
+    """Run ``jobs`` on up to ``workers`` threads; the results keep input order.
+
+    The cores are shared out: each worker's kernels may use
+    ``cores // workers`` threads, so workers times kernel threads stays
+    within the cores.
+    """
     if workers <= 1 or len(jobs) <= 1:
         return [job() for job in jobs]
-    with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        futures = [pool.submit(job) for job in jobs]
-        return [f.result() for f in futures]
+    threads = min(workers, len(jobs))
+    share = max(1, maps._cores() // threads)
+
+    def call(job):
+        with maps._kernel_threads(share):
+            return job()
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(call, jobs))
 
 
 def _cmd_gen(config: ExperimentConfig) -> Report:
     kind = parse_norm(config.norm)
-    records = []
+    records, domains = [], {}
     for seed in config.effective_seeds():
         spec = _spec_for_seed(config, seed)
-        phi = _build(config, spec)
+        phi = _build(config, spec, domains)
         row = {
             "seed": seed,
             "genspec": spec.to_dict(),
@@ -219,10 +235,10 @@ def _cmd_gen(config: ExperimentConfig) -> Report:
 
 def _cmd_defects(config: ExperimentConfig) -> Report:
     kind = parse_norm(config.norm)
-    records = []
+    records, domains = [], {}
     for seed in config.effective_seeds():
         spec = _spec_for_seed(config, seed)
-        phi = _build(config, spec)
+        phi = _build(config, spec, domains)
         row = {
             "seed": seed,
             "group": phi.domain.label,
@@ -238,9 +254,11 @@ def _cmd_defects(config: ExperimentConfig) -> Report:
     return Report(config, {"maps": len(records)}, records, passed=passed)
 
 
-def _stabilize_one(config: ExperimentConfig, seed: int, theta: float | None = None) -> dict:
+def _stabilize_one(
+    config: ExperimentConfig, domains: dict, seed: int, theta: float | None = None
+) -> dict:
     spec = _spec_for_seed(config, seed, theta)
-    phi = _build(config, spec)
+    phi = _build(config, spec, domains)
     row: dict = {"seed": seed, "group": phi.domain.label, "dim": phi.dim}
     if theta is not None:
         row["theta"] = theta
@@ -284,9 +302,9 @@ def _stabilize_one(config: ExperimentConfig, seed: int, theta: float | None = No
 
 
 def _cmd_stabilize(config: ExperimentConfig) -> Report:
-    seeds = config.effective_seeds()
+    seeds, domains = config.effective_seeds(), {}
     rows = _parallel(
-        [lambda s=s: _stabilize_one(config, s) for s in seeds], config.workers
+        [lambda s=s: _stabilize_one(config, domains, s) for s in seeds], config.workers
     )
     records = [rec for row in rows for rec in row.pop("iteration_records")]
     diverged = any(row["diverged_certified"] for row in rows)
@@ -299,9 +317,9 @@ def _cmd_stabilize(config: ExperimentConfig) -> Report:
 
 
 def _cmd_sweep(config: ExperimentConfig) -> Report:
-    seeds = config.effective_seeds()
+    seeds, domains = config.effective_seeds(), {}
     jobs = [
-        lambda t=t, s=s: _stabilize_one(config, s, theta=t)
+        lambda t=t, s=s: _stabilize_one(config, domains, s, theta=t)
         for t in config.theta
         for s in seeds
     ]
@@ -315,10 +333,10 @@ def _cmd_sweep(config: ExperimentConfig) -> Report:
 
 
 def _cmd_dixmier(config: ExperimentConfig) -> Report:
-    records = []
+    records, domains = [], {}
     for seed in config.effective_seeds():
         spec = _spec_for_seed(config, seed)
-        psi = _build(config, spec)
+        psi = _build(config, spec, domains)
         _, report = dixmier_unitarize(psi)
         records.append({"seed": seed, "group": psi.domain.label, "dim": psi.dim, "report": report})
     passed = all(r["report"].passed for r in records)

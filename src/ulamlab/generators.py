@@ -131,13 +131,17 @@ def perturb_unitary(pi: GroupMap, theta: float, seed: int) -> GroupMap:
     for block in maps._blocks(len(others), d * d):
         xs = others[block]
         parts = rng.standard_normal((len(xs), 2, d, d))
-        a = parts[:, 0] + 1j * parts[:, 1]
-        h = a + linalg.adj(a)
-        scale = linalg.singular_values(h)[:, 0]
-        if theta > 0.0:
-            keep = scale > 0.0
-            xs, h, scale = xs[keep], h[keep], scale[keep]
-            vals[xs] = vals[xs] @ linalg.unitary_exp(h * (theta / scale)[:, None, None])
+
+        def rotate(sl: slice) -> None:
+            a = parts[sl, 0] + 1j * parts[sl, 1]
+            h = a + linalg.adj(a)
+            scale = linalg.singular_values(h)[:, 0]
+            if theta > 0.0:
+                keep = scale > 0.0
+                ys, h, scale = xs[sl][keep], h[keep], scale[keep]
+                vals[ys] = vals[ys] @ linalg.unitary_exp(h * (theta / scale)[:, None, None])
+
+        maps._for_blocks(len(xs), d * d, rotate)
     return GroupMap(pi.domain, d, vals, label=f"perturbed[{theta:g}]")
 
 

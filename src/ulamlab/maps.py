@@ -7,8 +7,13 @@ map is from being a multiplicative, unitary-valued representation.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,6 +29,16 @@ from .groups import (
 GRAM_HERMITIAN_TOL = 1e-8
 MAX_GRAM_DIM = 8192
 _PAIR_CHUNK = 1 << 22  # complex entries per batch of pair products
+# Complex entries each kernel thread must get before a split pays for waking
+# it.  Measured on a 2-core VM at one BLAS thread: the unit defect of 24
+# values of 24x24 (6,912 entries a thread) took 5.8 ms serial and 8.2 ms
+# split; of 32 values of 32x32 (16,384) 13.1 ms serial and 8.7 ms split.
+_MIN_SPLIT = 1 << 14
+# Complex entries a kernel thread takes at a time.  A thread keeps the memory
+# of its largest block in its own malloc arena, so whole shares raised the peak
+# RSS of three symmetric:4 `verify` seeds by 10.5 MiB; blocks of 2^15 entries
+# raise it by 2.3 MiB and run no slower.
+_SPLIT_BLOCK = 1 << 15
 
 
 class PreconditionError(ValueError):
@@ -131,11 +146,6 @@ def _pair_arrays(domain: FiniteGroup | FreeBall) -> tuple[np.ndarray, np.ndarray
     return xs, ys, ks
 
 
-def batch_norms(mats: np.ndarray, kind: NormKind = OPERATOR) -> np.ndarray:
-    """Norm of each matrix in a stack under ``kind``."""
-    return np.atleast_1d(linalg.gauge(linalg.singular_values(mats), kind))
-
-
 def _blocks(count: int, entries: int):
     """Slices of ``count`` items of ``entries`` complex entries each.
 
@@ -147,6 +157,98 @@ def _blocks(count: int, entries: int):
         yield slice(lo, lo + step)
 
 
+@functools.cache
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+_budget = threading.local()  # .threads: kernel threads the calling thread may use
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+@contextlib.contextmanager
+def _kernel_threads(threads: int):
+    """Let kernels called from this thread use ``threads`` threads (unset: every core)."""
+    saved = getattr(_budget, "threads", None)
+    _budget.threads = threads
+    try:
+        yield
+    finally:
+        _budget.threads = saved
+
+
+def _executor() -> ThreadPoolExecutor:
+    """The kernel pool, made on the first split; the caller runs one share itself."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(max(1, _cores() - 1), thread_name_prefix="ulamlab-kernel")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """A forked child has none of its parent's threads: make a new pool on demand."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_share(fn: Callable[[slice], object], share: list[slice]) -> list:
+    with _kernel_threads(1):  # a share never splits again
+        return [fn(sl) for sl in share]
+
+
+def _for_blocks(count: int, entries: int, fn: Callable[[slice], object]) -> list:
+    """``fn`` of every block of ``count`` items of ``entries`` complex entries, in order.
+
+    Serially the blocks are those of ``_blocks``.  When the calling thread's
+    budget allows ``t > 1`` threads and each gets at least ``_MIN_SPLIT``
+    entries, the items are cut into ``t`` contiguous shares and each share
+    into blocks of at most ``_SPLIT_BLOCK`` and ``_PAIR_CHUNK / t`` entries
+    (or one item), so the entries in flight stay within ``_PAIR_CHUNK``.
+    ``fn`` must write only the rows of its block and compute each row
+    independently of the others (batched products and decompositions do),
+    which makes the result the same at every budget.  The exception of the
+    first failing block is raised.
+    """
+    threads = min(count, count * entries // _MIN_SPLIT)
+    if threads > 1:
+        threads = min(threads, getattr(_budget, "threads", None) or _cores())
+    if threads <= 1:
+        return [fn(sl) for sl in _blocks(count, entries)]
+    step = max(1, min(_PAIR_CHUNK // threads, _SPLIT_BLOCK) // entries)
+    cuts = [count * i // threads for i in range(threads + 1)]
+    shares = [
+        [slice(lo, min(lo + step, hi)) for lo in range(start, hi, step)]
+        for start, hi in zip(cuts, cuts[1:])
+    ]
+    futures = [_executor().submit(_run_share, fn, share) for share in shares[1:]]
+    try:
+        out = _run_share(fn, shares[0])
+    finally:
+        wait(futures)
+    return out + [part for future in futures for part in future.result()]
+
+
+def batch_norms(mats: np.ndarray, kind: NormKind = OPERATOR) -> np.ndarray:
+    """Norm of each matrix in a ``(count, d, d)`` stack under ``kind``."""
+    norms = np.empty(len(mats))
+
+    def fill(sl: slice) -> None:
+        norms[sl] = linalg.gauge(linalg.singular_values(mats[sl]), kind)
+
+    _for_blocks(len(mats), mats.shape[-1] * mats.shape[-2], fill)
+    return norms
+
+
 def _pair_scan(
     phi: GroupMap, kinds: Sequence[NormKind]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,11 +258,14 @@ def _pair_scan(
     """
     xs, ys, ks = _pair_arrays(phi.domain)
     norms = np.empty((len(kinds), len(xs)))
-    for sl in _blocks(len(xs), phi.dim * phi.dim):
+
+    def scan(sl: slice) -> None:
         diff = phi.values[xs[sl]] @ phi.values[ys[sl]] - phi.values[ks[sl]]
         sigma = linalg.singular_values(diff)
         for row, kind in enumerate(kinds):
             norms[row, sl] = linalg.gauge(sigma, kind)
+
+    _for_blocks(len(xs), phi.dim * phi.dim, scan)
     return xs, ys, norms
 
 

@@ -123,8 +123,11 @@ def _unitary_part(phi: GroupMap) -> tuple[GroupMap, float]:
     if delta >= 1.0 - 1e-9:
         raise NotRepairableError(f"unit defect {delta:.6g} is not strictly below 1")
     repaired = np.empty_like(phi.values)
-    for block in maps._blocks(len(phi.values), phi.dim * phi.dim):
+
+    def snap(block: slice) -> None:
         repaired[block] = linalg.polar(phi.values[block])[0]
+
+    maps._for_blocks(len(phi.values), phi.dim * phi.dim, snap)
     label = f"repair({phi.label})" if phi.label else "repair"
     return GroupMap(phi.domain, phi.dim, repaired, label=label), delta
 

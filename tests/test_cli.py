@@ -110,14 +110,42 @@ class TestDeterminism:
         assert plain["results"] != salted["results"]
 
     def test_workers_do_not_change_results(self, runner):
-        for base in (
-            ["sweep", "--group", "cyclic:3", "--theta", "0.02,0.04", "--seeds", "0..3"],
-            ["verify", "--seeds", "0..8"],
+        # symmetric:4 at one worker splits its kernels across the cores; at two
+        # workers on two cores they run serially.
+        for base, workers in (
+            (["sweep", "--group", "cyclic:3", "--theta", "0.02,0.04", "--seeds", "0..3"], "4"),
+            (["verify", "--seeds", "0..8"], "4"),
+            (["stabilize", "--group", "symmetric:4", "--seeds", "0..1"], "2"),
         ):
             serial = invoke_json(runner, base + ["--workers", "1"])
-            threaded = invoke_json(runner, base + ["--workers", "4"])
+            threaded = invoke_json(runner, base + ["--workers", workers])
             assert serial["results"] == threaded["results"]
             assert serial["pass"] == threaded["pass"]
+
+    def test_blas_threads_do_not_change_results(self):
+        # The threaded Gram eigvalsh of pd_min_eig moved the last bits of this
+        # report before the CLI pinned BLAS to one thread.
+        reports = [
+            run_module(["verify", "--seeds", "2"], OPENBLAS_NUM_THREADS=n, OMP_NUM_THREADS=n)
+            for n in ("1", "2")
+        ]
+        assert [proc.returncode for proc in reports] == [0, 0], reports[1].stderr
+        payloads = [strip_timings(json.loads(proc.stdout)) for proc in reports]
+        assert payloads[0] == payloads[1]
+
+    def test_group_is_parsed_once_per_run(self, runner, monkeypatch, tmp_path):
+        table = tmp_path / "cyclic6.json"
+        table.write_text(json.dumps({"mul": ulamlab.cyclic(6).mul.tolist()}))
+        calls = []
+        real = ulamlab.groups.from_table
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr("ulamlab.groups.from_table", counting)
+        invoke_json(runner, ["defects", "--group", f"table:{table}", "--seeds", "0..3"])
+        assert len(calls) <= 2  # the option check and the run
 
 
 class TestNdjson:
@@ -249,16 +277,21 @@ class TestExitCodes:
         assert result.exit_code == EXIT_FAIL
 
 
-def test_module_entry_point_runs():
+def run_module(args, **env):
+    """``python -m ulamlab.cli`` with ``args`` in a fresh interpreter."""
     src = str(Path(ulamlab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ulamlab.cli", "gen", "--group", "cyclic:2"],
+    return subprocess.run(
+        [sys.executable, "-m", "ulamlab.cli", *args],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
         timeout=120,
     )
+
+
+def test_module_entry_point_runs():
+    proc = run_module(["gen", "--group", "cyclic:2"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["schema_version"].startswith("ulamlab-report/")
 

@@ -6,12 +6,20 @@ entries at a time, and the batched polar snap and perturbation decompose
 their values in blocks of the same size.  Shrinking that constant forces many
 chunks and a ragged last one, which must not change any result.  The batched
 decompositions must equal their matrix-by-matrix forms bit for bit.
+
+The same kernels split their blocks across the kernel threads of the calling
+thread's budget (``ulamlab.maps._kernel_threads``).  Every budget must give
+the serial result bit for bit.
 """
 
 import contextlib
+import multiprocessing
+import os
+import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import ulamlab.maps
@@ -25,8 +33,10 @@ from ulamlab import (
     derive_seed,
     dihedral,
     direct_product,
+    distance,
     estimate_checks,
     free_ball,
+    iso_defect,
     ky_fan,
     linalg,
     mult_defect,
@@ -35,11 +45,15 @@ from ulamlab import (
     random_map,
     regular_rep,
     schatten,
+    stabilize,
+    sup_norm,
     symmetric,
     translate_average,
     translate_coefficient,
     uinorm,
+    unit_defect,
 )
+from ulamlab.cli import _parallel
 from ulamlab.generators import character_rep
 from ulamlab.stabilize import _unitary_part
 
@@ -66,6 +80,35 @@ def pair_chunk(entries: int):
         yield
     finally:
         ulamlab.maps._PAIR_CHUNK = saved
+
+
+@contextlib.contextmanager
+def kernel_threads(budget: int, min_split: int = 1):
+    """Give the calling thread ``budget`` kernel threads; by default every block may split."""
+    saved = ulamlab.maps._MIN_SPLIT
+    ulamlab.maps._MIN_SPLIT = min_split
+    try:
+        with ulamlab.maps._kernel_threads(budget):
+            yield
+    finally:
+        ulamlab.maps._MIN_SPLIT = saved
+
+
+class CountingPool:
+    def __init__(self, pool):
+        self.pool = pool
+        self.submits = 0
+
+    def submit(self, *args):
+        self.submits += 1
+        return self.pool.submit(*args)
+
+
+@pytest.fixture
+def kernel_pool(monkeypatch):
+    pool = CountingPool(ulamlab.maps._executor())
+    monkeypatch.setattr(ulamlab.maps, "_executor", lambda: pool)
+    return pool
 
 
 def dense_pair_norms(phi, pairs, kind):
@@ -195,6 +238,13 @@ def test_batched_polar_snap_equals_value_loop():
 
 def test_chunked_kernels_bound_memory():
     # Dense (n, n, d, d) intermediates would take 64000 * 40 * 16 bytes = 39 MiB.
+    # At two kernel threads each thread takes half a chunk at a time.
+    for budget in (1, 2):
+        with ulamlab.maps._kernel_threads(budget):
+            assert_kernels_bound_memory()
+
+
+def assert_kernels_bound_memory():
     rep = regular_rep(cyclic(40))
     phi = perturb_unitary(rep, 0.05, seed=0)
     psi = average_pd(phi)
@@ -246,3 +296,117 @@ def test_estimate_bounds_carry_the_worst_element_margin():
             lefts = linalg.gauge(sigma, kind)
             margins = [float(b - left) for b, left in zip(bounds, lefts)]
             assert checks[name].margin == min(margins), name
+
+
+SPLIT_MAPS = {
+    "dihedral:4": perturb_unitary(regular_rep(dihedral(4)), 0.05, seed=2),
+    "cyclic:7": perturb_unitary(character_rep(cyclic(7), 2), 0.05, seed=3),
+}
+
+
+def split_consumers(phi):
+    """Every kernel that splits its blocks, on ``phi`` and maps derived from it."""
+    psi = average_pd(phi)
+    near = GroupMap(phi.domain, phi.dim, 0.9 * phi.values + 0.01 * phi.values[::-1])
+    return {
+        "pair_scan": pair_defect_norms(phi, KINDS),
+        "mult_defect": mult_defect(phi, schatten(1)),
+        "average_pd": psi.values,
+        "translate_coefficient": translate_coefficient(phi).values,
+        "condition_c_check": condition_c_check(phi, psi),
+        "_unitary_part": _unitary_part(near)[0].values,
+        "perturb_unitary": perturb_unitary(phi, 0.3, seed=4).values,
+        "unit_defect": unit_defect(near),
+        "iso_defect": iso_defect(near),
+        "sup_norm": sup_norm(near),
+        "distance": distance(phi, psi, ky_fan(2)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_MAPS))
+def test_split_kernels_equal_serial(name, kernel_pool):
+    phi = SPLIT_MAPS[name]
+    with kernel_threads(1):
+        expected = split_consumers(phi)
+    assert kernel_pool.submits == 0
+    # 3 threads cut 8 values (or 7) into ragged shares; the small chunk gives
+    # every share several blocks.
+    for budget in (1, 2, 3):
+        for chunk in (ulamlab.maps._PAIR_CHUNK, 3 * phi.dim**2):
+            with kernel_threads(budget), pair_chunk(chunk):
+                before = kernel_pool.submits
+                got = split_consumers(phi)
+            assert (kernel_pool.submits > before) == (budget > 1)
+            for key, value in expected.items():
+                same = np.array_equal(got[key], value) if isinstance(value, np.ndarray) else got[key] == value
+                assert same, (key, budget, chunk)
+
+
+def test_split_scan_keeps_the_first_witness():
+    # 0.9 times the regular rep of cyclic:8, identity kept: the 7 pairs (x, -x)
+    # tie for the largest defect, at indices 15, 22, ..., 57 of the scan, so
+    # they fall into every share.
+    rep = regular_rep(cyclic(8))
+    values = 0.9 * rep.values
+    values[rep.identity_index] = rep.values[rep.identity_index]
+    phi = GroupMap(rep.domain, rep.dim, values)
+    value, witness = mult_defect(phi)
+    assert np.count_nonzero(pair_defect_norms(phi) == value) == 7
+    assert witness == (1, 7)
+    for budget in (2, 3):
+        with kernel_threads(budget):
+            assert mult_defect(phi) == (value, witness)
+
+
+def test_small_maps_start_no_kernel_thread(kernel_pool):
+    phi = perturb_unitary(regular_rep(dihedral(4)), 0.03, seed=0)
+    with ulamlab.maps._kernel_threads(8):
+        psi = average_pd(phi)
+        stabilize(phi)
+        estimate_checks(phi, psi, [schatten(1, normalized=True)])
+        perturb_unitary(regular_rep(dihedral(4)), 0.03, seed=1)
+    assert kernel_pool.submits == 0
+
+
+def test_parallel_workers_share_the_cores(monkeypatch, kernel_pool):
+    # cyclic:14 has 14^4 pair entries, enough for two kernel threads.
+    phi = perturb_unitary(regular_rep(cyclic(14)), 0.05, seed=0)
+    monkeypatch.setattr(ulamlab.maps, "_cores", lambda: 2)
+    with ulamlab.maps._kernel_threads(1):
+        expected = mult_defect(phi)
+    scans = [lambda: mult_defect(phi)] * 4
+    for workers in (2, 4):
+        assert _parallel(scans, workers) == [expected] * 4
+    assert kernel_pool.submits == 0
+    assert _parallel(scans, 1) == [expected] * 4
+    assert kernel_pool.submits == 4
+
+
+def test_workers_split_kernels_on_spare_cores(monkeypatch, kernel_pool):
+    # Three workers on six cores: each splits its scans in two, all through the
+    # one kernel pool, and thread switches are forced as often as possible.
+    phi = perturb_unitary(regular_rep(cyclic(14)), 0.05, seed=0)
+    with ulamlab.maps._kernel_threads(1):
+        expected = [mult_defect(phi, kind) for kind in KINDS] * 3
+    monkeypatch.setattr(ulamlab.maps, "_cores", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        scans = [lambda kind=kind: mult_defect(phi, kind) for kind in KINDS] * 3
+        assert _parallel(scans, 3) == expected
+    finally:
+        sys.setswitchinterval(interval)
+    assert kernel_pool.submits == len(scans)
+
+
+def split_scan(phi):
+    with kernel_threads(2):
+        return mult_defect(phi)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_forked_child_makes_its_own_kernel_pool():
+    phi = SPLIT_MAPS["dihedral:4"]
+    expected = split_scan(phi)  # the parent's pool exists before the fork
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(split_scan, (phi,)).get(timeout=60) == expected

@@ -195,8 +195,8 @@ def _parallel(jobs, workers: int) -> list:
     """Run ``jobs`` on up to ``workers`` threads; the results keep input order.
 
     The cores are shared out: each worker's kernels may use
-    ``cores // workers`` threads, so workers times kernel threads stays
-    within the cores.
+    ``cores // workers`` threads (at least one), so workers times kernel
+    threads stays within the cores whenever the workers do.
     """
     if workers <= 1 or len(jobs) <= 1:
         return [job() for job in jobs]

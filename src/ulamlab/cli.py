@@ -4,7 +4,7 @@ Every command echoes its configuration, runs a deterministic computation
 driven by the seed range, and writes a report whose payload is byte-stable
 for identical configurations (timings excluded).  Exit codes: 0 pass,
 1 clean run with a failed bound, 2 configuration errors, 3 precondition or
-domain errors, 4 divergence inside the certified regime.
+domain errors, 4 divergence inside the certified regime, 5 any other error.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import maps
 from .linalg import SingularInputError, parse_norm
-from .groups import FiniteGroup, NotAGroupError, UnsupportedDomainError, parse_group_spec
+from .groups import FiniteGroup, FreeBall, NotAGroupError, UnsupportedDomainError, parse_group_spec
 from .maps import Bound, PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
 from .generators import GenSpec, build_map, derive_seed, parse_genspec
 from .stabilize import (
@@ -52,6 +52,7 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
 EXIT_DIVERGED = 4
+EXIT_INTERNAL = 5
 
 _PRECONDITION_ERRORS = (
     PreconditionError,
@@ -175,7 +176,8 @@ def _spec_for_seed(config: ExperimentConfig, seed: int, theta: float | None = No
 
 
 def _build(config: ExperimentConfig, spec: GenSpec, domains: dict):
-    """Build the seeded map on its domain, parsed once per run into ``domains``.
+    """Build the seeded map on its domain, parsed once per run into ``domains``
+    (keyed by group spec).
 
     A ``ValueError`` that is no precondition error, or an ``OSError`` from
     reading a ``table:`` file, is a config error.
@@ -211,9 +213,9 @@ def _parallel(jobs, workers: int) -> list:
         return list(pool.map(call, jobs))
 
 
-def _cmd_gen(config: ExperimentConfig) -> Report:
+def _cmd_gen(config: ExperimentConfig, domains: dict) -> Report:
     kind = parse_norm(config.norm)
-    records, domains = [], {}
+    records = []
     for seed in config.effective_seeds():
         spec = _spec_for_seed(config, seed)
         phi = _build(config, spec, domains)
@@ -233,9 +235,9 @@ def _cmd_gen(config: ExperimentConfig) -> Report:
     return Report(config, {"maps": len(records)}, records, passed=passed)
 
 
-def _cmd_defects(config: ExperimentConfig) -> Report:
+def _cmd_defects(config: ExperimentConfig, domains: dict) -> Report:
     kind = parse_norm(config.norm)
-    records, domains = [], {}
+    records = []
     for seed in config.effective_seeds():
         spec = _spec_for_seed(config, seed)
         phi = _build(config, spec, domains)
@@ -301,8 +303,8 @@ def _stabilize_one(
     return row
 
 
-def _cmd_stabilize(config: ExperimentConfig) -> Report:
-    seeds, domains = config.effective_seeds(), {}
+def _cmd_stabilize(config: ExperimentConfig, domains: dict) -> Report:
+    seeds = config.effective_seeds()
     rows = _parallel(
         [lambda s=s: _stabilize_one(config, domains, s) for s in seeds], config.workers
     )
@@ -316,8 +318,8 @@ def _cmd_stabilize(config: ExperimentConfig) -> Report:
     return Report(config, summary, records, passed=passed, diverged_certified=diverged)
 
 
-def _cmd_sweep(config: ExperimentConfig) -> Report:
-    seeds, domains = config.effective_seeds(), {}
+def _cmd_sweep(config: ExperimentConfig, domains: dict) -> Report:
+    seeds = config.effective_seeds()
     jobs = [
         lambda t=t, s=s: _stabilize_one(config, domains, s, theta=t)
         for t in config.theta
@@ -332,8 +334,8 @@ def _cmd_sweep(config: ExperimentConfig) -> Report:
     return Report(config, summary, rows, passed=passed, diverged_certified=diverged)
 
 
-def _cmd_dixmier(config: ExperimentConfig) -> Report:
-    records, domains = [], {}
+def _cmd_dixmier(config: ExperimentConfig, domains: dict) -> Report:
+    records = []
     for seed in config.effective_seeds():
         spec = _spec_for_seed(config, seed)
         psi = _build(config, spec, domains)
@@ -343,7 +345,7 @@ def _cmd_dixmier(config: ExperimentConfig) -> Report:
     return Report(config, {"runs": len(records)}, records, passed=passed)
 
 
-def _cmd_verify(config: ExperimentConfig) -> Report:
+def _cmd_verify(config: ExperimentConfig, domains: dict) -> Report:
     seeds = config.effective_seeds()
     # each suite runs in w interleaved seed slices, merged back in input order
     w = min(config.workers, len(seeds))
@@ -373,10 +375,13 @@ _COMMANDS = {
 }
 
 
-def run(config: ExperimentConfig) -> Report:
-    """Execute a validated configuration and return its report."""
+def run(config: ExperimentConfig, domains: dict | None = None) -> Report:
+    """Execute a validated configuration and return its report.
+
+    ``domains`` maps group specs to domains already parsed.
+    """
     start = time.perf_counter()
-    report = _COMMANDS[config.command](config)
+    report = _COMMANDS[config.command](config, {} if domains is None else domains)
     report.timings = {"run_ms": (time.perf_counter() - start) * 1000.0}
     return report
 
@@ -410,12 +415,12 @@ def _parse_theta_opt(ctx, param, value: str) -> tuple[float, ...]:
     return thetas
 
 
-def _parse_group_opt(ctx, param, value: str) -> str:
+def _parse_group_opt(ctx, param, value: str) -> tuple[str, FiniteGroup | FreeBall]:
+    """The spec and its domain, which the run reuses instead of parsing again."""
     try:
-        parse_group_spec(value)
+        return value, parse_group_spec(value)
     except (ValueError, NotAGroupError, OSError, json.JSONDecodeError) as err:
         raise click.BadParameter(str(err))
-    return value
 
 
 def _parse_genspec_opt(ctx, param, value):
@@ -482,23 +487,27 @@ def _common_options(f):
 def _finish(command: str, **kwargs) -> None:
     out = kwargs.pop("out")
     ndjson = kwargs.pop("ndjson")
+    group, domain = kwargs.pop("group")
     try:
         config = ExperimentConfig(
-            command=command, out=out, ndjson=ndjson, salt=_read_salt(), **kwargs
+            command=command, group=group, out=out, ndjson=ndjson, salt=_read_salt(), **kwargs
         )
     except ValueError as err:
         raise click.UsageError(str(err))
     try:
         if config.out and not Path(config.out).parent.is_dir():
             raise ConfigError(f"output directory {Path(config.out).parent} does not exist")
-        report = run(config)
+        report = run(config, {group: domain})
+        text = render_report(report, config.ndjson)
     except _PRECONDITION_ERRORS as err:
         click.echo(f"precondition error: {err}", err=True)
         sys.exit(EXIT_PRECONDITION)
     except (ConfigError, SizeLimitError) as err:
         click.echo(f"configuration error: {err}", err=True)
         sys.exit(EXIT_CONFIG)
-    text = render_report(report, config.ndjson)
+    except Exception as err:  # exit 1 is kept for a failed bound
+        click.echo(f"internal error: {type(err).__name__}: {err}", err=True)
+        sys.exit(EXIT_INTERNAL)
     if config.out:
         try:
             Path(config.out).write_text(text)

@@ -53,6 +53,8 @@ class FreeBall:
     ``words`` lists the ball in breadth-first order, the empty word first.
     ``pair_index`` maps ``(i, j)`` to the index of the reduced product
     ``words[i] * words[j]`` whenever that product stays inside the ball.
+    ``pairs`` holds the same products as read-only arrays ``(i, j, k)``,
+    sorted by ``(i, j)``.
     """
 
     rank: int
@@ -60,6 +62,7 @@ class FreeBall:
     words: tuple[tuple[int, ...], ...]
     index: dict[tuple[int, ...], int] = field(repr=False)
     pair_index: dict[tuple[int, int], int] = field(repr=False)
+    pairs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     @property
     def identity(self) -> int:
@@ -211,7 +214,12 @@ def free_ball(rank: int, radius: int) -> FreeBall:
             k = index.get(reduce_word(wi + wj))
             if k is not None:
                 pair_index[i, j] = k
-    return FreeBall(rank, radius, tuple(words), index, pair_index)
+    # the loops above insert the pairs sorted by (i, j)
+    xs, ys = np.array(list(pair_index), dtype=np.int64).reshape(-1, 2).T.copy()
+    ks = np.fromiter(pair_index.values(), dtype=np.int64, count=len(pair_index))
+    for column in (xs, ys, ks):
+        column.flags.writeable = False
+    return FreeBall(rank, radius, tuple(words), index, pair_index, (xs, ys, ks))
 
 
 def parse_group_spec(spec: str) -> FiniteGroup | FreeBall:

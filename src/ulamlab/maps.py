@@ -39,6 +39,17 @@ _MIN_SPLIT = 1 << 14
 # RSS of three symmetric:4 `verify` seeds by 10.5 MiB; blocks of 2^15 entries
 # raise it by 2.3 MiB and run no slower.
 _SPLIT_BLOCK = 1 << 15
+# Complex entries the bound pass of `_op_argmax` takes at a time, serial or
+# split.  A block's temporaries (128 KiB each) then stay below glibc's default
+# mmap threshold and reuse heap pages: blocks of `_SPLIT_BLOCK` entries are
+# mapped and faulted in afresh on every call, which doubled the time of the
+# pass over the 576 pair defects of a symmetric:4 map (34 ms against 16 ms).
+_BOUND_BLOCK = 1 << 13
+# Smallest stack whose operator-norm max is filtered by an upper bound
+# (`_op_argmax`): at least this many complex entries and this many matrices.
+_MIN_FILTER = 1 << 10
+_MIN_FILTER_COUNT = 16
+_BOUND_SLACK = 1e-6  # relative; see `_op_argmax`
 
 
 class PreconditionError(ValueError):
@@ -139,20 +150,16 @@ def _pair_arrays(domain: FiniteGroup | FreeBall) -> tuple[np.ndarray, np.ndarray
         n = domain.order
         xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
         return xs.ravel(), ys.ravel(), domain.mul[xs, ys].ravel()
-    items = sorted(domain.pair_index.items())
-    xs = np.array([x for (x, _), _ in items], dtype=np.int64)
-    ys = np.array([y for (_, y), _ in items], dtype=np.int64)
-    ks = np.array([k for _, k in items], dtype=np.int64)
-    return xs, ys, ks
+    return domain.pairs
 
 
-def _blocks(count: int, entries: int):
+def _blocks(count: int, entries: int, block: int | None = None):
     """Slices of ``count`` items of ``entries`` complex entries each.
 
-    A block holds at most ``_PAIR_CHUNK`` entries, or one item when an item
-    is larger.
+    A block holds at most ``block`` (if given) and ``_PAIR_CHUNK`` entries,
+    or one item when an item is larger.
     """
-    step = max(1, _PAIR_CHUNK // entries)
+    step = max(1, min(block or _PAIR_CHUNK, _PAIR_CHUNK) // entries)
     for lo in range(0, count, step):
         yield slice(lo, lo + step)
 
@@ -206,14 +213,17 @@ def _run_share(fn: Callable[[slice], object], share: list[slice]) -> list:
         return [fn(sl) for sl in share]
 
 
-def _for_blocks(count: int, entries: int, fn: Callable[[slice], object]) -> list:
+def _for_blocks(
+    count: int, entries: int, fn: Callable[[slice], object], block: int | None = None
+) -> list:
     """``fn`` of every block of ``count`` items of ``entries`` complex entries, in order.
 
-    Serially the blocks are those of ``_blocks``.  When the calling thread's
-    budget allows ``t > 1`` threads and each gets at least ``_MIN_SPLIT``
-    entries, the items are cut into ``t`` contiguous shares and each share
-    into blocks of at most ``_SPLIT_BLOCK`` and ``_PAIR_CHUNK / t`` entries
-    (or one item), so the entries in flight stay within ``_PAIR_CHUNK``.
+    Serially the blocks are those of ``_blocks(count, entries, block)``.
+    When the calling thread's budget allows ``t > 1`` threads and each gets
+    at least ``_MIN_SPLIT`` entries, the items are cut into ``t`` contiguous
+    shares and each share into blocks of at most ``block`` (by default
+    ``_SPLIT_BLOCK``) and ``_PAIR_CHUNK / t`` entries (or one item), so the
+    entries in flight stay within ``_PAIR_CHUNK``.
     ``fn`` must write only the rows of its block and compute each row
     independently of the others (batched products and decompositions do),
     which makes the result the same at every budget.  The exception of the
@@ -223,8 +233,8 @@ def _for_blocks(count: int, entries: int, fn: Callable[[slice], object]) -> list
     if threads > 1:
         threads = min(threads, getattr(_budget, "threads", None) or _cores())
     if threads <= 1:
-        return [fn(sl) for sl in _blocks(count, entries)]
-    step = max(1, min(_PAIR_CHUNK // threads, _SPLIT_BLOCK) // entries)
+        return [fn(sl) for sl in _blocks(count, entries, block)]
+    step = max(1, min(_PAIR_CHUNK // threads, block or _SPLIT_BLOCK) // entries)
     cuts = [count * i // threads for i in range(threads + 1)]
     shares = [
         [slice(lo, min(lo + step, hi)) for lo in range(start, hi, step)]
@@ -249,6 +259,80 @@ def batch_norms(mats: np.ndarray, kind: NormKind = OPERATOR) -> np.ndarray:
     return norms
 
 
+def _op_bounds(mats: np.ndarray) -> np.ndarray:
+    """An upper bound on the operator norm of each matrix of a stack.
+
+    With ``s = max |a_ij|`` and ``b = a / s`` the bound is
+    ``s ||(b* b)^4||_F^(1/8) = (sum_i sigma_i^16)^(1/16) >= sigma_max``, from
+    three batched products.  Scaling by the largest entry keeps
+    ``sigma_max(b)`` within ``[1, d]``, so the powers neither underflow nor
+    overflow at any scale of ``a``; a zero matrix gets 0, and a matrix with
+    a non-finite entry gets NaN or inf.
+    """
+    s = np.abs(mats).max(axis=(-2, -1))
+    b = mats / np.where(s > 0.0, s, 1.0)[:, None, None]
+    c = adj(b) @ b
+    c = c @ c
+    c = c @ c
+    return s * np.linalg.norm(c, axis=(-2, -1)) ** 0.125
+
+
+def _op_argmax(
+    count: int, dim: int, take: Callable[[slice | np.ndarray], np.ndarray]
+) -> tuple[float, int]:
+    """The largest operator norm in a stack of ``count`` ``dim x dim``
+    matrices, and the first index attaining it.
+
+    ``take(index)`` returns the matrices at a slice or an index array.  The
+    result is bit-identical to the max and the first argmax of
+    ``linalg.singular_values(stack)[:, 0]``: each matrix's largest singular
+    value is bounded from above by ``_op_bounds``, the matrix of the largest
+    bound is decomposed, and only the matrices whose bound does not fall
+    below that value are decomposed again with it.  A stack below the
+    ``_MIN_FILTER`` gate decomposes every matrix.
+    """
+    entries = dim * dim
+    if count < _MIN_FILTER_COUNT or count * entries < _MIN_FILTER:
+        return _first_max(count, entries, take)
+    bounds = np.empty(count)
+
+    def bound(sl: slice) -> None:
+        bounds[sl] = _op_bounds(take(sl))
+
+    _for_blocks(count, entries, bound, _BOUND_BLOCK)
+    top = int(np.argmax(bounds))
+    best = linalg.singular_values(take(slice(top, top + 1)))[0, 0]
+    if bounds[top] == 0.0:  # every matrix is zero, so is every norm
+        return float(best), 0
+    # The bound and the decomposition each carry a relative rounding error of
+    # order dim^1.5 * 2^-52 (below 1e-9 up to dim 10^4).  A slack far above
+    # that keeps every matrix whose computed norm could reach ``best``, ties
+    # included; a NaN bound is never below ``best`` and stays.
+    index = np.flatnonzero(~(bounds * (1.0 + _BOUND_SLACK) < best))
+    value, w = _first_max(len(index), entries, lambda sl: take(index[sl]))
+    return value, int(index[w])
+
+
+def _first_max(
+    count: int, entries: int, take: Callable[[slice], np.ndarray]
+) -> tuple[float, int]:
+    """The max and first argmax of the operator norms of every matrix of a stack."""
+    norms = np.empty(count)
+
+    def exact(sl: slice) -> None:
+        norms[sl] = linalg.singular_values(take(sl))[:, 0]
+
+    _for_blocks(count, entries, exact)
+    w = int(np.argmax(norms))
+    return float(norms[w]), w
+
+
+def _pair_defects(phi: GroupMap, pairs: tuple[np.ndarray, np.ndarray, np.ndarray], at):
+    """``phi(x)phi(y) - phi(xy)`` for the pairs of ``_pair_arrays`` at a slice or index array."""
+    xs, ys, ks = pairs
+    return phi.values[xs[at]] @ phi.values[ys[at]] - phi.values[ks[at]]
+
+
 def _pair_scan(
     phi: GroupMap, kinds: Sequence[NormKind]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -256,12 +340,11 @@ def _pair_scan(
 
     The norms have one row per kind; every defect is decomposed once.
     """
-    xs, ys, ks = _pair_arrays(phi.domain)
+    pairs = xs, ys, _ = _pair_arrays(phi.domain)
     norms = np.empty((len(kinds), len(xs)))
 
     def scan(sl: slice) -> None:
-        diff = phi.values[xs[sl]] @ phi.values[ys[sl]] - phi.values[ks[sl]]
-        sigma = linalg.singular_values(diff)
+        sigma = linalg.singular_values(_pair_defects(phi, pairs, sl))
         for row, kind in enumerate(kinds):
             norms[row, sl] = linalg.gauge(sigma, kind)
 
@@ -289,39 +372,59 @@ def mult_defect(phi: GroupMap, kind: NormKind = OPERATOR) -> tuple[float, tuple[
     """Worst deviation from multiplicativity and the first pair attaining it.
 
     Free-ball domains are scanned only over pairs whose product stays in the
-    ball.
+    ball.  The operator norm decomposes only the pairs that can attain the
+    maximum (``_op_argmax``).
     """
-    xs, ys, norms = _pair_scan(phi, (kind,))
-    w = int(np.argmax(norms[0]))
-    return float(norms[0, w]), (int(xs[w]), int(ys[w]))
+    if kind.kind != "operator":
+        xs, ys, norms = _pair_scan(phi, (kind,))
+        w = int(np.argmax(norms[0]))
+        return float(norms[0, w]), (int(xs[w]), int(ys[w]))
+    pairs = xs, ys, _ = _pair_arrays(phi.domain)
+    value, w = _op_argmax(len(xs), phi.dim, lambda at: _pair_defects(phi, pairs, at))
+    return value, (int(xs[w]), int(ys[w]))
 
 
 def unit_defect(phi: GroupMap) -> tuple[float, int]:
-    """Worst of ``1 - v v*`` and ``1 - v* v`` in operator norm, with witness."""
+    """Worst of ``1 - v v*`` and ``1 - v* v`` in operator norm, with witness.
+
+    The witness is the first element whose left or right defect is the worst.
+    """
     v = phi.values
     eye = np.eye(phi.dim, dtype=np.complex128)
-    left = batch_norms(eye - v @ adj(v))
-    right = batch_norms(eye - adj(v) @ v)
-    per_element = np.maximum(left, right)
-    w = int(np.argmax(per_element))
-    return float(per_element[w]), w
+    # element x's left defect at row 2x, its right defect at 2x + 1, formed in
+    # place block by block: whole-stack temporaries doubled the peak memory
+    sides = np.empty((len(v), 2, phi.dim, phi.dim), dtype=np.complex128)
+
+    def fill(sl: slice) -> None:
+        np.matmul(v[sl], adj(v[sl]), out=sides[sl, 0])
+        np.matmul(adj(v[sl]), v[sl], out=sides[sl, 1])
+        np.subtract(eye, sides[sl], out=sides[sl])
+
+    _for_blocks(len(v), 2 * phi.dim * phi.dim, fill, _BOUND_BLOCK)
+    value, w = _op_argmax(2 * len(v), phi.dim, sides.reshape(-1, phi.dim, phi.dim).__getitem__)
+    return value, w // 2
 
 
 def iso_defect(phi: GroupMap) -> float:
     """Worst ``1 - v* v`` deviation alone (isometry defect)."""
     v = phi.values
     eye = np.eye(phi.dim, dtype=np.complex128)
-    return float(batch_norms(eye - adj(v) @ v).max())
+    return _op_argmax(len(v), phi.dim, (eye - adj(v) @ v).__getitem__)[0]
 
 
 def sup_norm(phi: GroupMap) -> float:
+    # Not `_op_argmax`: every value of a unitary-valued map has norm 1 and
+    # stays a candidate, and the filter then took 1.3-2.6 times as long as
+    # decomposing every value (16 to 576 values of dimension 2 to 24).
     return float(batch_norms(phi.values).max())
 
 
 def distance(phi: GroupMap, psi: GroupMap, kind: NormKind = OPERATOR) -> float:
     """Uniform distance ``max_x ||phi(x) - psi(x)||`` under ``kind``."""
     _require_compatible(phi, psi)
-    return float(batch_norms(phi.values - psi.values, kind).max())
+    if kind.kind != "operator":
+        return float(batch_norms(phi.values - psi.values, kind).max())
+    return _op_argmax(len(phi.values), phi.dim, (phi.values - psi.values).__getitem__)[0]
 
 
 def pd_min_eig(phi: GroupMap) -> float:

@@ -11,6 +11,7 @@ import ulamlab
 from ulamlab.cli import (
     EXIT_DIVERGED,
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_PRECONDITION,
     ExperimentConfig,
     Report,
@@ -145,7 +146,17 @@ class TestDeterminism:
 
         monkeypatch.setattr("ulamlab.groups.from_table", counting)
         invoke_json(runner, ["defects", "--group", f"table:{table}", "--seeds", "0..3"])
-        assert len(calls) <= 2  # the option check and the run
+        assert len(calls) == 1  # the option check; the run reuses its domain
+
+    def test_filtered_maxima_do_not_change_reports(self, runner, monkeypatch):
+        # The reference path decomposes every matrix of every stack.
+        cases = (
+            ["stabilize", "--group", "symmetric:4", "--seeds", "0..1"],
+            ["verify", "--seeds", "2"],
+        )
+        filtered = [strip_timings(invoke_json(runner, args)) for args in cases]
+        monkeypatch.setattr("ulamlab.maps._MIN_FILTER_COUNT", 1 << 62)
+        assert [strip_timings(invoke_json(runner, args)) for args in cases] == filtered
 
 
 class TestNdjson:
@@ -269,12 +280,22 @@ class TestExitCodes:
     def test_failed_bound_exits_one(self, runner, monkeypatch):
         import ulamlab.cli as cli_mod
 
-        def failing(config):
+        def failing(config, domains):
             return Report(config, {"note": "forced"}, [], passed=False)
 
         monkeypatch.setitem(cli_mod._COMMANDS, "gen", failing)
         result = runner.invoke(main, ["gen", "--group", "cyclic:2"])
         assert result.exit_code == EXIT_FAIL
+
+    def test_unexpected_error_exits_five(self, runner, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("forced fault")
+
+        monkeypatch.setattr("ulamlab.cli.stabilize", broken)
+        result = runner.invoke(main, ["stabilize", "--group", "cyclic:3"])
+        assert result.exit_code == EXIT_INTERNAL
+        assert result.stdout == ""
+        assert result.stderr == "internal error: RuntimeError: forced fault\n"
 
 
 def run_module(args, **env):

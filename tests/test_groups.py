@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ulamlab.maps
 from ulamlab.groups import (
     FiniteGroup,
     FreeBall,
@@ -190,6 +191,16 @@ def test_free_ball_pair_index_only_inside_radius():
     # a pair whose reduced product leaves the ball must be absent
     far = idx[(1, 1)]
     assert (far, far) not in pairs
+
+
+def test_free_ball_pairs_are_the_sorted_pair_index_read_only():
+    ball = free_ball(2, 3)
+    items = sorted(ball.pair_index.items())
+    expected = ([x for (x, _), _ in items], [y for (_, y), _ in items], [k for _, k in items])
+    for column, values in zip(ball.pairs, expected):
+        assert np.array_equal(column, values)
+        assert not column.flags.writeable
+    assert ulamlab.maps._pair_arrays(ball) is ball.pairs  # built once, not per scan
 
 
 def test_free_ball_rejects_unsupported_rank():

@@ -10,6 +10,10 @@ decompositions must equal their matrix-by-matrix forms bit for bit.
 The same kernels split their blocks across the kernel threads of the calling
 thread's budget (``ulamlab.maps._kernel_threads``).  Every budget must give
 the serial result bit for bit.
+
+The operator-norm maxima (``ulamlab.maps._op_argmax``) decompose only the
+matrices whose upper bound can reach the max.  They must give the max and the
+first argmax of every matrix's largest singular value bit for bit.
 """
 
 import contextlib
@@ -410,3 +414,142 @@ def test_forked_child_makes_its_own_kernel_pool():
     expected = split_scan(phi)  # the parent's pool exists before the fork
     with multiprocessing.get_context("fork").Pool(1) as pool:
         assert pool.apply_async(split_scan, (phi,)).get(timeout=60) == expected
+
+
+# Stacks for the filtered operator-norm max: the gate lets through at least
+# ``_MIN_FILTER_COUNT`` matrices of ``_MIN_FILTER`` entries in all, so 1..40
+# matrices of dimension 1..8 fall on both sides of it.
+STACK_KINDS = ("random", "spectra", "zeros", "ties", "unitary_multiples")
+SCALES = (1.0, 1e-300, 1e200)
+
+
+def op_reference(stack):
+    """The max and first argmax of every matrix's largest singular value."""
+    norms = linalg.singular_values(stack)[:, 0]
+    w = int(np.argmax(norms))
+    return float(norms[w]), w
+
+
+def make_stack(kind, count, dim, seed):
+    rng = np.random.default_rng(seed)
+    shape = (count, dim, dim)
+    if kind == "zeros":
+        return np.zeros(shape, dtype=np.complex128)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "unitary_multiples":  # every singular value of every matrix is 2.5
+        return 2.5 * np.linalg.qr(a)[0]
+    if kind == "spectra":
+        # Norms within 1e-3 of each other, half of them with a flat spectrum:
+        # the largest bound then rarely belongs to the largest norm.
+        top = 1.0 + 1e-3 * rng.random(count)
+        sigma = top[:, None] * rng.random((count, dim)) * rng.integers(0, 2, (count, 1))
+        sigma[:, 0] = top
+        b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return (np.linalg.qr(a)[0] * sigma[:, None, :]) @ np.linalg.qr(b)[0]
+    a *= rng.uniform(0.2, 1.0, count)[:, None, None]
+    if kind == "ties":  # the largest matrix repeated, and two copies of another
+        top = np.argmax(linalg.singular_values(a)[:, 0])
+        a[rng.integers(0, count, 3)] = a[top]
+        a[rng.integers(0, count, 2)] = a[0]
+    return a
+
+
+def same_float(a, b):
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(STACK_KINDS),
+    count=st.integers(1, 40),
+    dim=st.integers(1, 8),
+    scale=st.sampled_from(SCALES),
+    seed=st.integers(0, 2**16),
+    budget=st.sampled_from((1, 2)),
+)
+def test_filtered_operator_max_equals_full_decomposition(kind, count, dim, scale, seed, budget):
+    stack = make_stack(kind, count, dim, seed) * scale
+    value, w = op_reference(stack)
+    with kernel_threads(budget):
+        got_value, got_w = ulamlab.maps._op_argmax(count, dim, stack.__getitem__)
+    assert got_w == w
+    assert same_float(got_value, value)
+
+
+def tied_values(g, dim, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return np.broadcast_to(a, (g.order, dim, dim))
+
+
+MAP_VALUES = {
+    "random": lambda g, dim, seed: random_map(g, dim, sup=1.0, seed=seed).values,
+    "zeros": lambda g, dim, seed: np.zeros((g.order, dim, dim), dtype=np.complex128),
+    "ties": tied_values,
+    "unitary_multiples": lambda g, dim, seed: make_stack("unitary_multiples", g.order, dim, seed),
+}
+# Scales that take each stack to about 1e-300 and 1e200 without overflow:
+# products of values square their scale.
+MAP_SCALES = (1.0, 1e-300, 1e-150, 1e100)
+FILTER_GROUPS = [cyclic(2), cyclic(5), dihedral(4), cyclic(16), dihedral(10)]
+
+
+def operator_maxima(phi, psi):
+    return {
+        "mult_defect": mult_defect(phi),
+        "unit_defect": unit_defect(phi),
+        "iso_defect": iso_defect(phi),
+        "sup_norm": sup_norm(phi),
+        "distance": distance(phi, psi),
+    }
+
+
+def reference_maxima(phi, psi):
+    v, g = phi.values, phi.domain
+    eye = np.eye(phi.dim)
+    xs, ys = np.divmod(np.arange(g.order**2), g.order)
+    eps, pair = op_reference(v[xs] @ v[ys] - v[g.mul[xs, ys]])
+    left = linalg.singular_values(eye - v @ linalg.adj(v))[:, 0]
+    right = linalg.singular_values(eye - linalg.adj(v) @ v)[:, 0]
+    worst = np.maximum(left, right)
+    element = int(np.argmax(worst))
+    return {
+        "mult_defect": (eps, (int(xs[pair]), int(ys[pair]))),
+        "unit_defect": (float(worst[element]), element),
+        "iso_defect": op_reference(eye - linalg.adj(v) @ v)[0],
+        "sup_norm": op_reference(v)[0],
+        "distance": op_reference(v - psi.values)[0],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.sampled_from(FILTER_GROUPS),
+    dim=st.integers(1, 6),
+    kind=st.sampled_from(sorted(MAP_VALUES)),
+    scale=st.sampled_from(MAP_SCALES),
+    seed=st.integers(0, 2**16),
+    budget=st.sampled_from((1, 2)),
+)
+def test_operator_maxima_equal_full_decomposition(g, dim, kind, scale, seed, budget):
+    phi = GroupMap(g, dim, MAP_VALUES[kind](g, dim, seed) * scale)
+    psi = GroupMap(g, dim, random_map(g, dim, sup=1.0, seed=seed + 1).values * scale)
+    expected = reference_maxima(phi, psi)
+    with kernel_threads(budget):
+        got = operator_maxima(phi, psi)
+    for name, value in expected.items():
+        value, witness = value if isinstance(value, tuple) else (value, None)
+        got_value, got_witness = got[name] if witness is not None else (got[name], None)
+        assert got_witness == witness, name
+        assert same_float(got_value, value), name
+
+
+def test_non_finite_matrix_keeps_the_full_decomposition():
+    # An inf entry gives that matrix NaN singular values and a NaN bound:
+    # every matrix stays a candidate and the NaN is found where it was.
+    stack = make_stack("random", 24, 4, seed=5)
+    stack[7, 1, 2] = np.inf
+    norms = linalg.singular_values(stack)[:, 0]
+    assert np.isnan(norms[7]) and not np.isnan(np.delete(norms, 7)).any()
+    value, w = ulamlab.maps._op_argmax(24, 4, stack.__getitem__)
+    assert (w, np.isnan(value)) == (int(np.argmax(norms)), True)

@@ -116,10 +116,18 @@ def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
     # every module binding of the counted functions, as the benchmark tracer patches them
     calls = Counter()
     modules = [m for key, m in sys.modules.items() if key.startswith("ulamlab.")]
-    for module, name in ((ulamlab.averaging, "condition_c_check"), (ulamlab.maps, "_pair_scan")):
+    counted_names = (
+        (ulamlab.averaging, "condition_c_check"),
+        (ulamlab.maps, "_pair_scan"),
+        (ulamlab.maps, "_op_argmax"),
+        (ulamlab.maps, "_op_bounds"),
+    )
+    for module, name in counted_names:
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
+            if _name == "_op_argmax":
+                _name += f"[{args[0]}]"  # keyed by the size of the stack
             calls[_name] += 1
             return _original(*args, **kwargs)
 
@@ -129,4 +137,15 @@ def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
                     monkeypatch.setattr(target, attr, counted)
     result = averaging_suite([0], group_specs=("dihedral:4",))
     assert result.passed, result.notes
-    assert calls == {"condition_c_check": 1, "_pair_scan": 2}
+    # One full scan of the 64 pairs (the estimates read every defect) and one
+    # filtered max over them (the mult defect of the averaging step); four
+    # filtered unit defects over 16 sides, and one distance over 8 values,
+    # below the gate, that decomposes every value.
+    assert calls == {
+        "condition_c_check": 1,
+        "_pair_scan": 1,
+        "_op_argmax[64]": 1,
+        "_op_argmax[16]": 4,
+        "_op_argmax[8]": 1,
+        "_op_bounds": 5,
+    }

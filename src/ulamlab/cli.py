@@ -45,6 +45,7 @@ from .verify import SUITES, SuiteResult, run_suite
 SCHEMA_VERSION = "ulamlab-report/2"
 SEED_SALT_ENV = "ULAMLAB_SEED_SALT"
 MAX_SEEDS = 100000
+MAX_WORKERS = 64  # threads one run may start for seeds and grid points
 MAX_EMBEDDED_MAP = 65536  # entries; larger maps are left out of gen reports
 
 EXIT_PASS = 0
@@ -86,8 +87,10 @@ class ExperimentConfig:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max-iter must be >= 1, got {self.max_iter}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(
+                f"workers must lie in [1, MAX_WORKERS = {MAX_WORKERS}], got {self.workers}"
+            )
         if not self.seeds:
             raise ValueError("seed range is empty")
         if not all(t >= 0 and math.isfinite(t) for t in self.theta):

@@ -30,26 +30,42 @@ GRAM_HERMITIAN_TOL = 1e-8
 MAX_GRAM_DIM = 8192
 _PAIR_CHUNK = 1 << 22  # complex entries per batch of pair products
 # Complex entries each kernel thread must get before a split pays for waking
-# it.  Measured on a 2-core VM at one BLAS thread: the unit defect of 24
-# values of 24x24 (6,912 entries a thread) took 5.8 ms serial and 8.2 ms
-# split; of 32 values of 32x32 (16,384) 13.1 ms serial and 8.7 ms split.
-_MIN_SPLIT = 1 << 14
+# it.  Measured on a 2-core VM at one BLAS thread on symmetric:4 (values of
+# 24x24): the polar snap of 24 values (13,824 entries) took 6.3 ms serial and
+# 4.2 ms split, the unit defect of 48 sides 3.1 ms and 3.6 ms, the distance
+# of 24 values 1.3 ms and 2.0 ms; a `stabilize` seed took 139-145 ms at 2^12
+# and 145-148 ms at 2^14, where none of the three splits.
+_MIN_SPLIT = 1 << 12
 # Complex entries a kernel thread takes at a time.  A thread keeps the memory
 # of its largest block in its own malloc arena, so whole shares raised the peak
 # RSS of three symmetric:4 `verify` seeds by 10.5 MiB; blocks of 2^15 entries
 # raise it by 2.3 MiB and run no slower.
 _SPLIT_BLOCK = 1 << 15
-# Complex entries the bound pass of `_op_argmax` takes at a time, serial or
-# split.  A block's temporaries (128 KiB each) then stay below glibc's default
-# mmap threshold and reuse heap pages: blocks of `_SPLIT_BLOCK` entries are
-# mapped and faulted in afresh on every call, which doubled the time of the
-# pass over the 576 pair defects of a symmetric:4 map (34 ms against 16 ms).
-_BOUND_BLOCK = 1 << 13
+# Complex entries the bound passes of `_op_argmax` take at a time, serial or
+# split.  The single-precision temporaries of a block (128 KiB each) stay
+# below glibc's default mmap threshold and reuse heap pages, and a block of
+# pair defects is formed into one array (`_pair_defects`).  The four scans of
+# a symmetric:4 `stabilize` seed at two kernel threads took 62 ms at 2^13
+# entries, 48-50 ms at 2^14 and 66-71 ms at 2^15, whose double-precision
+# temporaries (512 KiB) were mapped and faulted in afresh: 10,300 page
+# faults a seed against 180.
+_BOUND_BLOCK = 1 << 14
+# Complex entries of a row of pair products (n d^2) from which a block of
+# a finite group's pair defects is formed row by row (`_pair_defects`), one
+# matmul call a row, instead of from three gathered factors.  A block of
+# dihedral:4's 64 pairs (rows of 512 entries) took 107 us row by row and 83
+# us gathered; of cyclic:12's 113 (1,728) 215 us and 477 us.
+_MIN_ROW = 1 << 10
 # Smallest stack whose operator-norm max is filtered by an upper bound
 # (`_op_argmax`): at least this many complex entries and this many matrices.
+# The candidates of the first bound pass, the top matrix aside, are bounded
+# again when at least `_MIN_FILTER_COUNT` of them remain.
 _MIN_FILTER = 1 << 10
 _MIN_FILTER_COUNT = 16
-_BOUND_SLACK = 1e-6  # relative; see `_op_argmax`
+_BOUND_SLACK = 1e-6  # relative, of a bound formed in double precision
+# Largest dimension whose first bound pass runs in single precision; its
+# slack (`_bound_slack`) is derived in `_op_argmax`.
+_SINGLE_MAX_DIM = 256
 
 
 class PreconditionError(ValueError):
@@ -144,13 +160,29 @@ def _require_compatible(phi: GroupMap, psi: GroupMap) -> None:
         raise ValueError(f"maps have different dimensions ({phi.dim} vs {psi.dim})")
 
 
-def _pair_arrays(domain: FiniteGroup | FreeBall) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Indices (x, y, xy) of every defined product."""
+def _pair_count(domain: FiniteGroup | FreeBall) -> int:
+    """The number of defined products."""
     if isinstance(domain, FiniteGroup):
-        n = domain.order
-        xs, ys = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        return xs.ravel(), ys.ravel(), domain.mul[xs, ys].ravel()
-    return domain.pairs
+        return domain.order**2
+    return len(domain.pairs[0])
+
+
+def _pair_arrays(
+    domain: FiniteGroup | FreeBall, at: slice | np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices (x, y, xy) of every defined product, or of those at a slice or
+    index array of them.
+
+    A finite group's pairs are ``(x, y)`` in row-major order, derived from
+    their flat indices; a free ball's are ``FreeBall.pairs``.
+    """
+    if isinstance(domain, FreeBall):
+        return domain.pairs if at is None else tuple(a[at] for a in domain.pairs)
+    n = domain.order
+    if at is None or isinstance(at, slice):
+        at = np.arange(*(at or slice(None)).indices(n * n))
+    xs, ys = np.divmod(at, n)
+    return xs, ys, domain.mul[xs, ys]
 
 
 def _blocks(count: int, entries: int, block: int | None = None):
@@ -248,33 +280,63 @@ def _for_blocks(
     return out + [part for future in futures for part in future.result()]
 
 
-def batch_norms(mats: np.ndarray, kind: NormKind = OPERATOR) -> np.ndarray:
-    """Norm of each matrix in a ``(count, d, d)`` stack under ``kind``."""
-    norms = np.empty(len(mats))
+def _collect(
+    count: int, entries: int, fn: Callable[[slice], np.ndarray], block: int | None = None
+) -> np.ndarray:
+    """``fn(sl)`` of every block of ``count`` items, written into one float array."""
+    out = np.empty(count)
 
     def fill(sl: slice) -> None:
-        norms[sl] = linalg.gauge(linalg.singular_values(mats[sl]), kind)
+        out[sl] = fn(sl)
 
-    _for_blocks(len(mats), mats.shape[-1] * mats.shape[-2], fill)
-    return norms
+    _for_blocks(count, entries, fill, block)
+    return out
 
 
-def _op_bounds(mats: np.ndarray) -> np.ndarray:
+def batch_norms(mats: np.ndarray, kind: NormKind = OPERATOR) -> np.ndarray:
+    """Norm of each matrix in a ``(count, d, d)`` stack under ``kind``."""
+    return _collect(
+        len(mats),
+        mats.shape[-1] * mats.shape[-2],
+        lambda sl: linalg.gauge(linalg.singular_values(mats[sl]), kind),
+    )
+
+
+def _bound_slack(dim: int) -> float:
+    """Relative slack of the first bound pass of `_op_argmax` at ``dim``."""
+    if dim > _SINGLE_MAX_DIM:
+        return _BOUND_SLACK
+    return _BOUND_SLACK + 2.0 * dim * dim * 2.0**-24
+
+
+def _op_bounds(mats: np.ndarray, squarings: int = 2, single: bool | None = None) -> np.ndarray:
     """An upper bound on the operator norm of each matrix of a stack.
 
-    With ``s = max |a_ij|`` and ``b = a / s`` the bound is
-    ``s ||(b* b)^4||_F^(1/8) = (sum_i sigma_i^16)^(1/16) >= sigma_max``, from
-    three batched products.  Scaling by the largest entry keeps
-    ``sigma_max(b)`` within ``[1, d]``, so the powers neither underflow nor
-    overflow at any scale of ``a``; a zero matrix gets 0, and a matrix with
-    a non-finite entry gets NaN or inf.
+    With ``s = max(|Re a_ij|, |Im a_ij|)``, ``b = a / s`` and ``k =
+    squarings`` the bound is ``s ||(b* b)^(2^k)||_F^(2^-k-1) = (sum_i
+    sigma_i^(2^(k+2)))^(2^-k-2) >= sigma_max``, from ``k + 1`` batched
+    products in single precision (by default up to `_SINGLE_MAX_DIM`) or
+    double.  Scaling keeps ``sigma_max(b)`` within ``[1, sqrt(2) d]``, so the
+    products neither underflow nor overflow at any scale of ``a``; only the
+    single-precision sum of squares of a stack near rank one overflows (from
+    ``d`` about 150), and its bound is inf.  A zero matrix gets 0, and a
+    matrix with a non-finite entry gets NaN.
     """
-    s = np.abs(mats).max(axis=(-2, -1))
-    b = mats / np.where(s > 0.0, s, 1.0)[:, None, None]
-    c = adj(b) @ b
-    c = c @ c
-    c = c @ c
-    return s * np.linalg.norm(c, axis=(-2, -1)) ** 0.125
+    if single is None:
+        single = mats.shape[-1] <= _SINGLE_MAX_DIM
+    real = np.float32 if single else np.float64
+    parts = np.ascontiguousarray(mats).reshape(len(mats), -1).view(np.float64)
+    s = np.maximum(parts.max(axis=1), -parts.min(axis=1))
+    scaled = np.empty(parts.shape, real)  # b, written without a double copy
+    with np.errstate(invalid="ignore"):  # an inf entry over s = inf gives NaN
+        np.divide(parts, np.where(s > 0.0, s, 1.0)[:, None], out=scaled, casting="same_kind")
+    b = scaled.view(np.complex64 if single else np.complex128).reshape(mats.shape)
+    c = np.swapaxes(b, -1, -2) @ b.conj()  # conj(b* b): the same Frobenius norms
+    for _ in range(squarings):
+        c = c @ c
+    flat = c.reshape(len(c), -1).view(real)
+    squares = np.einsum("ij,ij->i", flat, flat).astype(np.float64)
+    return s * squares ** (0.5 ** (squarings + 2))
 
 
 def _op_argmax(
@@ -287,69 +349,99 @@ def _op_argmax(
     result is bit-identical to the max and the first argmax of
     ``linalg.singular_values(stack)[:, 0]``: each matrix's largest singular
     value is bounded from above by ``_op_bounds``, the matrix of the largest
-    bound is decomposed, and only the matrices whose bound does not fall
-    below that value are decomposed again with it.  A stack below the
+    bound (the top) is decomposed, and only the matrices whose bound does
+    not fall below its value are kept.  When at least `_MIN_FILTER_COUNT`
+    remain besides the top they are bounded again, four squarings deep in
+    double precision, and the survivors are decomposed.  A stack below the
     ``_MIN_FILTER`` gate decomposes every matrix.
     """
     entries = dim * dim
     if count < _MIN_FILTER_COUNT or count * entries < _MIN_FILTER:
-        return _first_max(count, entries, take)
-    bounds = np.empty(count)
-
-    def bound(sl: slice) -> None:
-        bounds[sl] = _op_bounds(take(sl))
-
-    _for_blocks(count, entries, bound, _BOUND_BLOCK)
+        norms = _top_norms(count, entries, take)
+        w = int(np.argmax(norms))
+        return float(norms[w]), w
+    bounds = _collect(count, entries, lambda sl: _op_bounds(take(sl)), _BOUND_BLOCK)
     top = int(np.argmax(bounds))
     best = linalg.singular_values(take(slice(top, top + 1)))[0, 0]
     if bounds[top] == 0.0:  # every matrix is zero, so is every norm
         return float(best), 0
-    # The bound and the decomposition each carry a relative rounding error of
-    # order dim^1.5 * 2^-52 (below 1e-9 up to dim 10^4).  A slack far above
-    # that keeps every matrix whose computed norm could reach ``best``, ties
-    # included; a NaN bound is never below ``best`` and stays.
-    index = np.flatnonzero(~(bounds * (1.0 + _BOUND_SLACK) < best))
-    value, w = _first_max(len(index), entries, lambda sl: take(index[sl]))
-    return value, int(index[w])
-
-
-def _first_max(
-    count: int, entries: int, take: Callable[[slice], np.ndarray]
-) -> tuple[float, int]:
-    """The max and first argmax of the operator norms of every matrix of a stack."""
-    norms = np.empty(count)
-
-    def exact(sl: slice) -> None:
-        norms[sl] = linalg.singular_values(take(sl))[:, 0]
-
-    _for_blocks(count, entries, exact)
+    # Rounding, to first order: each product of the single-precision pass
+    # errs by at most gamma_2d |A||B| <= 2 d^2 u ||A|| ||B|| in operator norm
+    # (a complex dot product is a real one of length 2d; u = 2^-24; Higham
+    # 2002, sec. 3.5), so (b* b)^4 errs by at most (1 + 2 + 4) 2 d^2 u
+    # sigma^8 and the bound, its 8th root, by 7/4 d^2 u sigma.  The sum of
+    # 2 d^2 squares adds d^2 u / 8 after its 16th root, rounding b to single
+    # precision sqrt(d) u, and the SVD of ``best`` about d 2^-52.  Their sum
+    # stays below `_bound_slack`, 2 d^2 u + 1e-6, and so does the remainder
+    # of higher order up to d = 256: no matrix whose computed norm could
+    # reach ``best``, ties included, has a bound below ``best / (1 + slack)``.
+    # The double pass, five products in 2^-53, errs by 31/32 2 d^2 2^-53
+    # after its 32nd root, below 1e-7 up to d = 2 10^4, within
+    # `_BOUND_SLACK`.  A NaN bound is never below ``best`` and stays.
+    index = np.flatnonzero(~(bounds < best / (1.0 + _bound_slack(dim))))
+    index = index[index != top]
+    if len(index) >= _MIN_FILTER_COUNT:
+        fine = _collect(
+            len(index),
+            entries,
+            lambda sl: _op_bounds(take(index[sl]), 4, single=False),
+            _BOUND_BLOCK,
+        )
+        index = index[~(fine < best / (1.0 + _BOUND_SLACK))]
+    # The norms go where the bounds were, the top's back in its place, and
+    # every matrix left out ranks below them, so that argmax finds the first
+    # max (or NaN).
+    norms = bounds
+    norms.fill(-np.inf)
+    norms[index] = _top_norms(len(index), entries, lambda sl: take(index[sl]))
+    norms[top] = best
     w = int(np.argmax(norms))
     return float(norms[w]), w
 
 
-def _pair_defects(phi: GroupMap, pairs: tuple[np.ndarray, np.ndarray, np.ndarray], at):
-    """``phi(x)phi(y) - phi(xy)`` for the pairs of ``_pair_arrays`` at a slice or index array."""
-    xs, ys, ks = pairs
-    return phi.values[xs[at]] @ phi.values[ys[at]] - phi.values[ks[at]]
+def _top_norms(
+    count: int, entries: int, take: Callable[[slice], np.ndarray]
+) -> np.ndarray:
+    """The operator norm of every matrix of a stack."""
+    return _collect(count, entries, lambda sl: linalg.singular_values(take(sl))[:, 0])
 
 
-def _pair_scan(
-    phi: GroupMap, kinds: Sequence[NormKind]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``x`` and ``y`` of every defined pair and its defect norm under each kind.
+def _pair_defects(phi: GroupMap, at: slice | np.ndarray) -> np.ndarray:
+    """``phi(x)phi(y) - phi(xy)`` for the pairs of ``_pair_arrays`` at a slice or index array.
 
-    The norms have one row per kind; every defect is decomposed once.
+    A slice of a finite group's pairs whose rows hold `_MIN_ROW` entries is
+    formed row by row, ``phi(x)`` times a run of consecutive values, so
+    neither factor is gathered.
     """
-    pairs = xs, ys, _ = _pair_arrays(phi.domain)
-    norms = np.empty((len(kinds), len(xs)))
+    v, domain = phi.values, phi.domain
+    n = n_elements(domain)
+    by_rows = isinstance(at, slice) and isinstance(domain, FiniteGroup)
+    if not by_rows or n * phi.dim**2 < _MIN_ROW:
+        xs, ys, ks = _pair_arrays(domain, at)
+        return v[xs] @ v[ys] - v[ks]
+    lo, hi, _ = at.indices(n * n)
+    out = np.empty((hi - lo, phi.dim, phi.dim), dtype=v.dtype)
+    for x in range(lo // n, -(-hi // n)):
+        start, stop = max(lo, x * n), min(hi, x * n + n)
+        np.matmul(v[x], v[start - x * n : stop - x * n], out=out[start - lo : stop - lo])
+    return np.subtract(out, v[np.ravel(domain.mul)[lo:hi]], out=out)
+
+
+def _pair_scan(phi: GroupMap, kinds: Sequence[NormKind]) -> np.ndarray:
+    """The defect norm of every defined pair under each kind, one row per kind.
+
+    Every defect is decomposed once.
+    """
+    count = _pair_count(phi.domain)
+    norms = np.empty((len(kinds), count))
 
     def scan(sl: slice) -> None:
-        sigma = linalg.singular_values(_pair_defects(phi, pairs, sl))
+        sigma = linalg.singular_values(_pair_defects(phi, sl))
         for row, kind in enumerate(kinds):
             norms[row, sl] = linalg.gauge(sigma, kind)
 
-    _for_blocks(len(xs), phi.dim * phi.dim, scan)
-    return xs, ys, norms
+    _for_blocks(count, phi.dim * phi.dim, scan)
+    return norms
 
 
 def pair_defect_norms(
@@ -364,8 +456,8 @@ def pair_defect_norms(
     scan independently of the number of pairs.
     """
     if isinstance(kind, NormKind):
-        return _pair_scan(phi, (kind,))[2][0]
-    return _pair_scan(phi, tuple(kind))[2]
+        return _pair_scan(phi, (kind,))[0]
+    return _pair_scan(phi, tuple(kind))
 
 
 def mult_defect(phi: GroupMap, kind: NormKind = OPERATOR) -> tuple[float, tuple[int, int]]:
@@ -375,13 +467,15 @@ def mult_defect(phi: GroupMap, kind: NormKind = OPERATOR) -> tuple[float, tuple[
     ball.  The operator norm decomposes only the pairs that can attain the
     maximum (``_op_argmax``).
     """
-    if kind.kind != "operator":
-        xs, ys, norms = _pair_scan(phi, (kind,))
-        w = int(np.argmax(norms[0]))
-        return float(norms[0, w]), (int(xs[w]), int(ys[w]))
-    pairs = xs, ys, _ = _pair_arrays(phi.domain)
-    value, w = _op_argmax(len(xs), phi.dim, lambda at: _pair_defects(phi, pairs, at))
-    return value, (int(xs[w]), int(ys[w]))
+    if kind.kind == "operator":
+        count = _pair_count(phi.domain)
+        value, w = _op_argmax(count, phi.dim, lambda at: _pair_defects(phi, at))
+    else:
+        norms = _pair_scan(phi, (kind,))[0]
+        w = int(np.argmax(norms))
+        value = float(norms[w])
+    xs, ys, _ = _pair_arrays(phi.domain, np.array([w]))
+    return value, (int(xs[0]), int(ys[0]))
 
 
 def unit_defect(phi: GroupMap) -> tuple[float, int]:

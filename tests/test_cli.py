@@ -13,6 +13,7 @@ from ulamlab.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
     EXIT_PRECONDITION,
+    MAX_WORKERS,
     ExperimentConfig,
     Report,
     jsonify,
@@ -220,6 +221,20 @@ class TestExitCodes:
             assert result.exit_code == 2, (args, result.output)
             assert "configuration error: Gram dimension" in result.output
             assert "MAX_GRAM_DIM = 8" in result.output
+
+    def test_worker_limit_exits_two_before_any_thread(self, runner, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr("ulamlab.cli.ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("ulamlab.cli.run", no_pool)
+        args = ["verify", "--seeds", "0..99999", "--workers", str(MAX_WORKERS + 1)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"MAX_WORKERS = {MAX_WORKERS}" in result.output
+        with pytest.raises(ValueError, match="MAX_WORKERS"):
+            ExperimentConfig(command="gen", workers=MAX_WORKERS + 1)
+        assert ExperimentConfig(command="gen", workers=MAX_WORKERS).workers == MAX_WORKERS
 
     def test_table_order_limit_exits_two(self, runner, monkeypatch, tmp_path):
         table = tmp_path / "cyclic6.json"

@@ -417,8 +417,11 @@ def test_forked_child_makes_its_own_kernel_pool():
 
 
 # Stacks for the filtered operator-norm max: the gate lets through at least
-# ``_MIN_FILTER_COUNT`` matrices of ``_MIN_FILTER`` entries in all, so 1..40
-# matrices of dimension 1..8 fall on both sides of it.
+# ``_MIN_FILTER_COUNT`` matrices of ``_MIN_FILTER`` entries in all, so 1..64
+# matrices of dimension 1..8 fall on both sides of it.  The second bound pass
+# runs when ``_MIN_FILTER_COUNT`` candidates remain besides the top matrix,
+# which the "spectra", "ties" and "unitary_multiples" stacks of 17 and more
+# matrices reach and smaller or "random" stacks do not.
 STACK_KINDS = ("random", "spectra", "zeros", "ties", "unitary_multiples")
 SCALES = (1.0, 1e-300, 1e200)
 
@@ -461,7 +464,7 @@ def same_float(a, b):
 @settings(max_examples=80, deadline=None)
 @given(
     kind=st.sampled_from(STACK_KINDS),
-    count=st.integers(1, 40),
+    count=st.integers(1, 64),
     dim=st.integers(1, 8),
     scale=st.sampled_from(SCALES),
     seed=st.integers(0, 2**16),
@@ -553,3 +556,109 @@ def test_non_finite_matrix_keeps_the_full_decomposition():
     assert np.isnan(norms[7]) and not np.isnan(np.delete(norms, 7)).any()
     value, w = ulamlab.maps._op_argmax(24, 4, stack.__getitem__)
     assert (w, np.isnan(value)) == (int(np.argmax(norms)), True)
+
+
+def spectrum(kind, dim):
+    """Singular values with largest 1: one of the spectra the single-precision bound meets."""
+    if kind == "rank_one":
+        return np.eye(1, dim)[0]
+    if kind == "flat":
+        return np.ones(dim)
+    sigma = np.geomspace(1.0, 1e-3, dim)
+    sigma[: {"geometric": 1, "tied_2": 2, "tied_4": 4}[kind]] = 1.0
+    return sigma
+
+
+def spectra_stack(dim, seed):
+    """16 matrices: each spectrum at largest singular value 1, 1 - 1e-6 and
+    0.5, and a rank-one matrix of equal entries, whose single-precision sum
+    of squares overflows from ``dim`` about 150."""
+    rng = np.random.default_rng(seed)
+    mats = []
+    for kind in ("rank_one", "flat", "geometric", "tied_2", "tied_4"):
+        for top in (1.0, 1.0 - 1e-6, 0.5):
+            a = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+            q = np.linalg.qr(a)[0]
+            mats.append((q[0] * (top * spectrum(kind, dim))) @ linalg.adj(q[1]))
+    mats.append(np.full((dim, dim), (1.0 + 1.0j) / (np.sqrt(2.0) * dim)))
+    return np.stack(mats)
+
+
+@pytest.mark.parametrize("dim", [96, 200, 256])
+def test_single_precision_bounds_hold_on_fixed_spectra(dim):
+    slack = ulamlab.maps._bound_slack(dim)
+    base = spectra_stack(dim, seed=dim)
+    for scale in SCALES:
+        stack = base * scale
+        sigma = linalg.singular_values(stack)[:, 0]
+        bounds = ulamlab.maps._op_bounds(stack)
+        finite = np.isfinite(bounds)
+        assert np.all(bounds[finite] >= sigma[finite] / (1.0 + slack)), (scale, bounds / sigma)
+        assert finite[-1] == (dim < 150), bounds[-1]  # the overflow stays a candidate
+        fine = ulamlab.maps._op_bounds(stack, 4, single=False)
+        assert np.all(fine >= sigma / (1.0 + ulamlab.maps._BOUND_SLACK)), (scale, fine / sigma)
+        w = int(np.argmax(sigma))
+        value, got_w = ulamlab.maps._op_argmax(len(stack), dim, stack.__getitem__)
+        assert (value, got_w) == (sigma[w], w), scale
+
+
+def test_first_nan_wins_when_a_later_nan_has_the_top_bound(monkeypatch):
+    # An inf entry gives a matrix NaN singular values and a NaN bound, which
+    # would make the first such matrix the top.  Bounds that rank a later
+    # one first must still give the first NaN, found among the other
+    # candidates and compared with the top put back in its place.
+    stack = make_stack("random", 24, 8, seed=6)
+    stack[5, 0, 0] = stack[17, 2, 1] = np.inf
+    first_pass = ulamlab.maps._op_bounds
+
+    def ranked(mats, squarings=2, single=None):
+        bounds = first_pass(mats, squarings, single)
+        if squarings == 2 and len(mats) == len(stack):
+            bounds[5], bounds[17] = 1.0, np.inf
+        return bounds
+
+    monkeypatch.setattr(ulamlab.maps, "_op_bounds", ranked)
+    assert np.flatnonzero(np.isnan(linalg.singular_values(stack)[:, 0])).tolist() == [5, 17]
+    value, w = ulamlab.maps._op_argmax(len(stack), 8, stack.__getitem__)
+    assert w == 5 and np.isnan(value)
+
+
+def test_single_candidate_is_decomposed_once(monkeypatch):
+    stack = make_stack("random", 24, 8, seed=7)
+    stack[9] *= 10.0
+    calls = []
+    decompose = linalg.singular_values
+
+    def counted(a):
+        calls.append(len(a))
+        return decompose(a)
+
+    monkeypatch.setattr(linalg, "singular_values", counted)
+    value, w = ulamlab.maps._op_argmax(len(stack), 8, stack.__getitem__)
+    assert calls == [1]
+    assert (value, w) == (decompose(stack[9:10])[0, 0], 9)
+
+
+def test_pair_indices_are_built_per_block():
+    # A finite group's (x, y, xy) come from the flat pair index of each block:
+    # the scan holds the bounds, one byte per pair for the candidate mask and,
+    # per kernel thread, one bound block's working set of at most 80 bytes an
+    # entry, never three n^2 index arrays (6 MiB here).
+    rng = np.random.default_rng(0)
+    g = cyclic(512)
+    phi = GroupMap(g, 1, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, g.order))[:, None, None])
+    pairs = g.order**2
+    for budget in (1, 2):
+        with ulamlab.maps._kernel_threads(budget):
+            expected = mult_defect(phi)
+            tracemalloc.start()
+            try:
+                assert mult_defect(phi) == expected
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        limit = 9 * pairs + budget * 80 * ulamlab.maps._BOUND_BLOCK
+        assert peak < limit, (budget, peak, limit)
+    x, y = expected[1]
+    v = phi.values
+    assert abs(v[x] @ v[y] - v[g.mul[x, y]])[0, 0] == expected[0]

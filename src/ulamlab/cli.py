@@ -95,6 +95,8 @@ class ExperimentConfig:
             raise ValueError("seed range is empty")
         if not all(t >= 0 and math.isfinite(t) for t in self.theta):
             raise ValueError("theta values must be nonnegative and finite")
+        if len(self.theta) > 1 and self.command != "sweep":
+            raise ValueError(f"only sweep takes a theta list; {self.command} takes one theta")
 
     def effective_seeds(self) -> list[int]:
         if self.salt is None:

@@ -10,13 +10,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import linalg, maps
-from .groups import FiniteGroup, FreeBall, UnsupportedDomainError, n_elements
+from .groups import FiniteGroup, FreeBall, UnsupportedDomainError, cyclic, n_elements
 from .maps import GroupMap, PreconditionError, mult_defect, unit_defect
 
 MAX_REGULAR_ORDER = 256
@@ -76,11 +76,11 @@ def character_rep(g: FiniteGroup, k: int) -> GroupMap:
     """
     if not isinstance(g, FiniteGroup):
         raise ValueError("characters need a finite group")
-    idx = np.arange(g.order, dtype=np.int64)
-    if not np.array_equal(g.mul, (idx[:, None] + idx[None, :]) % g.order):
+    if not np.array_equal(g.mul, cyclic(g.order).mul):
         raise ValueError(
             "characters need the canonical cyclic table (indices adding mod n)"
         )
+    idx = np.arange(g.order, dtype=np.int64)
     vals = np.exp(2j * np.pi * k * idx / g.order).reshape(g.order, 1, 1)
     return GroupMap(g, 1, vals, label=f"character[{k}]")
 
@@ -279,20 +279,7 @@ class GenSpec:
     def from_dict(data: dict) -> "GenSpec":
         if not isinstance(data, dict) or "kind" not in data:
             raise ValueError("genspec must be an object with a 'kind' field")
-        known = {
-            "kind",
-            "group",
-            "k",
-            "parts",
-            "base",
-            "theta",
-            "seed",
-            "sub_dim",
-            "bound",
-            "sup",
-            "dim",
-        }
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(GenSpec)}
         if extra:
             raise ValueError(f"unknown genspec fields: {sorted(extra)}")
         kwargs = dict(data)

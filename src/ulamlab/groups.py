@@ -21,6 +21,7 @@ MAX_SYMMETRIC = 6
 MAX_PRODUCT_ORDER = 4096
 MAX_TABLE_ORDER = 1024  # validation makes n gathers of n^2 entries
 MAX_BALL_WORDS = 20000
+_BALL_BLOCK = 1 << 20  # int64 product-table entries a free ball folds at once
 
 
 class NotAGroupError(ValueError):
@@ -51,17 +52,14 @@ class FreeBall:
     """Reduced words of bounded length in a free group.
 
     ``words`` lists the ball in breadth-first order, the empty word first.
-    ``pair_index`` maps ``(i, j)`` to the index of the reduced product
-    ``words[i] * words[j]`` whenever that product stays inside the ball.
-    ``pairs`` holds the same products as read-only arrays ``(i, j, k)``,
-    sorted by ``(i, j)``.
+    ``pairs`` holds read-only int64 arrays ``(i, j, k)``, sorted by
+    ``(i, j)``: one entry for every pair whose reduced product
+    ``words[i] * words[j]`` stays inside the ball, ``k`` its index.
     """
 
     rank: int
     radius: int
     words: tuple[tuple[int, ...], ...]
-    index: dict[tuple[int, ...], int] = field(repr=False)
-    pair_index: dict[tuple[int, int], int] = field(repr=False)
     pairs: tuple[np.ndarray, np.ndarray, np.ndarray] = field(repr=False)
 
     @property
@@ -83,7 +81,8 @@ def cyclic(n: int) -> FiniteGroup:
     if not 1 <= n <= MAX_CYCLIC:
         raise ValueError(f"cyclic order must be in [1, {MAX_CYCLIC}], got {n}")
     idx = np.arange(n, dtype=np.int64)
-    mul = (idx[:, None] + idx[None, :]) % n
+    mul = np.add.outer(idx, idx)
+    np.remainder(mul, n, out=mul)  # in place: the table is the only n^2 array
     return FiniteGroup(n, mul, 0, (-idx) % n, f"cyclic:{n}")
 
 
@@ -187,39 +186,51 @@ def reduce_word(word) -> tuple[int, ...]:
 
 
 def free_ball(rank: int, radius: int) -> FreeBall:
+    """The reduced words of length at most ``radius``, breadth first, and
+    their products, folded through a letter step table without a Python loop
+    over word pairs."""
     if rank not in (2, 3):
         raise ValueError(f"free rank must be 2 or 3, got {rank}")
     if radius < 1:
         raise ValueError(f"ball radius must be >= 1, got {radius}")
-    letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]
+    letters = [s * g for g in range(1, rank + 1) for s in (1, -1)]  # letters[c ^ 1] = -letters[c]
     words: list[tuple[int, ...]] = [()]
-    frontier: list[tuple[int, ...]] = [()]
+    links = [(0, 0)]  # (parent, last): words[j] = words[parent] + (letters[last],)
+    starts = [0, 1]  # the words of length r are words[starts[r]:starts[r + 1]]
     for _ in range(radius):
-        nxt = []
-        for w in frontier:
-            for letter in letters:
-                if w and w[-1] == -letter:
-                    continue
-                nxt.append(w + (letter,))
-        words.extend(nxt)
-        frontier = nxt
+        for p in range(starts[-2], starts[-1]):
+            for c, letter in enumerate(letters):
+                if not words[p] or words[p][-1] != -letter:
+                    words.append(words[p] + (letter,))
+                    links.append((p, c))
+        starts.append(len(words))
         if len(words) > MAX_BALL_WORDS:
             raise ValueError(f"ball size exceeds {MAX_BALL_WORDS} words")
-    index = {w: i for i, w in enumerate(words)}
-    pair_index: dict[tuple[int, int], int] = {}
-    for i, wi in enumerate(words):
-        for j, wj in enumerate(words):
-            if abs(len(wi) - len(wj)) > radius:
-                continue  # reduced product is at least the length difference
-            k = index.get(reduce_word(wi + wj))
-            if k is not None:
-                pair_index[i, j] = k
-    # the loops above insert the pairs sorted by (i, j)
-    xs, ys = np.array(list(pair_index), dtype=np.int64).reshape(-1, 2).T.copy()
-    ks = np.fromiter(pair_index.values(), dtype=np.int64, count=len(pair_index))
-    for column in (xs, ys, ks):
+    n = len(words)
+    parent, last = np.array(links).T
+    # step[k, c] is the index of words[k] * letters[c], or -1 outside the
+    # ball; the extra row n lets -1 index itself
+    step = np.full((n + 1, len(letters)), -1, dtype=np.int64)
+    step[parent[1:], last[1:]] = np.arange(1, n)  # appending a letter gives a child
+    step[np.arange(1, n), last[1:] ^ 1] = parent[1:]  # cancelling the last letter gives the parent
+    # Folding words[j] onto words[i] letter by letter only shrinks the word
+    # until the cancellation ends, then only grows it; so no intermediate
+    # product is longer than max(len(words[i]), len(product)), and a product
+    # inside the ball never passes outside it on the way (a -1 stays -1).
+    rows = max(1, _BALL_BLOCK // n)
+    blocks = []
+    for lo in range(0, n, rows):
+        prod = np.empty((min(rows, n - lo), n), dtype=np.int64)  # words[lo + r] * words[j]
+        prod[:, 0] = np.arange(lo, lo + len(prod))
+        for a, b in zip(starts[1:], starts[2:]):  # one word length at a time
+            prod[:, a:b] = step[prod[:, parent[a:b]], last[a:b]]
+        inside = prod >= 0
+        xs, ys = np.nonzero(inside)  # row-major, so sorted by (i, j)
+        blocks.append((xs + lo, ys, prod[inside]))
+    pairs = tuple(np.concatenate(column) for column in zip(*blocks))
+    for column in pairs:
         column.flags.writeable = False
-    return FreeBall(rank, radius, tuple(words), index, pair_index, (xs, ys, ks))
+    return FreeBall(rank, radius, tuple(words), pairs)
 
 
 def parse_group_spec(spec: str) -> FiniteGroup | FreeBall:

@@ -236,6 +236,16 @@ class TestExitCodes:
             ExperimentConfig(command="gen", workers=MAX_WORKERS + 1)
         assert ExperimentConfig(command="gen", workers=MAX_WORKERS).workers == MAX_WORKERS
 
+    def test_theta_list_outside_sweep_exits_two(self, runner):
+        for command in ("gen", "defects", "stabilize", "dixmier", "verify"):
+            args = [command, "--group", "cyclic:4", "--theta", "0.01,0.05", "--seeds", "0"]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (args, result.output)
+            assert "only sweep takes a theta list" in result.output
+        with pytest.raises(ValueError, match="only sweep"):
+            ExperimentConfig(command="stabilize", theta=(0.01, 0.05))
+        assert ExperimentConfig(command="sweep", theta=(0.01, 0.05)).theta == (0.01, 0.05)
+
     def test_table_order_limit_exits_two(self, runner, monkeypatch, tmp_path):
         table = tmp_path / "cyclic6.json"
         table.write_text(json.dumps({"mul": ulamlab.cyclic(6).mul.tolist()}))

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +55,17 @@ def test_cyclic_axioms(n):
     check_group_axioms(g)
     assert g.order == n
     assert g.product(1 % n, (n - 1) % n) == 0
+
+
+def test_cyclic_table_is_its_only_square_array():
+    tracemalloc.start()
+    try:
+        g = cyclic(2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.mul.nbytes == 2048 * 2048 * 8
+    assert peak <= g.mul.nbytes + (1 << 20)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6])
@@ -172,18 +185,25 @@ def test_free_ball_word_counts():
     assert lengths == sorted(lengths)
 
 
+def ball_products(ball) -> dict[tuple[int, int], int]:
+    """``ball.pairs`` as a dict ``(i, j) -> k``."""
+    return {(i, j): k for i, j, k in zip(*(column.tolist() for column in ball.pairs))}
+
+
 def test_free_ball_identity_and_inverses():
     ball = free_ball(2, 3)
     assert ball.identity == 0
+    index = {w: i for i, w in enumerate(ball.words)}
+    products = ball_products(ball)
     for i, w in enumerate(ball.words):
-        inverse = ball.index[tuple(-a for a in reversed(w))]
-        assert ball.pair_index[(i, inverse)] == ball.identity
+        inverse = index[tuple(-a for a in reversed(w))]
+        assert products[(i, inverse)] == ball.identity
 
 
-def test_free_ball_pair_index_only_inside_radius():
+def test_free_ball_pairs_only_inside_radius():
     ball = free_ball(2, 2)
     idx = {w: i for i, w in enumerate(ball.words)}
-    pairs = ball.pair_index
+    pairs = ball_products(ball)
     for (i, j), k in pairs.items():
         product = reduce_word(ball.words[i] + ball.words[j])
         assert len(product) <= ball.radius
@@ -193,14 +213,40 @@ def test_free_ball_pair_index_only_inside_radius():
     assert (far, far) not in pairs
 
 
-def test_free_ball_pairs_are_the_sorted_pair_index_read_only():
-    ball = free_ball(2, 3)
-    items = sorted(ball.pair_index.items())
-    expected = ([x for (x, _), _ in items], [y for (_, y), _ in items], [k for _, k in items])
-    for column, values in zip(ball.pairs, expected):
-        assert np.array_equal(column, values)
+@pytest.mark.parametrize(
+    "rank,radius", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3)]
+)
+def test_free_ball_pairs_match_word_reduction(rank, radius):
+    """The step-table products against ``reduce_word`` on every word pair."""
+    ball = free_ball(rank, radius)
+    index = {w: i for i, w in enumerate(ball.words)}
+    expected = [
+        (i, j, index[product])
+        for i, wi in enumerate(ball.words)
+        for j, wj in enumerate(ball.words)
+        if (product := reduce_word(wi + wj)) in index
+    ]
+    for column, values in zip(ball.pairs, zip(*expected)):
+        assert column.dtype == np.int64
         assert not column.flags.writeable
+        assert np.array_equal(column, values)
     assert ulamlab.maps._pair_arrays(ball) is ball.pairs  # built once, not per scan
+
+
+def test_free_ball_fields_and_largest_rank_three_ball():
+    assert [f.name for f in dataclasses.fields(FreeBall)] == ["rank", "radius", "words", "pairs"]
+    ball = free_ball(3, 5)
+    assert len(ball.words) == 4687
+    assert all(len(column) == 461719 for column in ball.pairs)
+
+
+def test_free_ball_folds_in_row_blocks(monkeypatch):
+    whole = free_ball(2, 4)
+    assert len(whole.words) == 161  # 26 blocks of 6 rows, then one of 5
+    monkeypatch.setattr("ulamlab.groups._BALL_BLOCK", 6 * len(whole.words) + 3)
+    blocked = free_ball(2, 4)
+    for a, b in zip(whole.pairs, blocked.pairs):
+        assert np.array_equal(a, b)
 
 
 def test_free_ball_rejects_unsupported_rank():

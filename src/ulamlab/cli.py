@@ -23,14 +23,16 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 import numpy as np
 
 from . import maps
 from .linalg import SingularInputError, parse_norm
-from .groups import FiniteGroup, FreeBall, NotAGroupError, UnsupportedDomainError, parse_group_spec
+from .groups import FiniteGroup, UnsupportedDomainError, parse_group_spec
 from .maps import Bound, PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
 from .generators import GenSpec, build_map, derive_seed, parse_genspec
 from .stabilize import (
@@ -47,6 +49,7 @@ SEED_SALT_ENV = "ULAMLAB_SEED_SALT"
 MAX_SEEDS = 100000
 MAX_WORKERS = 64  # threads one run may start for seeds and grid points
 MAX_EMBEDDED_MAP = 65536  # entries; larger maps are left out of gen reports
+MAX_DEFECTS_GRAM = 2048  # order * dim; larger maps are left out of pd_min_eig in defects reports
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -93,6 +96,7 @@ class ExperimentConfig:
             )
         if not self.seeds:
             raise ValueError("seed range is empty")
+        parse_norm(self.norm)
         if not all(t >= 0 and math.isfinite(t) for t in self.theta):
             raise ValueError("theta values must be nonnegative and finite")
         if len(self.theta) > 1 and self.command != "sweep":
@@ -252,7 +256,7 @@ def _cmd_defects(config: ExperimentConfig, domains: dict) -> Report:
             "dim": phi.dim,
             "defects": defect_report(phi, kind),
         }
-        if isinstance(phi.domain, FiniteGroup) and phi.domain.order * phi.dim <= 2048:
+        if isinstance(phi.domain, FiniteGroup) and phi.domain.order * phi.dim <= MAX_DEFECTS_GRAM:
             row["pd_min_eig"] = pd_min_eig(phi)
         records.append(row)
     passed = all(
@@ -391,7 +395,7 @@ def run(config: ExperimentConfig, domains: dict | None = None) -> Report:
     return report
 
 
-def _parse_seeds_opt(ctx, param, value: str) -> tuple[int, ...]:
+def _parse_seeds(value: str) -> tuple[int, ...]:
     text = value.strip()
     try:
         if ".." in text:
@@ -400,49 +404,83 @@ def _parse_seeds_opt(ctx, param, value: str) -> tuple[int, ...]:
         else:
             lo = hi = int(text)
     except ValueError:
-        raise click.BadParameter(f"expected A..B or N, got {value!r}")
-    if hi < lo:
-        raise click.BadParameter(f"empty seed range {value!r}")
+        raise ValueError(f"expected A..B or N, got {value!r}")
     if hi - lo + 1 > MAX_SEEDS:
-        raise click.BadParameter(f"seed range larger than {MAX_SEEDS}")
+        raise ValueError(f"seed range larger than {MAX_SEEDS}")
     return tuple(range(lo, hi + 1))
 
 
-def _parse_theta_opt(ctx, param, value: str) -> tuple[float, ...]:
+def _parse_theta(value: str) -> tuple[float, ...]:
     try:
         thetas = tuple(float(part) for part in value.split(",") if part.strip())
     except ValueError:
-        raise click.BadParameter(f"expected a comma list of numbers, got {value!r}")
+        raise ValueError(f"expected a comma list of numbers, got {value!r}")
     if not thetas:
-        raise click.BadParameter("theta list is empty")
-    if any(t < 0 for t in thetas):
-        raise click.BadParameter("theta values must be nonnegative")
+        raise ValueError("theta list is empty")
     return thetas
 
 
-def _parse_group_opt(ctx, param, value: str) -> tuple[str, FiniteGroup | FreeBall]:
-    """The spec and its domain, which the run reuses instead of parsing again."""
-    try:
-        return value, parse_group_spec(value)
-    except (ValueError, NotAGroupError, OSError, json.JSONDecodeError) as err:
-        raise click.BadParameter(str(err))
+def _checked(parse):
+    """A click callback that reports ``parse``'s errors as a bad parameter."""
+
+    def callback(ctx, param, value):
+        if value is None:
+            return None
+        try:
+            return parse(value)
+        except (ValueError, OSError) as err:
+            raise click.BadParameter(str(err))
+
+    return callback
 
 
-def _parse_genspec_opt(ctx, param, value):
-    if value is None:
-        return None
-    try:
-        return parse_genspec(value).to_dict()
-    except (ValueError, json.JSONDecodeError) as err:
-        raise click.BadParameter(str(err))
+# Each option once, by the ExperimentConfig field it sets; its default is the
+# field's, written as the text its callback reads back.
+_OPTIONS = {
+    # the spec and its domain, which the run reuses instead of parsing again
+    "group": dict(callback=_checked(lambda text: (text, parse_group_spec(text))),
+                  help="Domain spec: cyclic:N, dihedral:N, symmetric:N, "
+                       "product:A,B, table:path.json, freeball:R:RAD."),
+    "genspec": dict(callback=_checked(lambda text: parse_genspec(text).to_dict()),
+                    help="Map recipe as inline JSON or a JSON file path; "
+                         "--seeds overrides its top-level seed."),
+    "theta": dict(callback=_checked(_parse_theta),
+                  help="Perturbation size; sweep takes a comma list."),
+    "tol": dict(type=float, help="Stabilization stopping tolerance."),
+    "max_iter": dict(type=int, help="Iteration cap for stabilization."),
+    "norm": dict(help="Norm for defect scans: operator, schatten:p[:normalized], kyfan:k."),
+    "seeds": dict(callback=_checked(_parse_seeds),
+                  help="Seed range A..B (inclusive) or a single seed."),
+    "workers": dict(type=int, help="Parallelism across seeds and grid points."),
+    "out": dict(type=click.Path(dir_okay=False),
+                help="Write the report here instead of stdout."),
+    "ndjson": dict(is_flag=True,
+                   help="Line-delimited output: header line, then one record per line."),
+}
+
+# Each command: its help and the options it reads.  Click refuses any other.
+_CLI = {
+    "gen": ("Generate a map from a recipe and report its defects.",
+            "group genspec theta norm seeds out ndjson"),
+    "defects": ("Measure defect and positivity diagnostics of a map.",
+                "group genspec theta norm seeds out ndjson"),
+    "stabilize": ("Run the averaging/repair iteration on seeded maps.",
+                  "group genspec theta tol max_iter seeds workers out ndjson"),
+    "dixmier": ("Unitarize seeded similarity twists and certify distances.",
+                "group genspec seeds out ndjson"),
+    "verify": ("Run every verification suite over the seed range.",
+               "seeds workers out ndjson"),
+    "sweep": ("Sweep perturbation sizes, stabilizing at every grid point.",
+              "group genspec theta tol max_iter seeds workers out ndjson"),
+}
 
 
-def _parse_norm_opt(ctx, param, value: str) -> str:
-    try:
-        parse_norm(value)
-    except ValueError as err:
-        raise click.BadParameter(str(err))
-    return value
+def _option(name: str) -> click.Option:
+    default = next(f.default for f in dataclasses.fields(ExperimentConfig) if f.name == name)
+    if isinstance(default, tuple):  # a one-seed range or a theta list
+        default = ",".join(map(str, default))
+    flag = "--" + name.replace("_", "-")
+    return click.Option([flag], default=default, show_default=True, **_OPTIONS[name])
 
 
 def _read_salt() -> int | None:
@@ -455,54 +493,37 @@ def _read_salt() -> int | None:
         raise click.UsageError(f"{SEED_SALT_ENV} must be an integer, got {raw!r}")
 
 
-def _common_options(f):
-    options = [
-        click.option("--group", default="cyclic:2", show_default=True,
-                     callback=_parse_group_opt,
-                     help="Domain spec: cyclic:N, dihedral:N, symmetric:N, "
-                          "product:A,B, table:path.json, freeball:R:RAD."),
-        click.option("--genspec", default=None, callback=_parse_genspec_opt,
-                     help="Map recipe as inline JSON or a JSON file path; "
-                          "--seeds overrides its top-level seed."),
-        click.option("--theta", default="0.05", show_default=True,
-                     callback=_parse_theta_opt,
-                     help="Perturbation size; sweep takes a comma list."),
-        click.option("--tol", default=1e-12, show_default=True, type=float,
-                     help="Stabilization stopping tolerance."),
-        click.option("--max-iter", default=50, show_default=True, type=int,
-                     help="Iteration cap for stabilization."),
-        click.option("--norm", default="operator", show_default=True,
-                     callback=_parse_norm_opt,
-                     help="Norm for defect scans: operator, schatten:p[:normalized], kyfan:k."),
-        click.option("--seeds", default="0", show_default=True,
-                     callback=_parse_seeds_opt,
-                     help="Seed range A..B (inclusive) or a single seed."),
-        click.option("--workers", default=1, show_default=True, type=int,
-                     help="Parallelism across seeds and grid points."),
-        click.option("--out", default=None, type=click.Path(dir_okay=False),
-                     help="Write the report here instead of stdout."),
-        click.option("--ndjson", is_flag=True, default=False,
-                     help="Line-delimited output: header line, then one record per line."),
-    ]
-    for option in reversed(options):
-        f = option(f)
-    return f
+def _refuse_overridden(command: str, kwargs: dict) -> None:
+    """Refuse a --theta or --group given next to a --genspec that overrides it."""
+    genspec = kwargs.get("genspec")
+    if genspec is None:
+        return
+    source = click.get_current_context().get_parameter_source
+    if source("theta") is ParameterSource.COMMANDLINE and (
+        command != "sweep" or genspec["kind"] != "perturbed"
+    ):
+        raise click.UsageError(
+            f"--theta does not reach this --genspec in {command}: only sweep "
+            "applies it, and only to a perturbed recipe"
+        )
+    if source("group") is ParameterSource.COMMANDLINE and "group" in genspec:
+        raise click.UsageError(f"--group is overridden by the --genspec group {genspec['group']!r}")
 
 
 def _finish(command: str, **kwargs) -> None:
-    out = kwargs.pop("out")
-    ndjson = kwargs.pop("ndjson")
-    group, domain = kwargs.pop("group")
+    _refuse_overridden(command, kwargs)
+    domains = {}
+    if "group" in kwargs:  # verify's suites build their own maps
+        kwargs["group"], domain = kwargs["group"]
+        domains[kwargs["group"]] = domain
     try:
-        config = ExperimentConfig(
-            command=command, group=group, out=out, ndjson=ndjson, salt=_read_salt(), **kwargs
-        )
+        config = ExperimentConfig(command=command, salt=_read_salt(), **kwargs)
     except ValueError as err:
         raise click.UsageError(str(err))
     try:
         if config.out and not Path(config.out).parent.is_dir():
             raise ConfigError(f"output directory {Path(config.out).parent} does not exist")
-        report = run(config, {group: domain})
+        report = run(config, domains)
         text = render_report(report, config.ndjson)
     except _PRECONDITION_ERRORS as err:
         click.echo(f"precondition error: {err}", err=True)
@@ -532,40 +553,9 @@ def main() -> None:
     """Deterministic experiments with almost-multiplicative matrix maps."""
 
 
-@main.command(help="Generate a map from a recipe and report its defects.")
-@_common_options
-def gen(**kwargs):
-    _finish("gen", **kwargs)
-
-
-@main.command(help="Measure defect and positivity diagnostics of a map.")
-@_common_options
-def defects(**kwargs):
-    _finish("defects", **kwargs)
-
-
-@main.command(name="stabilize", help="Run the averaging/repair iteration on seeded maps.")
-@_common_options
-def stabilize_cmd(**kwargs):
-    _finish("stabilize", **kwargs)
-
-
-@main.command(help="Unitarize seeded similarity twists and certify distances.")
-@_common_options
-def dixmier(**kwargs):
-    _finish("dixmier", **kwargs)
-
-
-@main.command(help="Run every verification suite over the seed range.")
-@_common_options
-def verify(**kwargs):
-    _finish("verify", **kwargs)
-
-
-@main.command(help="Sweep perturbation sizes, stabilizing at every grid point.")
-@_common_options
-def sweep(**kwargs):
-    _finish("sweep", **kwargs)
+for _name, (_help, _fields) in _CLI.items():
+    _params = [_option(f) for f in _fields.split()]
+    main.add_command(click.Command(_name, help=_help, params=_params, callback=partial(_finish, _name)))
 
 
 if __name__ == "__main__":

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -64,6 +66,13 @@ class TestReportShape:
         assert all(run["certified"] for run in runs)
         records = data["results"]["records"]
         assert records and all(r["record"] == "iteration" for r in records)
+
+    def test_defects_leaves_out_gram_minimum_above_its_gate(self, runner, monkeypatch):
+        args = ["defects", "--group", "cyclic:4"]  # order * dim = 16
+        monkeypatch.setattr("ulamlab.cli.MAX_DEFECTS_GRAM", 16)
+        assert "pd_min_eig" in invoke_json(runner, args)["results"]["records"][0]
+        monkeypatch.setattr("ulamlab.cli.MAX_DEFECTS_GRAM", 15)
+        assert "pd_min_eig" not in invoke_json(runner, args)["results"]["records"][0]
 
     def test_verify_report_lists_all_suites(self, runner):
         data = invoke_json(runner, ["verify", "--seeds", "0"])
@@ -201,10 +210,10 @@ class TestExitCodes:
             ["stabilize", "--max-iter", "0"],
             ["gen", "--group", "dihedral:3", "--genspec", '{"kind":"character","k":1}'],
             ["gen", "--genspec", '{"kind":"regular","group":"cyclic:300"}'],
-            ["verify", "--theta", "nan", "--seeds", "0"],
+            ["gen", "--theta", "nan", "--seeds", "0"],
             ["stabilize", "--tol", "inf", "--group", "cyclic:3"],
             ["stabilize", "--tol", "nan"],
-            ["verify", "--genspec", '{"kind":"twisted","bound":NaN}'],
+            ["gen", "--genspec", '{"kind":"twisted","bound":NaN}'],
             ["dixmier", "--group", "cyclic:3", "--genspec", '{"kind":"twisted","bound":NaN}'],
             ["gen", "--group", f"table:{empty_table}"],
             ["gen", "--group", f"table:{list_table}"],
@@ -238,10 +247,13 @@ class TestExitCodes:
 
     def test_theta_list_outside_sweep_exits_two(self, runner):
         for command in ("gen", "defects", "stabilize", "dixmier", "verify"):
-            args = [command, "--group", "cyclic:4", "--theta", "0.01,0.05", "--seeds", "0"]
+            args = [command, "--theta", "0.01,0.05", "--seeds", "0"]
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)
-            assert "only sweep takes a theta list" in result.output
+            if "--theta" in READS[command]:
+                assert "only sweep takes a theta list" in result.output
+            else:
+                assert "No such option '--theta'" in result.output
         with pytest.raises(ValueError, match="only sweep"):
             ExperimentConfig(command="stabilize", theta=(0.01, 0.05))
         assert ExperimentConfig(command="sweep", theta=(0.01, 0.05)).theta == (0.01, 0.05)
@@ -321,6 +333,91 @@ class TestExitCodes:
         assert result.exit_code == EXIT_INTERNAL
         assert result.stdout == ""
         assert result.stderr == "internal error: RuntimeError: forced fault\n"
+
+
+# The options each command reads; click refuses every other flag.
+READS = {
+    "gen": {"--group", "--genspec", "--theta", "--norm", "--seeds", "--out", "--ndjson"},
+    "defects": {"--group", "--genspec", "--theta", "--norm", "--seeds", "--out", "--ndjson"},
+    "stabilize": {"--group", "--genspec", "--theta", "--tol", "--max-iter", "--seeds",
+                  "--workers", "--out", "--ndjson"},
+    "sweep": {"--group", "--genspec", "--theta", "--tol", "--max-iter", "--seeds",
+              "--workers", "--out", "--ndjson"},
+    "dixmier": {"--group", "--genspec", "--seeds", "--out", "--ndjson"},
+    "verify": {"--seeds", "--workers", "--out", "--ndjson"},
+}
+FLAG_ARGS = {
+    "--group": ["cyclic:3"],
+    "--genspec": ['{"kind":"regular"}'],
+    "--theta": ["0.1"],
+    "--tol": ["1e-9"],
+    "--max-iter": ["5"],
+    "--norm": ["operator"],
+    "--seeds": ["0"],
+    "--workers": ["2"],
+    "--out": ["report.json"],
+    "--ndjson": [],
+}
+UNREAD = [(command, flag) for command in READS for flag in FLAG_ARGS if flag not in READS[command]]
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work started")
+
+
+class TestOptionTable:
+    def test_table_accepts_forty_one_pairs(self):
+        assert sum(map(len, READS.values())) == 41
+        assert len(UNREAD) == 19
+
+    @pytest.mark.parametrize("command", sorted(READS))
+    def test_help_lists_exactly_the_options_read(self, runner, command):
+        result = runner.invoke(main, [command, "--help"])
+        assert result.exit_code == 0, result.output
+        listed = set(re.findall(r"^  (--[\w-]+)", result.output, re.M))
+        assert listed == READS[command] | {"--help"}
+
+    @pytest.mark.parametrize("command,flag", UNREAD)
+    def test_unread_flag_exits_two_before_any_work(self, runner, monkeypatch, command, flag):
+        monkeypatch.setattr("ulamlab.cli.run", no_work)
+        monkeypatch.setattr("ulamlab.cli.parse_group_spec", no_work)
+        result = runner.invoke(main, [command, flag, *FLAG_ARGS[flag]])
+        assert result.exit_code == 2, result.output
+        assert f"No such option '{flag}'" in result.output
+
+    def test_flags_a_genspec_overrides_exit_two(self, runner, monkeypatch):
+        monkeypatch.setattr("ulamlab.cli.run", no_work)
+        perturbed = '{"kind":"perturbed","theta":0.02}'
+        cases = [
+            (["gen", "--group", "cyclic:3", "--genspec", perturbed, "--theta", "0.01"], "--theta"),
+            (["stabilize", "--genspec", perturbed, "--theta", "0.05"], "--theta"),
+            (["sweep", "--genspec", '{"kind":"conjugated"}', "--theta", "0.01,0.05"], "--theta"),
+            (["gen", "--group", "cyclic:5", "--genspec", '{"kind":"regular","group":"cyclic:3"}'],
+             "--group"),
+            (["dixmier", "--group", "cyclic:2", "--genspec", '{"kind":"twisted","group":"cyclic:3"}'],
+             "--group"),
+        ]
+        for args, flag in cases:
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (args, result.output)
+            assert flag in result.output, (args, result.output)
+
+    def test_flags_a_genspec_reads_are_kept(self, runner):
+        perturbed = '{"kind":"perturbed","base":{"kind":"regular"},"theta":0.02}'
+        args = ["sweep", "--group", "cyclic:3", "--genspec", perturbed, "--theta", "0.01,0.05"]
+        rows = invoke_json(runner, args)["results"]["records"]
+        assert rows[0]["epsilon_0"] != rows[1]["epsilon_0"]
+        data = invoke_json(runner, ["gen", "--genspec", '{"kind":"regular","group":"cyclic:3"}'])
+        assert data["results"]["records"][0]["group"] == "cyclic:3"
+        invoke_json(runner, ["gen", "--group", "cyclic:3", "--genspec", perturbed])
+
+    def test_readme_cli_lines_parse(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        lines = [line for line in readme.read_text().splitlines() if line.startswith("ulamlab ")]
+        assert len(lines) >= len(READS)
+        for line in lines:
+            _, command, *args = shlex.split(line)
+            main.commands[command].make_context(command, args)
 
 
 def run_module(args, **env):

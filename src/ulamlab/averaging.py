@@ -14,7 +14,7 @@ import numpy as np
 
 from . import linalg, maps
 from .linalg import OPERATOR, NormKind
-from .groups import FiniteGroup, FreeBall, UnsupportedDomainError
+from .groups import FiniteGroup, require_finite
 from .maps import (
     Bound,
     Certificate,
@@ -32,18 +32,9 @@ from .maps import (
 PRECONDITION_TOL = 1e-10
 
 
-def _require_finite(domain, what: str) -> FiniteGroup:
-    if isinstance(domain, FreeBall):
-        raise UnsupportedDomainError(
-            f"{what} averages over the whole domain and needs a finite group; "
-            "a free-ball domain carries no invariant mean"
-        )
-    return domain
-
-
 def mean(phi: GroupMap) -> np.ndarray:
     """Uniform average of the map's values."""
-    _require_finite(phi.domain, "uniform mean")
+    require_finite(phi.domain, "uniform mean")
     return phi.values.mean(axis=0)
 
 
@@ -58,7 +49,7 @@ def translate_average(
     ``_PAIR_CHUNK`` complex entries, or one row of ``n d^2`` when a row is
     larger, instead of the whole ``(n, n, d, d)`` tensor.
     """
-    g = _require_finite(phi.domain, "translate averaging")
+    g = require_finite(phi.domain, "translate averaging")
     sums = np.empty(phi.values.shape, dtype=np.complex128)
 
     def fill(rows: slice) -> None:
@@ -82,7 +73,7 @@ def average_pd(phi: GroupMap) -> GroupMap:
 
 def form(phi: GroupMap, psi: GroupMap) -> np.ndarray:
     """Sesquilinear pairing ``mean_x phi(x)* psi(x)``, conjugate-linear on the left."""
-    _require_finite(phi.domain, "pairing form")
+    require_finite(phi.domain, "pairing form")
     _require_compatible(phi, psi)
     n = phi.values.shape[0]
     return np.einsum("xji,xjk->ik", phi.values.conj(), psi.values) / n
@@ -139,7 +130,7 @@ def condition_c_check(phi: GroupMap, psi: GroupMap) -> float:
     Measures ``max_x || phi(x)* psi(x) - mean_y phi(x)* phi(x y) phi(y)* ||``;
     zero exactly when ``psi`` agrees with the averaged map against ``phi``.
     """
-    g = _require_finite(phi.domain, "averaging identity residual")
+    g = require_finite(phi.domain, "averaging identity residual")
     _require_compatible(phi, psi)
     # Contracted directly rather than through translate_average: this check
     # certifies average_pd, which is built on that kernel.
@@ -174,7 +165,7 @@ def estimate_checks(
     check under the same key; and the averaging-identity residual
     ``condition_c_check(phi, psi)``.
     """
-    g = _require_finite(phi.domain, "closeness and norm estimates")
+    g = require_finite(phi.domain, "closeness and norm estimates")
     _require_compatible(phi, psi)
     residual = condition_c_check(phi, psi)
     delta, _ = unit_defect(phi)
@@ -196,11 +187,11 @@ def estimate_checks(
         return Certificate(), skipped, residual
     measured = [(name, kind, reduce) for name, kind, reduce, why in planned if not why]
     checks = Certificate()
-    norms = pair_defect_norms(phi, [kind for _, kind, _ in measured])
-    sigma = linalg.singular_values(phi.values - psi.values)
-    for (name, kind, reduce), row in zip(measured, norms):
+    kinds = [kind for _, kind, _ in measured]
+    norms = pair_defect_norms(phi, kinds)
+    moved = maps._stack_norms(g.order, phi.dim, (phi.values - psi.values).__getitem__, kinds)
+    for (name, _, reduce), row, lefts in zip(measured, norms, moved):
         bounds = reduce(row.reshape(g.order, g.order), axis=1)
-        lefts = np.atleast_1d(linalg.gauge(sigma, kind))
         w = int(np.argmin(bounds - lefts))
         checks[name] = Bound(float(lefts[w]), float(bounds[w]), tol=1e-10)
     return checks, skipped, residual

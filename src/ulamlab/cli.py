@@ -494,18 +494,19 @@ def _read_salt() -> int | None:
 
 
 def _refuse_overridden(command: str, kwargs: dict) -> None:
-    """Refuse a --theta or --group given next to a --genspec that overrides it."""
+    """Refuse a --theta or --group given next to a --genspec that overrides it,
+    and a sweep whose --genspec its theta grid cannot reach."""
     genspec = kwargs.get("genspec")
     if genspec is None:
         return
-    source = click.get_current_context().get_parameter_source
-    if source("theta") is ParameterSource.COMMANDLINE and (
-        command != "sweep" or genspec["kind"] != "perturbed"
-    ):
+    if command == "sweep" and genspec["kind"] != "perturbed":
         raise click.UsageError(
-            f"--theta does not reach this --genspec in {command}: only sweep "
-            "applies it, and only to a perturbed recipe"
+            "sweep applies its --theta grid to a perturbed --genspec only, "
+            f"not to a {genspec['kind']!r} one"
         )
+    source = click.get_current_context().get_parameter_source
+    if source("theta") is ParameterSource.COMMANDLINE and command != "sweep":
+        raise click.UsageError(f"--theta does not reach a --genspec in {command}: only sweep applies it")
     if source("group") is ParameterSource.COMMANDLINE and "group" in genspec:
         raise click.UsageError(f"--group is overridden by the --genspec group {genspec['group']!r}")
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg, maps
-from .groups import FiniteGroup, FreeBall, UnsupportedDomainError, cyclic, n_elements
+from .groups import FiniteGroup, FreeBall, cyclic, n_elements, require_finite
 from .maps import GroupMap, PreconditionError, mult_defect, unit_defect
 
 MAX_REGULAR_ORDER = 256
@@ -54,6 +54,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def regular_rep(g: FiniteGroup) -> GroupMap:
     """Left regular representation as permutation matrices."""
+    require_finite(g, "the regular representation")
     if g.order > MAX_REGULAR_ORDER:
         raise ValueError(f"regular representation capped at order {MAX_REGULAR_ORDER}")
     n = g.order
@@ -74,8 +75,7 @@ def character_rep(g: FiniteGroup, k: int) -> GroupMap:
     The exponent is the element index, so the table must be the canonical
     additive one; a relabeled isomorphic copy is rejected.
     """
-    if not isinstance(g, FiniteGroup):
-        raise ValueError("characters need a finite group")
+    g = require_finite(g, "a character")
     if not np.array_equal(g.mul, cyclic(g.order).mul):
         raise ValueError(
             "characters need the canonical cyclic table (indices adding mod n)"
@@ -89,11 +89,8 @@ def direct_sum(parts: list[GroupMap]) -> GroupMap:
     if not parts:
         raise ValueError("direct sum needs at least one summand")
     head = parts[0]
-    for other in parts[1:]:
-        if not (type(other.domain) is type(head.domain)) or n_elements(
-            other.domain
-        ) != n_elements(head.domain):
-            raise ValueError("direct summands must share a domain")
+    if not all(maps.same_domain(p.domain, head.domain) for p in parts[1:]):
+        raise ValueError("direct summands must share a domain")
     total = sum(p.dim for p in parts)
     n = n_elements(head.domain)
     vals = np.zeros((n, total, total), dtype=np.complex128)
@@ -204,7 +201,7 @@ def random_map(
     rng = _rng(seed, "random_map")
     n = n_elements(domain)
     vals = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
-    peak = float(linalg.singular_values(vals)[..., 0].max())
+    peak = float(maps.batch_norms(vals).max())
     if sup == 0.0 or peak == 0.0:
         vals = np.zeros_like(vals)
     else:
@@ -315,11 +312,9 @@ def build_map(spec: GenSpec, domain: FiniteGroup | FreeBall | None = None) -> Gr
         return random_map(domain, spec.dim, spec.sup, spec.seed)
     if spec.kind == "direct_sum":
         return direct_sum([build_map(p, domain) for p in spec.parts])
-    if spec.kind in ("regular", "character"):
-        if not isinstance(domain, FiniteGroup):
-            raise UnsupportedDomainError(f"{spec.kind} construction needs a finite group")
-        if spec.kind == "regular":
-            return regular_rep(domain)
+    if spec.kind == "regular":
+        return regular_rep(domain)
+    if spec.kind == "character":
         return character_rep(domain, spec.k)
     base = build_map(spec.base or GenSpec("regular"), domain)
     if spec.kind == "conjugated":

@@ -32,6 +32,16 @@ class UnsupportedDomainError(ValueError):
     """Operation requires a finite group domain."""
 
 
+def require_finite(domain: FiniteGroup | FreeBall, what: str) -> FiniteGroup:
+    """``domain``, refused with :class:`UnsupportedDomainError` unless it is a
+    finite group: ``what`` needs the whole group, or an average over it."""
+    if not isinstance(domain, FiniteGroup):
+        raise UnsupportedDomainError(
+            f"{what} needs a finite group; a free-ball domain carries no invariant mean"
+        )
+    return domain
+
+
 @dataclass(eq=False)
 class FiniteGroup:
     order: int

@@ -19,12 +19,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import OPERATOR, NormKind, adj
-from .groups import (
-    FiniteGroup,
-    FreeBall,
-    UnsupportedDomainError,
-    n_elements,
-)
+from .groups import FiniteGroup, FreeBall, n_elements, require_finite
 
 GRAM_HERMITIAN_TOL = 1e-8
 MAX_GRAM_DIM = 8192
@@ -293,13 +288,32 @@ def _collect(
     return out
 
 
+def _stack_norms(
+    count: int,
+    dim: int,
+    take: Callable[[slice], np.ndarray],
+    kinds: Sequence[NormKind] = (OPERATOR,),
+) -> np.ndarray:
+    """The norm of every matrix of a stack of ``count`` ``dim x dim`` matrices
+    under each of ``kinds``, one row per kind.
+
+    ``take(sl)`` returns the matrices at a slice.  Each matrix is decomposed
+    once, in the blocks of ``_for_blocks``.
+    """
+    norms = np.empty((len(kinds), count))
+
+    def fill(sl: slice) -> None:
+        sigma = linalg.singular_values(take(sl))
+        for row, kind in enumerate(kinds):
+            norms[row, sl] = linalg.gauge(sigma, kind)
+
+    _for_blocks(count, dim * dim, fill)
+    return norms
+
+
 def batch_norms(mats: np.ndarray, kind: NormKind = OPERATOR) -> np.ndarray:
     """Norm of each matrix in a ``(count, d, d)`` stack under ``kind``."""
-    return _collect(
-        len(mats),
-        mats.shape[-1] * mats.shape[-2],
-        lambda sl: linalg.gauge(linalg.singular_values(mats[sl]), kind),
-    )
+    return _stack_norms(len(mats), mats.shape[-1], mats.__getitem__, (kind,))[0]
 
 
 def _bound_slack(dim: int) -> float:
@@ -357,7 +371,7 @@ def _op_argmax(
     """
     entries = dim * dim
     if count < _MIN_FILTER_COUNT or count * entries < _MIN_FILTER:
-        norms = _top_norms(count, entries, take)
+        norms = _stack_norms(count, dim, take)[0]
         w = int(np.argmax(norms))
         return float(norms[w]), w
     bounds = _collect(count, entries, lambda sl: _op_bounds(take(sl)), _BOUND_BLOCK)
@@ -393,17 +407,10 @@ def _op_argmax(
     # max (or NaN).
     norms = bounds
     norms.fill(-np.inf)
-    norms[index] = _top_norms(len(index), entries, lambda sl: take(index[sl]))
+    norms[index] = _stack_norms(len(index), dim, lambda sl: take(index[sl]))[0]
     norms[top] = best
     w = int(np.argmax(norms))
     return float(norms[w]), w
-
-
-def _top_norms(
-    count: int, entries: int, take: Callable[[slice], np.ndarray]
-) -> np.ndarray:
-    """The operator norm of every matrix of a stack."""
-    return _collect(count, entries, lambda sl: linalg.singular_values(take(sl))[:, 0])
 
 
 def _pair_defects(phi: GroupMap, at: slice | np.ndarray) -> np.ndarray:
@@ -427,23 +434,6 @@ def _pair_defects(phi: GroupMap, at: slice | np.ndarray) -> np.ndarray:
     return np.subtract(out, v[np.ravel(domain.mul)[lo:hi]], out=out)
 
 
-def _pair_scan(phi: GroupMap, kinds: Sequence[NormKind]) -> np.ndarray:
-    """The defect norm of every defined pair under each kind, one row per kind.
-
-    Every defect is decomposed once.
-    """
-    count = _pair_count(phi.domain)
-    norms = np.empty((len(kinds), count))
-
-    def scan(sl: slice) -> None:
-        sigma = linalg.singular_values(_pair_defects(phi, sl))
-        for row, kind in enumerate(kinds):
-            norms[row, sl] = linalg.gauge(sigma, kind)
-
-    _for_blocks(count, phi.dim * phi.dim, scan)
-    return norms
-
-
 def pair_defect_norms(
     phi: GroupMap, kind: NormKind | Sequence[NormKind] = OPERATOR
 ) -> np.ndarray:
@@ -455,9 +445,9 @@ def pair_defect_norms(
     ``_PAIR_CHUNK`` complex entries at a time, which bounds the memory of the
     scan independently of the number of pairs.
     """
-    if isinstance(kind, NormKind):
-        return _pair_scan(phi, (kind,))[0]
-    return _pair_scan(phi, tuple(kind))
+    kinds = (kind,) if isinstance(kind, NormKind) else tuple(kind)
+    norms = _stack_norms(_pair_count(phi.domain), phi.dim, lambda sl: _pair_defects(phi, sl), kinds)
+    return norms[0] if isinstance(kind, NormKind) else norms
 
 
 def mult_defect(phi: GroupMap, kind: NormKind = OPERATOR) -> tuple[float, tuple[int, int]]:
@@ -471,7 +461,7 @@ def mult_defect(phi: GroupMap, kind: NormKind = OPERATOR) -> tuple[float, tuple[
         count = _pair_count(phi.domain)
         value, w = _op_argmax(count, phi.dim, lambda at: _pair_defects(phi, at))
     else:
-        norms = _pair_scan(phi, (kind,))[0]
+        norms = pair_defect_norms(phi, kind)
         w = int(np.argmax(norms))
         value = float(norms[w])
     xs, ys, _ = _pair_arrays(phi.domain, np.array([w]))
@@ -529,11 +519,7 @@ def pd_min_eig(phi: GroupMap) -> float:
     the Frobenius norm first) is definitely not PSD and is reported as
     ``-inf``.
     """
-    if isinstance(phi.domain, FreeBall):
-        raise UnsupportedDomainError(
-            "positive definiteness scans the full group Gram and needs a finite group"
-        )
-    g = phi.domain
+    g = require_finite(phi.domain, "the full-group Gram")
     n, d = g.order, phi.dim
     if n * d > MAX_GRAM_DIM:
         raise SizeLimitError(f"Gram dimension {n * d} exceeds MAX_GRAM_DIM = {MAX_GRAM_DIM}")

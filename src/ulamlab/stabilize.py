@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import linalg, maps
-from .groups import FreeBall, UnsupportedDomainError
+from .groups import require_finite
 from .maps import (
     Bound,
     Certificate,
@@ -216,11 +216,7 @@ def stabilize(
     ``CERTIFIED_EPSILON``; larger inputs still run but may legitimately fail
     to converge, which the trace records instead of raising.
     """
-    if isinstance(phi.domain, FreeBall):
-        raise UnsupportedDomainError(
-            "stabilization averages over the whole domain and needs a finite group; "
-            "a free-ball domain carries no invariant mean"
-        )
+    require_finite(phi.domain, "stabilization")
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
@@ -291,10 +287,7 @@ def dixmier_unitarize(psi: GroupMap) -> tuple[GroupMap, DixmierReport]:
     its square root ``S``, and conjugates: ``pi = S psi S^{-1}``.  The
     movement is at most ``||psi|| (||psi||^2 - 1)``.
     """
-    if isinstance(psi.domain, FreeBall):
-        raise UnsupportedDomainError(
-            "unitarization averages over the whole domain and needs a finite group"
-        )
+    require_finite(psi.domain, "unitarization")
     eps, _ = mult_defect(psi)
     if eps > UNITARY_TOL:
         raise PreconditionError(

@@ -1,8 +1,9 @@
 """Seeded verification suites for the library's quantitative guarantees.
 
-Each suite draws a deterministic corpus from its seed list, checks the
-guaranteed bounds on it as :class:`~ulamlab.maps.Bound` records, and reports
-the worst margin of each.  A margin compares a bound against a measurement,
+Each suite is a check of one seed, registered with ``_suite``: it draws a
+map from the seed's own stream and yields the guaranteed bounds on it as
+:class:`~ulamlab.maps.Bound` records, and the suite reports the worst margin
+of each over its seed list.  A margin compares a bound against a measurement,
 so passing means every margin stays above minus its tolerance.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -116,48 +117,69 @@ class SuiteResult:
         return merged
 
 
-def square_inequality_suite(seeds: Sequence[int]) -> SuiteResult:
+Check = Callable[[int, np.random.Generator], Iterator[tuple[str, Bound]]]
+Suite = Callable[[Sequence[int]], SuiteResult]
+SUITES: dict[str, Suite] = {}  # in report order
+
+
+def _suite(name: str, label: str) -> Callable[[Check], Suite]:
+    """Register a per-seed check as the suite ``name`` in ``SUITES``.
+
+    The check gets each seed with its own stream, keyed by ``label``, and
+    yields ``(key, bound)`` pairs, which the suite notes in order.
+    """
+
+    def register(check: Check) -> Suite:
+        def suite(seeds: Sequence[int]) -> SuiteResult:
+            result = SuiteResult(name, len(seeds))
+            for seed in seeds:
+                for key, bound in check(seed, _suite_rng(seed, label)):
+                    result.note(key, bound)
+            return result
+
+        suite.__name__, suite.__doc__ = check.__name__, check.__doc__
+        SUITES[name] = suite
+        return suite
+
+    return register
+
+
+@_suite("square_inequality", "square")
+def square_inequality_suite(seed: int, rng: np.random.Generator):
     """``||1 - a|| <= ||1 - a^2||`` for PSD ``a`` under every supported gauge."""
-    result = SuiteResult("square_inequality", len(seeds))
-    for seed in seeds:
-        rng = _suite_rng(seed, "square")
-        d = int(rng.integers(2, 9))
-        z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        a = z @ z.conj().T
-        a *= rng.uniform(0.2, 2.0) / linalg.op_norm(a)
-        eye = np.eye(d)
-        kinds = [
-            OPERATOR,
-            schatten(1),
-            schatten(2),
-            schatten(float("inf")),
-            schatten(1, normalized=True),
-            schatten(2, normalized=True),
-            ky_fan(int(rng.integers(1, d + 1))),
-        ]
-        for kind in kinds:
-            lower, upper = linalg.uinorm(eye - a, kind), linalg.uinorm(eye - a @ a, kind)
-            result.note("square_margin", Bound(lower, upper, tol=1e-10))
-    return result
+    d = int(rng.integers(2, 9))
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    a = z @ z.conj().T
+    a *= rng.uniform(0.2, 2.0) / linalg.op_norm(a)
+    eye = np.eye(d)
+    kinds = [
+        OPERATOR,
+        schatten(1),
+        schatten(2),
+        schatten(float("inf")),
+        schatten(1, normalized=True),
+        schatten(2, normalized=True),
+        ky_fan(int(rng.integers(1, d + 1))),
+    ]
+    for kind in kinds:
+        lower, upper = linalg.uinorm(eye - a, kind), linalg.uinorm(eye - a @ a, kind)
+        yield "square_margin", Bound(lower, upper, tol=1e-10)
 
 
-def stinespring_inequality_suite(seeds: Sequence[int]) -> SuiteResult:
+@_suite("stinespring_inequality", "stinespring")
+def stinespring_inequality_suite(seed: int, rng: np.random.Generator):
     """Compression defect factors through the unit defects of both arguments."""
-    result = SuiteResult("stinespring_inequality", len(seeds))
-    for seed in seeds:
-        rng = _suite_rng(seed, "stinespring")
-        g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
-        sub_dim = int(rng.integers(1, min(8, g.order) + 1))
-        phi = compress_rep(regular_rep(g), sub_dim, seed)
-        v = phi.values
-        e = phi.identity_index
-        left_defect = batch_norms(v[e][None] - v @ adj(v))
-        right_defect = batch_norms(v[e][None] - adj(v) @ v)
-        mults = pair_defect_norms(phi).reshape(g.order, g.order)
-        bound = np.sqrt(left_defect[:, None] * right_defect[None, :])
-        w = np.unravel_index(np.argmin(bound - mults), bound.shape)
-        result.note("stinespring_margin", Bound(float(mults[w]), float(bound[w]), tol=1e-10))
-    return result
+    g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
+    sub_dim = int(rng.integers(1, min(8, g.order) + 1))
+    phi = compress_rep(regular_rep(g), sub_dim, seed)
+    v = phi.values
+    e = phi.identity_index
+    left_defect = batch_norms(v[e][None] - v @ adj(v))
+    right_defect = batch_norms(v[e][None] - adj(v) @ v)
+    mults = pair_defect_norms(phi).reshape(g.order, g.order)
+    bound = np.sqrt(left_defect[:, None] * right_defect[None, :])
+    w = np.unravel_index(np.argmin(bound - mults), bound.shape)
+    yield "stinespring_margin", Bound(float(mults[w]), float(bound[w]), tol=1e-10)
 
 
 def _noisy_copy(phi: GroupMap, eta: float, rng: np.random.Generator) -> GroupMap:
@@ -168,159 +190,125 @@ def _noisy_copy(phi: GroupMap, eta: float, rng: np.random.Generator) -> GroupMap
     return GroupMap(phi.domain, phi.dim, phi.values + noise, label="noisy")
 
 
-def perturbation_bounds_suite(seeds: Sequence[int]) -> SuiteResult:
+@_suite("perturbation_bounds", "perturbation")
+def perturbation_bounds_suite(seed: int, rng: np.random.Generator):
     """Predicted defect growth under a uniform perturbation dominates measured."""
-    result = SuiteResult("perturbation_bounds", len(seeds))
-    for seed in seeds:
-        rng = _suite_rng(seed, "perturbation")
-        g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
-        pick = int(rng.integers(3))
-        if pick == 0:
-            phi = random_map(g, int(rng.integers(1, 7)), sup=rng.uniform(0.5, 1.5), seed=seed)
-        elif pick == 1:
-            # regular reps stay at dim <= 8 here, matching the other draws
-            small = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
-            phi = perturb_unitary(regular_rep(small), float(rng.uniform(0, 0.1)), seed)
-        else:
-            phi = compress_rep(regular_rep(g), int(rng.integers(1, min(8, g.order) + 1)), seed)
-        psi = _noisy_copy(phi, float(rng.uniform(0, 0.2)), rng)
-        report = perturbation_bound_report(phi, psi)
-        for name in ("iso", "unit", "mult"):
-            result.note(f"perturbation_{name}_margin", report[name])
-    return result
+    g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
+    pick = int(rng.integers(3))
+    if pick == 0:
+        phi = random_map(g, int(rng.integers(1, 7)), sup=rng.uniform(0.5, 1.5), seed=seed)
+    elif pick == 1:
+        # regular reps stay at dim <= 8 here, matching the other draws
+        small = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
+        phi = perturb_unitary(regular_rep(small), float(rng.uniform(0, 0.1)), seed)
+    else:
+        phi = compress_rep(regular_rep(g), int(rng.integers(1, min(8, g.order) + 1)), seed)
+    psi = _noisy_copy(phi, float(rng.uniform(0, 0.2)), rng)
+    report = perturbation_bound_report(phi, psi)
+    for name in ("iso", "unit", "mult"):
+        yield f"perturbation_{name}_margin", report[name]
 
 
-def unital_equivalence_suite(seeds: Sequence[int]) -> SuiteResult:
+@_suite("unital_defect_equivalence", "unital")
+def unital_equivalence_suite(seed: int, rng: np.random.Generator):
     """For unital positive definite maps the unit and mult defects coincide."""
-    result = SuiteResult("unital_defect_equivalence", len(seeds))
-    for seed in seeds:
-        rng = _suite_rng(seed, "unital")
-        g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
-        sub_dim = int(rng.integers(1, min(8, g.order) + 1))
-        pi = regular_rep(g)
-        z = rng.standard_normal((pi.dim, sub_dim)) + 1j * rng.standard_normal(
-            (pi.dim, sub_dim)
-        )
-        q, _ = np.linalg.qr(z)  # exact isometry keeps the compression unital
-        phi = GroupMap(g, sub_dim, q.conj().T @ (pi.values @ q), label="unital")
-        eps, _ = mult_defect(phi)
-        delta, _ = unit_defect(phi)
-        result.note("unit_le_mult_margin", Bound(delta, eps, tol=1e-9))
-        result.note("mult_le_unit_margin", Bound(eps, delta, tol=1e-9))
-    return result
+    g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
+    sub_dim = int(rng.integers(1, min(8, g.order) + 1))
+    pi = regular_rep(g)
+    z = rng.standard_normal((pi.dim, sub_dim)) + 1j * rng.standard_normal((pi.dim, sub_dim))
+    q, _ = np.linalg.qr(z)  # exact isometry keeps the compression unital
+    phi = GroupMap(g, sub_dim, q.conj().T @ (pi.values @ q), label="unital")
+    eps, _ = mult_defect(phi)
+    delta, _ = unit_defect(phi)
+    yield "unit_le_mult_margin", Bound(delta, eps, tol=1e-9)
+    yield "mult_le_unit_margin", Bound(eps, delta, tol=1e-9)
 
 
-def condition_b_suite(seeds: Sequence[int]) -> SuiteResult:
+@_suite("condition_b", "condition_b")
+def condition_b_suite(seed: int, rng: np.random.Generator):
     """Mean/form compatibility over random bounded maps on the group pool."""
-    result = SuiteResult("condition_b", len(seeds))
-    for seed in seeds:
-        rng = _suite_rng(seed, "condition_b")
-        spec = POOL_SPECS[seed % len(POOL_SPECS)]
-        dim = int(rng.integers(1, 5))
-        report = condition_b_report(pool_group(spec), dim, trials=1, seed=seed)
-        result.note("condition_b_identity_margin", report["identity"].strict())
-        result.note("condition_b_ratio_margin", report["ratio"].strict())
-        result.note("condition_b_pd_min_eig", report["pd"])
-    return result
+    spec = POOL_SPECS[seed % len(POOL_SPECS)]
+    dim = int(rng.integers(1, 5))
+    report = condition_b_report(pool_group(spec), dim, trials=1, seed=seed)
+    yield "condition_b_identity_margin", report["identity"].strict()
+    yield "condition_b_ratio_margin", report["ratio"].strict()
+    yield "condition_b_pd_min_eig", report["pd"]
 
 
-def averaging_suite(
-    seeds: Sequence[int],
-    group_specs: Sequence[str] = POOL_SPECS,
-    theta_max: float = 0.03,
-) -> SuiteResult:
+AVERAGING_THETA_MAX = 0.03
+# note -> the norm of its estimate, and note -> the certificate key it reads
+_ESTIMATED = {
+    "norm_estimate_s1_margin": schatten(1, normalized=True),
+    "norm_estimate_s2_margin": schatten(2, normalized=True),
+    "norm_estimate_operator_margin": OPERATOR,
+}
+_CHECKED = {
+    "closeness_margin": "closeness",
+    **{key: f"norm_estimate[{kind.describe()}]" for key, kind in _ESTIMATED.items()},
+}
+_SKIPPED = Bound(0.0, float("-inf"), tol=1e-10)  # a skipped check fails
+
+
+@_suite("averaging_checks", "averaging")
+def averaging_suite(seed: int, rng: np.random.Generator):
     """Averaging identity, closeness and norm estimates, and the sharp
     quadratic bound, over seeded unitary perturbations of regular
     representations."""
-    result = SuiteResult("averaging_checks", len(seeds))
-    estimated = {
-        "norm_estimate_s1_margin": schatten(1, normalized=True),
-        "norm_estimate_s2_margin": schatten(2, normalized=True),
-        "norm_estimate_operator_margin": OPERATOR,
-    }
-    checked = {"closeness_margin": "closeness"}
-    checked.update({key: f"norm_estimate[{kind.describe()}]" for key, kind in estimated.items()})
-    skipped = Bound(0.0, float("-inf"), tol=1e-10)  # a skipped check fails
-    for seed in seeds:
-        rng = _suite_rng(seed, "averaging")
-        g = pool_group(group_specs[int(rng.integers(len(group_specs)))])
-        theta = float(rng.uniform(0.0, theta_max))
-        phi = perturb_unitary(regular_rep(g), theta, seed)
-        psi, step = kazhdan_step(phi)
-        checks, _, residual = estimate_checks(phi, psi, list(estimated.values()))
-        result.note("condition_c_margin", Bound(residual, 0.0, tol=1e-10).strict())
-        for key, name in checked.items():
-            result.note(key, checks.get(name, skipped))
-        result.note("kazhdan_sharp_margin", step["sharp"])
-        result.note("kazhdan_crude_margin", step["crude"])
-        result.note("kazhdan_distance_margin", step["distance"])
-        result.note("average_pd_min_eig", step["pd"])
-    return result
+    g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
+    theta = float(rng.uniform(0.0, AVERAGING_THETA_MAX))
+    phi = perturb_unitary(regular_rep(g), theta, seed)
+    psi, step = kazhdan_step(phi)
+    checks, _, residual = estimate_checks(phi, psi, list(_ESTIMATED.values()))
+    yield "condition_c_margin", Bound(residual, 0.0, tol=1e-10).strict()
+    for key, name in _CHECKED.items():
+        yield key, checks.get(name, _SKIPPED)
+    yield "kazhdan_sharp_margin", step["sharp"]
+    yield "kazhdan_crude_margin", step["crude"]
+    yield "kazhdan_distance_margin", step["distance"]
+    yield "average_pd_min_eig", step["pd"]
 
 
-def polar_repair_suite(seeds: Sequence[int]) -> SuiteResult:
+@_suite("polar_repair_contract", "repair")
+def polar_repair_suite(seed: int, rng: np.random.Generator):
     """Polar repair contract on near-unitary maps with sizable unit defect."""
-    result = SuiteResult("polar_repair_contract", len(seeds))
-    for seed in seeds:
-        rng = _suite_rng(seed, "repair")
-        g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
-        rho = perturb_unitary(regular_rep(g), float(rng.uniform(0, 0.02)), seed)
-        amplitude = float(rng.uniform(0, 0.12))
-        vals = rho.values.copy()
-        for x in range(len(vals)):
-            b = rng.standard_normal((rho.dim, rho.dim)) + 1j * rng.standard_normal(
-                (rho.dim, rho.dim)
-            )
-            scale = linalg.op_norm(b)
-            if scale > 0:
-                vals[x] = vals[x] @ (np.eye(rho.dim) + b * (amplitude / scale))
-        phi = GroupMap(g, rho.dim, vals, label="near_unitary")
-        _, report = polar_repair(phi)
-        for name in ("unit", "distance", "mult"):
-            result.note(f"repair_{name}_margin", report[name].strict())
-    return result
+    g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
+    rho = perturb_unitary(regular_rep(g), float(rng.uniform(0, 0.02)), seed)
+    amplitude = float(rng.uniform(0, 0.12))
+    vals = rho.values.copy()
+    for x in range(len(vals)):
+        b = rng.standard_normal((rho.dim, rho.dim)) + 1j * rng.standard_normal((rho.dim, rho.dim))
+        scale = linalg.op_norm(b)
+        if scale > 0:
+            vals[x] = vals[x] @ (np.eye(rho.dim) + b * (amplitude / scale))
+    _, report = polar_repair(GroupMap(g, rho.dim, vals, label="near_unitary"))
+    for name in ("unit", "distance", "mult"):
+        yield f"repair_{name}_margin", report[name].strict()
 
 
-def kazhdan_contract_suite(seeds: Sequence[int]) -> SuiteResult:
+@_suite("kazhdan_contract", "kazhdan")
+def kazhdan_contract_suite(seed: int, rng: np.random.Generator):
     """Averaging-step certificate over seeded unitary perturbations."""
-    result = SuiteResult("kazhdan_contract", len(seeds))
-    for seed in seeds:
-        rng = _suite_rng(seed, "kazhdan")
-        g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
-        phi = perturb_unitary(regular_rep(g), float(rng.uniform(0, 0.03)), seed)
-        _, report = kazhdan_step(phi)
-        result.note("kazhdan_unital_margin", report["unital"].strict())
-        result.note("kazhdan_pd_min_eig", report["pd"])
-        result.note("kazhdan_step_distance_margin", report["distance"].strict())
-        result.note("kazhdan_step_sharp_margin", report["sharp"].strict())
-    return result
+    g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
+    phi = perturb_unitary(regular_rep(g), float(rng.uniform(0, 0.03)), seed)
+    _, report = kazhdan_step(phi)
+    yield "kazhdan_unital_margin", report["unital"].strict()
+    yield "kazhdan_pd_min_eig", report["pd"]
+    yield "kazhdan_step_distance_margin", report["distance"].strict()
+    yield "kazhdan_step_sharp_margin", report["sharp"].strict()
 
 
-def dixmier_contract_suite(seeds: Sequence[int], bound: float = 2.0) -> SuiteResult:
+TWIST_BOUND = 2.0  # the largest condition number of a twist
+
+
+@_suite("dixmier_contract", "dixmier")
+def dixmier_contract_suite(seed: int, rng: np.random.Generator):
     """Unitarization certificate over seeded similarity twists."""
-    result = SuiteResult("dixmier_contract", len(seeds))
-    for seed in seeds:
-        rng = _suite_rng(seed, "dixmier")
-        g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
-        psi, cond = similarity_twist(regular_rep(g), bound, seed)
-        _, report = dixmier_unitarize(psi)
-        result.note("twist_condition_margin", Bound(cond, bound, tol=1e-12))
-        result.note("dixmier_unit_margin", report.certificate["unit"].strict())
-        result.note("dixmier_distance_margin", report.certificate["distance"].strict())
-    return result
-
-
-SUITES: dict[str, Callable[[Sequence[int]], SuiteResult]] = {
-    "square_inequality": square_inequality_suite,
-    "stinespring_inequality": stinespring_inequality_suite,
-    "perturbation_bounds": perturbation_bounds_suite,
-    "unital_defect_equivalence": unital_equivalence_suite,
-    "condition_b": condition_b_suite,
-    "averaging_checks": averaging_suite,
-    "polar_repair_contract": polar_repair_suite,
-    "kazhdan_contract": kazhdan_contract_suite,
-    "dixmier_contract": dixmier_contract_suite,
-}
+    g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
+    psi, cond = similarity_twist(regular_rep(g), TWIST_BOUND, seed)
+    _, report = dixmier_unitarize(psi)
+    yield "twist_condition_margin", Bound(cond, TWIST_BOUND, tol=1e-12)
+    yield "dixmier_unit_margin", report.certificate["unit"].strict()
+    yield "dixmier_distance_margin", report.certificate["distance"].strict()
 
 
 def run_suite(name: str, seeds: Sequence[int]) -> SuiteResult:

@@ -223,6 +223,21 @@ class TestExitCodes:
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)
 
+    def test_direct_sum_over_two_groups_exits_two(self, runner):
+        parts = [{"kind": "regular"}, {"kind": "regular", "group": "dihedral:3"}]
+        genspec = json.dumps({"kind": "direct_sum", "parts": parts})
+        result = runner.invoke(main, ["gen", "--group", "cyclic:6", "--genspec", genspec])
+        assert result.exit_code == 2, result.output
+        assert "direct summands must share a domain" in result.output
+
+    def test_sweep_of_a_recipe_theta_cannot_reach_exits_two(self, runner, monkeypatch):
+        monkeypatch.setattr("ulamlab.cli.run", no_work)
+        for genspec in ('{"kind":"conjugated"}', '{"kind":"regular"}'):
+            args = ["sweep", "--group", "cyclic:3", "--genspec", genspec, "--seeds", "0..1"]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (args, result.output)
+            assert "--genspec" in result.output
+
     def test_gram_size_limit_exits_two(self, runner, monkeypatch):
         monkeypatch.setattr("ulamlab.maps.MAX_GRAM_DIM", 8)
         for args in (["defects", "--group", "cyclic:4"], ["verify", "--seeds", "0"]):

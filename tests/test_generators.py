@@ -97,6 +97,15 @@ def test_direct_sum_requires_shared_domain():
         direct_sum([trivial_rep(cyclic(2)), trivial_rep(cyclic(3))])
 
 
+def test_direct_sum_requires_the_same_table():
+    # cyclic:6 and dihedral:3 are finite groups of the same order
+    with pytest.raises(ValueError, match="share a domain"):
+        direct_sum([regular_rep(cyclic(6)), regular_rep(dihedral(3))])
+    phi = direct_sum([regular_rep(cyclic(6)), regular_rep(cyclic(6))])  # equal tables, two objects
+    assert phi.dim == 12
+    assert mult_defect(phi)[0] == 0.0
+
+
 def test_conjugate_rep_is_still_a_rep():
     rho = regular_rep(cyclic(4))
     pi = conjugate_rep(rho, seed=3)

@@ -118,7 +118,7 @@ def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
     modules = [m for key, m in sys.modules.items() if key.startswith("ulamlab.")]
     counted_names = (
         (ulamlab.averaging, "condition_c_check"),
-        (ulamlab.maps, "_pair_scan"),
+        (ulamlab.maps, "_stack_norms"),
         (ulamlab.maps, "_op_argmax"),
         (ulamlab.maps, "_op_bounds"),
     )
@@ -126,7 +126,7 @@ def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
-            if _name == "_op_argmax":
+            if _name in ("_stack_norms", "_op_argmax"):
                 _name += f"[{args[0]}]"  # keyed by the size of the stack
             calls[_name] += 1
             return _original(*args, **kwargs)
@@ -135,15 +135,22 @@ def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
             for attr, value in list(vars(target).items()):
                 if value is original:
                     monkeypatch.setattr(target, attr, counted)
-    result = averaging_suite([0], group_specs=("dihedral:4",))
+    result = averaging_suite([22])  # a seed that draws dihedral:4
     assert result.passed, result.notes
     # One full scan of the 64 pairs (the estimates read every defect) and one
     # filtered max over them (the mult defect of the averaging step); four
     # filtered unit defects over 16 sides, and one distance over 8 values,
-    # below the gate, that decomposes every value.
+    # below the gate, that decomposes every value.  Of the 8 values, the
+    # estimates also take the norms of phi - psi and condition_c_check those
+    # of its residuals.  Four filtered maxima decompose 0, 0, 1 and 0
+    # survivors besides their tops; the fifth, the regular representation's
+    # all-zero unit defect, stops after its bound pass.
     assert calls == {
         "condition_c_check": 1,
-        "_pair_scan": 1,
+        "_stack_norms[64]": 1,
+        "_stack_norms[8]": 3,
+        "_stack_norms[1]": 1,
+        "_stack_norms[0]": 3,
         "_op_argmax[64]": 1,
         "_op_argmax[16]": 4,
         "_op_argmax[8]": 1,

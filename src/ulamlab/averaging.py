@@ -25,7 +25,6 @@ from .maps import (
     pair_defect_norms,
     pd_min_eig,
     sup_norm,
-    unit_defect,
     _require_compatible,
 )
 
@@ -168,7 +167,7 @@ def estimate_checks(
     g = require_finite(phi.domain, "closeness and norm estimates")
     _require_compatible(phi, psi)
     residual = condition_c_check(phi, psi)
-    delta, _ = unit_defect(phi)
+    delta = maps._defect_bound(phi, "unit", PRECONDITION_TOL)
     if delta > PRECONDITION_TOL:
         reason = f"unit defect {delta:.3e} exceeds {PRECONDITION_TOL:.0e}"
     elif residual > PRECONDITION_TOL:

@@ -115,7 +115,7 @@ def perturb_unitary(pi: GroupMap, theta: float, seed: int) -> GroupMap:
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    delta, _ = unit_defect(pi)
+    delta = maps._defect_bound(pi, "unit", 1e-9)
     if delta > 1e-9:
         raise PreconditionError(
             f"perturbation base must be unitary-valued; unit defect is {delta:.3e}"
@@ -132,7 +132,7 @@ def perturb_unitary(pi: GroupMap, theta: float, seed: int) -> GroupMap:
         def rotate(sl: slice) -> None:
             a = parts[sl, 0] + 1j * parts[sl, 1]
             h = a + linalg.adj(a)
-            scale = linalg.singular_values(h)[:, 0]
+            scale = maps._stack_norms(len(h), d, h.__getitem__)[0]
             if theta > 0.0:
                 keep = scale > 0.0
                 ys, h, scale = xs[sl][keep], h[keep], scale[keep]
@@ -168,9 +168,10 @@ def similarity_twist(pi: GroupMap, bound: float, seed: int) -> tuple[GroupMap, f
     """
     if bound < 1.0:
         raise ValueError(f"condition bound must be >= 1, got {bound}")
-    eps, _ = mult_defect(pi)
-    delta, _ = unit_defect(pi)
+    eps = maps._defect_bound(pi, "mult", 1e-9)
+    delta = maps._defect_bound(pi, "unit", 1e-9)
     if eps > 1e-9 or delta > 1e-9:
+        eps, delta = mult_defect(pi)[0], unit_defect(pi)[0]  # the message names both
         raise PreconditionError(
             "twist base must be an exact unitary representation; "
             f"defects are mult {eps:.3e}, unit {delta:.3e}"

@@ -166,6 +166,19 @@ def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     return (m + adj(m)) / 2.0
 
 
+def _polar_unitary(a, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> tuple[np.ndarray, ...]:
+    """``(u, s, vh)``: the unitary polar factor of ``a`` (or of each matrix of a
+    stack) and the SVD parts it is formed from; refuses as :func:`polar` does."""
+    u_left, s, vh = np.linalg.svd(_as_matrices(a))
+    smallest = s[..., -1].ravel()
+    low = np.flatnonzero(smallest < sigma_min_tol)
+    if low.size:
+        raise SingularInputError(
+            f"smallest singular value {smallest[low[0]]:.3e} is below {sigma_min_tol:.3e}"
+        )
+    return u_left @ vh, s, vh
+
+
 def polar(a, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition ``a = u @ p`` with ``u`` unitary and ``p`` PSD.
 
@@ -173,15 +186,7 @@ def polar(a, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> tuple[np.ndarray, 
     :class:`SingularInputError` when a smallest singular value falls below
     ``sigma_min_tol``, naming the first such matrix's.
     """
-    m = _as_matrices(a)
-    u_left, s, vh = np.linalg.svd(m)
-    smallest = s[..., -1].ravel()
-    low = np.flatnonzero(smallest < sigma_min_tol)
-    if low.size:
-        raise SingularInputError(
-            f"smallest singular value {smallest[low[0]]:.3e} is below {sigma_min_tol:.3e}"
-        )
-    u = u_left @ vh
+    u, s, vh = _polar_unitary(a, sigma_min_tol)
     p = adj(vh) @ (s[..., :, None] * vh)
     p = (p + adj(p)) / 2.0
     return u, p

@@ -473,20 +473,50 @@ def unit_defect(phi: GroupMap) -> tuple[float, int]:
 
     The witness is the first element whose left or right defect is the worst.
     """
-    v = phi.values
-    eye = np.eye(phi.dim, dtype=np.complex128)
-    # element x's left defect at row 2x, its right defect at 2x + 1, formed in
-    # place block by block: whole-stack temporaries doubled the peak memory
-    sides = np.empty((len(v), 2, phi.dim, phi.dim), dtype=np.complex128)
-
-    def fill(sl: slice) -> None:
-        np.matmul(v[sl], adj(v[sl]), out=sides[sl, 0])
-        np.matmul(adj(v[sl]), v[sl], out=sides[sl, 1])
-        np.subtract(eye, sides[sl], out=sides[sl])
-
-    _for_blocks(len(v), 2 * phi.dim * phi.dim, fill, _BOUND_BLOCK)
-    value, w = _op_argmax(2 * len(v), phi.dim, sides.reshape(-1, phi.dim, phi.dim).__getitem__)
+    n, d = len(phi.values), phi.dim
+    # formed in place block by block: whole-stack temporaries doubled the peak memory
+    sides = np.empty((n, 2, d, d), dtype=np.complex128)
+    _for_blocks(n, 2 * d * d, lambda sl: _unit_sides(phi, sl, sides[sl]), _BOUND_BLOCK)
+    value, w = _op_argmax(2 * n, d, sides.reshape(-1, d, d).__getitem__)
     return value, w // 2
+
+
+def _unit_sides(phi: GroupMap, at: slice, out: np.ndarray | None = None) -> np.ndarray:
+    """``1 - v v*`` at ``[x, 0]`` and ``1 - v* v`` at ``[x, 1]`` for the values at a slice."""
+    v = phi.values[at]
+    if out is None:
+        out = np.empty((len(v), 2, phi.dim, phi.dim), dtype=np.complex128)
+    np.matmul(v, adj(v), out=out[:, 0])
+    np.matmul(adj(v), v, out=out[:, 1])
+    return np.subtract(np.eye(phi.dim, dtype=np.complex128), out, out=out)
+
+
+def _defect_bound(phi: GroupMap, which: str, tol: float) -> float:
+    """An upper bound on the ``"unit"`` or ``"mult"`` defect of ``phi``: the
+    largest Frobenius norm of the residuals that defect decomposes when it is
+    within ``tol``, else the exact defect, so ``bound > tol`` refuses exactly
+    what the exact test refuses, with the exact value."""
+    d = phi.dim
+    if which == "unit":
+        count, entries, take, exact = len(phi.values), 2 * d * d, _unit_sides, unit_defect
+    else:
+        count, entries, take, exact = _pair_count(phi.domain), d * d, _pair_defects, mult_defect
+
+    def worst(sl: slice) -> float:
+        flat = take(phi, sl).reshape(-1, d * d).view(np.float64)
+        return np.einsum("ij,ij->i", flat, flat).max(initial=0.0)
+
+    frobenius = float(np.sqrt(np.max(_for_blocks(count, entries, worst, _BOUND_BLOCK))))
+    # Rounding: a backward stable SVD of a computed residual R errs by at most
+    # p(d) u sigma_max(R), so the exact test's value is at most (1 + p(d) u)
+    # sigma_max(R) <= (1 + p(d) u) ||R||_F; the computed sum of 2 d^2 squares
+    # errs by 2 d^2 u, its root by d^2 u (u = 2^-53).  Both stay below
+    # `_BOUND_SLACK` up to d = 10^4, so a norm within ``tol / (1 +
+    # _BOUND_SLACK)`` passes the exact test.  A NaN or inf norm (an
+    # overflowing product) is never within and falls back to the exact defect.
+    if frobenius <= tol / (1.0 + _BOUND_SLACK):
+        return frobenius
+    return exact(phi)[0]
 
 
 def iso_defect(phi: GroupMap) -> float:

@@ -23,7 +23,6 @@ from .maps import (
     distance,
     mult_defect,
     pd_min_eig,
-    sup_norm,
     unit_defect,
 )
 from .averaging import average_pd, form
@@ -125,7 +124,7 @@ def _unitary_part(phi: GroupMap) -> tuple[GroupMap, float]:
     repaired = np.empty_like(phi.values)
 
     def snap(block: slice) -> None:
-        repaired[block] = linalg.polar(phi.values[block])[0]
+        repaired[block] = linalg._polar_unitary(phi.values[block])[0]
 
     maps._for_blocks(len(phi.values), phi.dim * phi.dim, snap)
     label = f"repair({phi.label})" if phi.label else "repair"
@@ -159,7 +158,7 @@ def kazhdan_step(phi: GroupMap) -> tuple[GroupMap, Certificate]:
     its unit defect drops to the square of that defect (``sharp``; ``crude``
     is twice the square).
     """
-    delta, _ = unit_defect(phi)
+    delta = maps._defect_bound(phi, "unit", UNITARY_TOL)
     if delta > UNITARY_TOL:
         raise PreconditionError(
             f"averaging step needs unitary values; unit defect is {delta:.3e}"
@@ -221,7 +220,7 @@ def stabilize(
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    delta0, _ = unit_defect(phi)
+    delta0 = maps._defect_bound(phi, "unit", UNITARY_TOL)
     if delta0 > UNITARY_TOL:
         raise PreconditionError(
             f"stabilization needs unitary values; unit defect is {delta0:.3e}"
@@ -288,12 +287,13 @@ def dixmier_unitarize(psi: GroupMap) -> tuple[GroupMap, DixmierReport]:
     movement is at most ``||psi|| (||psi||^2 - 1)``.
     """
     require_finite(psi.domain, "unitarization")
-    eps, _ = mult_defect(psi)
+    eps = maps._defect_bound(psi, "mult", UNITARY_TOL)
     if eps > UNITARY_TOL:
         raise PreconditionError(
             f"unitarization needs an exact representation; mult defect is {eps:.3e}"
         )
-    smallest = float(linalg.singular_values(psi.values)[..., -1].min())
+    sigma = linalg.singular_values(psi.values)
+    smallest = float(sigma[:, -1].min())
     if smallest < 1e-8:
         raise PreconditionError(
             f"unitarization needs invertible values; smallest singular value is {smallest:.3e}"
@@ -310,7 +310,7 @@ def dixmier_unitarize(psi: GroupMap) -> tuple[GroupMap, DixmierReport]:
     label = f"unitarized({psi.label})" if psi.label else "unitarized"
     pi = GroupMap(psi.domain, psi.dim, s @ psi.values @ s_inv, label=label)
     out_delta, _ = unit_defect(pi)
-    norm = sup_norm(psi)
+    norm = float(sigma[:, 0].max())
     certificate = Certificate(
         unit=Bound(out_delta, 0.0, tol=1e-9),
         distance=Bound(distance(psi, pi), norm * (norm**2 - 1.0), tol=1e-8),

@@ -2,19 +2,24 @@ import numpy as np
 import pytest
 
 import ulamlab.linalg
+import ulamlab.maps
 from ulamlab import (
     Bound,
     Certificate,
     GroupMap,
     OPERATOR,
+    PreconditionError,
     average_pd,
     constant_identity,
     cyclic,
     defect_report,
     dihedral,
     distance,
+    dixmier_unitarize,
+    estimate_checks,
     free_ball,
     iso_defect,
+    kazhdan_step,
     mult_defect,
     pd_min_eig,
     perturb_unitary,
@@ -22,6 +27,8 @@ from ulamlab import (
     random_map,
     regular_rep,
     schatten,
+    similarity_twist,
+    stabilize,
     sup_norm,
     unit_defect,
 )
@@ -162,6 +169,108 @@ def test_pd_min_eig_checks_symmetry_by_frobenius_first(monkeypatch):
     # a non-Hermitian Gram is still refused
     assert pd_min_eig(non_hermitian) == -np.inf
     assert len(sv_calls) == 2
+
+
+def _near_representation(which: str, defect: float) -> GroupMap:
+    """A map on cyclic:16 of dimension 16 whose exact ``which`` defect is
+    ``defect``, with a Frobenius norm four times as large.
+
+    ``"unit"``: ``c`` times the regular representation, ``|1 - c^2| =
+    defect``.  ``"mult"``: the regular representation times ``exp(i t)`` off
+    the identity, a unitary map whose worst pair defect is ``|exp(2 i t) -
+    1| = 2 sin t = defect``.
+    """
+    pi = regular_rep(cyclic(16))
+    if which == "unit":
+        scale = np.full(16, np.sqrt(1.0 - defect))
+    else:
+        scale = np.full(16, np.exp(1j * np.arcsin(defect / 2.0)))
+        scale[pi.identity_index] = 1.0
+    return GroupMap(pi.domain, 16, scale[:, None, None] * pi.values)
+
+
+def _refused(run):
+    """``run`` made to return the message of the refusal it raises, or None."""
+
+    def refusal(phi: GroupMap) -> str | None:
+        try:
+            run(phi)
+        except PreconditionError as err:
+            return str(err)
+        return None
+
+    return refusal
+
+
+def _estimates_refusal(phi: GroupMap) -> str | None:
+    return estimate_checks(phi, average_pd(phi))[1].get("closeness")
+
+
+_TWIST_REFUSAL = (
+    "twist base must be an exact unitary representation; "
+    "defects are mult {mult:.3e}, unit {unit:.3e}"
+)
+# site -> the defect it tests, its tolerance, its refusal, and the refusal's message
+_PRECONDITIONS = {
+    "perturb_unitary": (
+        "unit", 1e-9, _refused(lambda phi: perturb_unitary(phi, 0.01, seed=0)),
+        "perturbation base must be unitary-valued; unit defect is {unit:.3e}",
+    ),
+    "similarity_twist/unit": (
+        "unit", 1e-9, _refused(lambda phi: similarity_twist(phi, 2.0, seed=0)), _TWIST_REFUSAL,
+    ),
+    "similarity_twist/mult": (
+        "mult", 1e-9, _refused(lambda phi: similarity_twist(phi, 2.0, seed=0)), _TWIST_REFUSAL,
+    ),
+    "stabilize": (
+        "unit", 1e-9, _refused(stabilize),
+        "stabilization needs unitary values; unit defect is {unit:.3e}",
+    ),
+    "kazhdan_step": (
+        "unit", 1e-9, _refused(kazhdan_step),
+        "averaging step needs unitary values; unit defect is {unit:.3e}",
+    ),
+    "dixmier_unitarize": (
+        "mult", 1e-9, _refused(dixmier_unitarize),
+        "unitarization needs an exact representation; mult defect is {mult:.3e}",
+    ),
+    "estimate_checks": (
+        "unit", 1e-10, _estimates_refusal, "unit defect {unit:.3e} exceeds 1e-10",
+    ),
+}
+
+
+@pytest.mark.parametrize("factor", [0.9, 1.1])
+@pytest.mark.parametrize("site", sorted(_PRECONDITIONS))
+def test_defect_preconditions_refuse_exactly_as_the_exact_defect(site, factor):
+    which, tol, refusal, message = _PRECONDITIONS[site]
+    phi = _near_representation(which, factor * tol)
+    exact = {"unit": unit_defect(phi)[0], "mult": mult_defect(phi)[0]}
+    assert (exact[which] > tol) == (factor > 1.0)
+    # the Frobenius certificate fails, so the exact defect decides
+    assert ulamlab.maps._defect_bound(phi, which, tol) == exact[which]
+    expected = message.format(**exact) if factor > 1.0 else None
+    assert refusal(phi) == expected
+
+
+@pytest.mark.parametrize("which", ["unit", "mult"])
+def test_defect_bound_certifies_by_frobenius_norm(which, monkeypatch):
+    exact_calls = []
+    for name in ("unit_defect", "mult_defect"):
+        original = getattr(ulamlab.maps, name)
+        monkeypatch.setattr(
+            ulamlab.maps, name, lambda phi, _f=original: exact_calls.append(1) or _f(phi)
+        )
+    phi = _near_representation(which, 1e-12)
+    bound = ulamlab.maps._defect_bound(phi, which, 1e-9)
+    assert exact_calls == []
+    assert bound == pytest.approx(4e-12, rel=1e-3)  # sqrt(1 - 1e-12) rounds by 1e-4
+    # an overflowing residual fails the certificate, and the exact defect reports it
+    broken = GroupMap(phi.domain, 16, phi.values.copy())
+    broken.values[3, 0, 0] = 1e200
+    with np.errstate(all="ignore"):
+        assert np.isnan(ulamlab.maps._defect_bound(broken, which, 1e-9))
+    assert exact_calls == [1]
 
 
 def test_group_map_validates_shapes():

@@ -5,6 +5,9 @@ import pytest
 
 import ulamlab
 from ulamlab import SUITES, Bound, Certificate, SuiteResult, run_all_suites, run_suite
+from ulamlab.generators import perturb_unitary, regular_rep
+from ulamlab.groups import parse_group_spec
+from ulamlab.stabilize import stabilize
 from ulamlab.verify import (
     averaging_suite,
     condition_b_suite,
@@ -112,8 +115,12 @@ def test_contract_suites_have_expected_margin_keys():
     assert "condition_b_pd_min_eig" in condition_b_suite(SEEDS[:2]).notes
 
 
-def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
-    # every module binding of the counted functions, as the benchmark tracer patches them
+def _count_kernels(monkeypatch) -> Counter:
+    """Count the calls of the stack kernels, through every module binding of
+    each, as the benchmark tracer patches them.
+
+    ``_stack_norms`` and ``_op_argmax`` are keyed by the size of their stack.
+    """
     calls = Counter()
     modules = [m for key, m in sys.modules.items() if key.startswith("ulamlab.")]
     counted_names = (
@@ -127,7 +134,7 @@ def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
 
         def counted(*args, _name=name, _original=original, **kwargs):
             if _name in ("_stack_norms", "_op_argmax"):
-                _name += f"[{args[0]}]"  # keyed by the size of the stack
+                _name += f"[{args[0]}]"
             calls[_name] += 1
             return _original(*args, **kwargs)
 
@@ -135,24 +142,50 @@ def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
             for attr, value in list(vars(target).items()):
                 if value is original:
                     monkeypatch.setattr(target, attr, counted)
+    return calls
+
+
+def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
+    calls = _count_kernels(monkeypatch)
     result = averaging_suite([22])  # a seed that draws dihedral:4
     assert result.passed, result.notes
     # One full scan of the 64 pairs (the estimates read every defect) and one
-    # filtered max over them (the mult defect of the averaging step); four
-    # filtered unit defects over 16 sides, and one distance over 8 values,
-    # below the gate, that decomposes every value.  Of the 8 values, the
-    # estimates also take the norms of phi - psi and condition_c_check those
-    # of its residuals.  Four filtered maxima decompose 0, 0, 1 and 0
-    # survivors besides their tops; the fifth, the regular representation's
-    # all-zero unit defect, stops after its bound pass.
+    # filtered max over them (the mult defect of the averaging step); one
+    # filtered unit defect over 16 sides (the averaged map's, which the sharp
+    # bound reports), and one distance over 8 values, below the gate, that
+    # decomposes every value.  The unit-defect preconditions of the
+    # perturbation, the averaging step and the estimates are certified by
+    # Frobenius norms and decompose nothing.  Of the 8 values, the estimates
+    # also take the norms of phi - psi and condition_c_check those of its
+    # residuals; the perturbation takes the norms of its 7 generators.  The
+    # two filtered maxima decompose 1 and 0 survivors besides their tops.
     assert calls == {
         "condition_c_check": 1,
         "_stack_norms[64]": 1,
         "_stack_norms[8]": 3,
+        "_stack_norms[7]": 1,
         "_stack_norms[1]": 1,
-        "_stack_norms[0]": 3,
+        "_stack_norms[0]": 1,
         "_op_argmax[64]": 1,
-        "_op_argmax[16]": 4,
+        "_op_argmax[16]": 1,
         "_op_argmax[8]": 1,
-        "_op_bounds": 5,
+        "_op_bounds": 2,
+    }
+
+
+def test_stabilize_seed_takes_operator_maxima_only_for_reported_values(monkeypatch):
+    calls = _count_kernels(monkeypatch)
+    _, trace = stabilize(perturb_unitary(regular_rep(parse_group_spec("dihedral:4")), 0.03, 0))
+    rounds = len(trace.iterations)
+    assert rounds >= 2 and trace.converged
+    # Each round reports its epsilon_n, delta_n and step distance, and the run
+    # its final defect and total distance: one mult defect over the 64 pairs
+    # per epsilon, one unit defect over 16 sides per delta and one distance
+    # over 8 values per distance.  The unit-defect preconditions of the
+    # perturbation and of the loop take none.
+    maxima = {key: n for key, n in calls.items() if key.startswith("_op_argmax")}
+    assert maxima == {
+        "_op_argmax[64]": rounds + 1,
+        "_op_argmax[16]": rounds,
+        "_op_argmax[8]": rounds + 1,
     }

@@ -544,20 +544,45 @@ def distance(phi: GroupMap, psi: GroupMap, kind: NormKind = OPERATOR) -> float:
 def pd_min_eig(phi: GroupMap) -> float:
     """Smallest eigenvalue of the full-group Gram block matrix.
 
-    The Gram has blocks ``phi(inv(x_i) * x_j)``.  A Gram that is not
-    Hermitian within ``GRAM_HERMITIAN_TOL`` (in operator norm, tested through
-    the Frobenius norm first) is definitely not PSD and is reported as
-    ``-inf``.
+    The Gram ``G`` has blocks ``phi(inv(x_i) * x_j)``.  Its Hermitian part
+    ``(G + G*) / 2`` is written into one ``(n d)^2`` array, a few block rows
+    (``_SPLIT_BLOCK`` entries) at a time, and the same pass sums the squares
+    of ``G - G*``.  A Gram that is not Hermitian within ``GRAM_HERMITIAN_TOL``
+    in operator norm is definitely not PSD and is reported as ``-inf``; the
+    exact norm is taken, from ``G - G*`` written over the same array, only
+    when that Frobenius norm exceeds the tolerance.
     """
     g = require_finite(phi.domain, "the full-group Gram")
     n, d = g.order, phi.dim
     if n * d > MAX_GRAM_DIM:
         raise SizeLimitError(f"Gram dimension {n * d} exceeds MAX_GRAM_DIM = {MAX_GRAM_DIM}")
-    blocks = phi.values[g.mul[g.inv[:, None], np.arange(n)[None, :]]]
-    big = blocks.transpose(0, 2, 1, 3).reshape(n * d, n * d)
-    if linalg._asymmetry(big, GRAM_HERMITIAN_TOL) > GRAM_HERMITIAN_TOL:
-        return float("-inf")
-    return float(np.linalg.eigvalsh((big + big.conj().T) / 2.0)[0])
+    v, cols = phi.values, np.arange(n)
+    gram = np.empty((n, d, n, d), dtype=np.complex128)
+
+    def rows(hermitian: bool, sl: slice) -> np.ndarray:
+        """Rows ``sl`` of ``(G + G*) / 2``, else of ``G - G*``; each row's ``||G - G*||_F^2``."""
+        a = v[g.mul[g.inv[sl, None], cols]].transpose(0, 2, 1, 3)  # block (i, j) of G
+        mirror = v[g.mul[g.inv, cols[sl, None]]]  # block (j, i) of G, conjugated in place
+        b = np.conjugate(mirror, out=mirror).transpose(0, 3, 1, 2)  # block (i, j) of G*
+        out = gram[sl]
+        if hermitian:
+            np.divide(np.add(a, b, out=out), 2.0, out=out)
+        np.subtract(a, b, out=b)
+        if not hermitian:
+            out[...] = b
+        flat = mirror.reshape(len(mirror), -1).view(np.float64)
+        return np.einsum("ij,ij->i", flat, flat)
+
+    def fill(hermitian: bool) -> float:
+        return float(_collect(n, n * d * d, functools.partial(rows, hermitian), _SPLIT_BLOCK).sum())
+
+    big = gram.reshape(n * d, n * d)
+    if not np.sqrt(fill(True)) <= GRAM_HERMITIAN_TOL:
+        fill(False)
+        if linalg.singular_values(big)[0] > GRAM_HERMITIAN_TOL:
+            return float("-inf")
+        fill(True)
+    return float(np.linalg.eigvalsh(big)[0])
 
 
 @dataclass

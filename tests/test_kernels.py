@@ -45,6 +45,7 @@ from ulamlab import (
     linalg,
     mult_defect,
     pair_defect_norms,
+    pd_min_eig,
     perturb_unitary,
     random_map,
     reduce_word,
@@ -287,6 +288,26 @@ def assert_kernels_bound_memory():
                 _, skipped, _ = result
                 assert not skipped, (name, skipped)
     assert all(peak < MEMORY_BOUND for peak in peaks.values()), peaks
+
+
+def test_pd_min_eig_holds_one_gram():
+    # symmetric:4's Gram is 576 x 576 (5 MiB).  Its Hermitian part, or G - G*
+    # on the refusal, is written into one array a few block rows at a time,
+    # so neither path holds two Grams at one or two kernel threads.
+    g = symmetric(4)
+    phi = perturb_unitary(regular_rep(g), 0.03, seed=0)
+    gram = 16 * (g.order * phi.dim) ** 2
+    for budget in (1, 2):
+        with ulamlab.maps._kernel_threads(budget):
+            for psi, hermitian in ((average_pd(phi), True), (phi, False)):
+                tracemalloc.start()
+                try:
+                    value = pd_min_eig(psi)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert np.isfinite(value) == hermitian
+                assert peak < 2 * gram, (budget, hermitian, peak / gram)
 
 
 def test_estimate_bounds_carry_the_worst_element_margin():

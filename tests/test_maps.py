@@ -30,6 +30,8 @@ from ulamlab import (
     similarity_twist,
     stabilize,
     sup_norm,
+    symmetric,
+    translate_coefficient,
     unit_defect,
 )
 
@@ -169,6 +171,33 @@ def test_pd_min_eig_checks_symmetry_by_frobenius_first(monkeypatch):
     # a non-Hermitian Gram is still refused
     assert pd_min_eig(non_hermitian) == -np.inf
     assert len(sv_calls) == 2
+
+
+def dense_pd_min_eig(phi):
+    """The Gram's smallest eigenvalue from the whole block matrix and its adjoint."""
+    g, d = phi.domain, phi.dim
+    blocks = phi.values[g.mul[g.inv[:, None], np.arange(g.order)[None, :]]]
+    big = blocks.transpose(0, 2, 1, 3).reshape(g.order * d, g.order * d)
+    return np.linalg.eigvalsh((big + big.conj().T) / 2)[0]
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cyclic(2), cyclic(12), dihedral(4), symmetric(3), symmetric(4)],
+    ids=lambda g: g.label,
+)
+def test_pd_min_eig_equals_the_dense_gram(g):
+    # The Gram is built a few block rows at a time; the matrix handed to
+    # eigvalsh must be the dense one bit for bit, on one block or many.
+    phi = perturb_unitary(regular_rep(g), 0.03, seed=0)
+    if g.label == "symmetric:4":
+        assert (g.order * phi.dim) ** 2 > ulamlab.maps._SPLIT_BLOCK
+    for psi in (average_pd(phi), translate_coefficient(phi)):
+        expected = dense_pd_min_eig(psi)
+        assert np.isfinite(expected)
+        assert pd_min_eig(psi) == expected
+    for seed in (0, 1):
+        assert pd_min_eig(random_map(g, 2, seed=seed)) == -np.inf
 
 
 def _near_representation(which: str, defect: float) -> GroupMap:

@@ -34,9 +34,9 @@ _EXPORTS = {
         "mean", "translate_average", "translate_coefficient",
     ),
     "stabilize": (
-        "CERTIFIED_EPSILON", "ContractionSeries", "DivergedError", "DixmierReport",
-        "NotRepairableError", "StabilizationTrace", "contraction_series",
-        "dixmier_unitarize", "kazhdan_step", "polar_repair", "product_constant", "stabilize",
+        "CERTIFIED_EPSILON", "ContractionSeries", "DixmierReport", "NotRepairableError",
+        "StabilizationTrace", "contraction_series", "dixmier_unitarize", "kazhdan_step",
+        "polar_repair", "product_constant", "stabilize",
     ),
     "generators": (
         "GenSpec", "build_map", "compress_rep", "conjugate_rep", "derive_seed", "direct_sum",

@@ -35,13 +35,7 @@ from .linalg import SingularInputError, parse_norm
 from .groups import FiniteGroup, UnsupportedDomainError, parse_group_spec
 from .maps import Bound, PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
 from .generators import GenSpec, build_map, derive_seed, parse_genspec
-from .stabilize import (
-    CERTIFIED_EPSILON,
-    DivergedError,
-    NotRepairableError,
-    dixmier_unitarize,
-    stabilize,
-)
+from .stabilize import CERTIFIED_EPSILON, NotRepairableError, dixmier_unitarize, stabilize
 from .verify import SUITES, SuiteResult, run_suite
 
 SCHEMA_VERSION = "ulamlab-report/2"
@@ -136,7 +130,8 @@ class Report:
 
 
 def jsonify(obj):
-    """Reduce to JSON-safe types: complex as [re, im], matrices row-major."""
+    """Reduce to JSON-safe types: complex as [re, im], matrices row-major,
+    an object by its ``to_dict``, else a dataclass by its fields."""
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -156,6 +151,8 @@ def jsonify(obj):
         if value != value or value in (float("inf"), float("-inf")):
             return repr(value)
         return value
+    if dataclasses.is_dataclass(obj):
+        return jsonify({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)})
     return obj
 
 
@@ -273,12 +270,7 @@ def _stabilize_one(
     row: dict = {"seed": seed, "group": phi.domain.label, "dim": phi.dim}
     if theta is not None:
         row["theta"] = theta
-    try:
-        result, trace = stabilize(phi, tol=config.tol, max_iter=config.max_iter)
-        diverged = False
-    except DivergedError as err:
-        trace = err.trace
-        diverged = True
+    _, trace = stabilize(phi, tol=config.tol, max_iter=config.max_iter)
     eps0 = trace.iterations[0].epsilon_n if trace.iterations else trace.final_defect
     certified = eps0 <= CERTIFIED_EPSILON
     row.update(
@@ -289,14 +281,14 @@ def _stabilize_one(
             "final_defect": trace.final_defect,
             "total_distance": trace.total_distance,
             "certified": certified,
-            "diverged_certified": diverged and certified,
+            "diverged_certified": certified and not trace.converged,
             "theory": trace.theory,
             "iteration_records": [
                 {
                     "record": "iteration",
                     "seed": seed,
                     "iteration": i,
-                    **rec.to_dict(),
+                    **dataclasses.asdict(rec),
                 }
                 for i, rec in enumerate(trace.iterations)
             ],
@@ -312,14 +304,21 @@ def _stabilize_one(
     return row
 
 
-def _cmd_stabilize(config: ExperimentConfig, domains: dict) -> Report:
+def _stabilize_rows(
+    config: ExperimentConfig, domains: dict, thetas: tuple[float | None, ...]
+) -> tuple[list[dict], bool, bool]:
+    """A row for every theta (``None``: the recipe's own) and seed, in that
+    order; whether all pass; whether any diverged inside the certified regime."""
     seeds = config.effective_seeds()
-    rows = _parallel(
-        [lambda s=s: _stabilize_one(config, domains, s) for s in seeds], config.workers
-    )
-    records = [rec for row in rows for rec in row.pop("iteration_records")]
+    jobs = [lambda t=t, s=s: _stabilize_one(config, domains, s, t) for t in thetas for s in seeds]
+    rows = _parallel(jobs, config.workers)
     diverged = any(row["diverged_certified"] for row in rows)
-    passed = all(row["ok"] for row in rows) and not diverged
+    return rows, all(row["ok"] for row in rows) and not diverged, diverged
+
+
+def _cmd_stabilize(config: ExperimentConfig, domains: dict) -> Report:
+    rows, passed, diverged = _stabilize_rows(config, domains, (None,))
+    records = [rec for row in rows for rec in row.pop("iteration_records")]
     summary = {
         "runs": rows,
         "converged_runs": sum(1 for r in rows if r["converged"]),
@@ -328,18 +327,10 @@ def _cmd_stabilize(config: ExperimentConfig, domains: dict) -> Report:
 
 
 def _cmd_sweep(config: ExperimentConfig, domains: dict) -> Report:
-    seeds = config.effective_seeds()
-    jobs = [
-        lambda t=t, s=s: _stabilize_one(config, domains, s, theta=t)
-        for t in config.theta
-        for s in seeds
-    ]
-    rows = _parallel(jobs, config.workers)
+    rows, passed, diverged = _stabilize_rows(config, domains, config.theta)
     for row in rows:
         row.pop("iteration_records")
-    diverged = any(row["diverged_certified"] for row in rows)
-    passed = all(row["ok"] for row in rows) and not diverged
-    summary = {"grid": list(config.theta), "seeds_per_point": len(seeds)}
+    summary = {"grid": list(config.theta), "seeds_per_point": len(config.seeds)}
     return Report(config, summary, rows, passed=passed, diverged_certified=diverged)
 
 

@@ -115,11 +115,7 @@ def perturb_unitary(pi: GroupMap, theta: float, seed: int) -> GroupMap:
     """
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
-    delta = maps._defect_bound(pi, "unit", 1e-9)
-    if delta > 1e-9:
-        raise PreconditionError(
-            f"perturbation base must be unitary-valued; unit defect is {delta:.3e}"
-        )
+    maps._require_defect(pi, "unit", 1e-9, "perturbation base must be unitary-valued")
     rng = _rng(seed, "perturb")
     vals = pi.values.copy()
     d = pi.dim

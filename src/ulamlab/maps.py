@@ -519,6 +519,14 @@ def _defect_bound(phi: GroupMap, which: str, tol: float) -> float:
     return exact(phi)[0]
 
 
+def _require_defect(phi: GroupMap, which: str, tol: float, what: str) -> None:
+    """Refuse ``phi`` with :class:`PreconditionError` unless its ``"unit"`` or
+    ``"mult"`` defect is within ``tol``; ``what`` names the precondition."""
+    value = _defect_bound(phi, which, tol)
+    if value > tol:
+        raise PreconditionError(f"{what}; {which} defect is {value:.3e}")
+
+
 def iso_defect(phi: GroupMap) -> float:
     """Worst ``1 - v* v`` deviation alone (isometry defect)."""
     v = phi.values
@@ -574,7 +582,8 @@ def pd_min_eig(phi: GroupMap) -> float:
         return np.einsum("ij,ij->i", flat, flat)
 
     def fill(hermitian: bool) -> float:
-        return float(_collect(n, n * d * d, functools.partial(rows, hermitian), _SPLIT_BLOCK).sum())
+        blocks = _blocks(n, n * d * d, _SPLIT_BLOCK)
+        return float(np.concatenate([rows(hermitian, sl) for sl in blocks]).sum())
 
     big = gram.reshape(n * d, n * d)
     if not np.sqrt(fill(True)) <= GRAM_HERMITIAN_TOL:
@@ -595,18 +604,6 @@ class DefectReport:
     witness_pair: tuple[int, int]
     witness_element: int
     restricted: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-            "iso_delta": self.iso_delta,
-            "sup_norm": self.sup_norm,
-            "norm_kind": self.norm_kind,
-            "witness_pair": list(self.witness_pair),
-            "witness_element": self.witness_element,
-            "restricted": self.restricted,
-        }
 
 
 def defect_report(phi: GroupMap, kind: NormKind = OPERATOR) -> DefectReport:

@@ -21,6 +21,7 @@ from ulamlab.cli import (
     jsonify,
     main,
 )
+from ulamlab.stabilize import IterationRecord
 
 
 @pytest.fixture
@@ -328,6 +329,21 @@ class TestExitCodes:
         run = payload["results"]["summary"]["runs"][0]
         assert run["certified"] is True
         assert run["converged"] is False
+        assert run["diverged_certified"] is True
+        assert run["ok"] is False
+
+    def test_sweep_row_verdict_inside_and_outside_the_certified_regime(self, runner):
+        # at seed 1, theta 0.02 starts certified and theta 0.05 (eps0 0.104) does not
+        result = runner.invoke(
+            main,
+            ["sweep", "--group", "cyclic:4", "--theta", "0.02,0.05", "--seeds", "1",
+             "--max-iter", "1"],
+        )
+        assert result.exit_code == EXIT_DIVERGED
+        rows = json.loads(result.output)["results"]["records"]
+        verdicts = [(r["theta"], r["certified"], r["diverged_certified"], r["ok"]) for r in rows]
+        assert verdicts == [(0.02, True, True, False), (0.05, False, False, True)]
+        assert rows[1]["epsilon_0"] == pytest.approx(0.104, abs=5e-4)
 
     def test_failed_bound_exits_one(self, runner, monkeypatch):
         import ulamlab.cli as cli_mod
@@ -459,6 +475,10 @@ class TestHelpers:
         assert jsonify(1 + 2j) == [1.0, 2.0]
         assert jsonify(float("-inf")) == "-inf"
         assert jsonify({"a": (1, 2.5)}) == {"a": [1, 2.5]}
+
+    def test_jsonify_dataclass_by_fields(self):
+        record = IterationRecord(epsilon_n=0.5, delta_n=float("inf"), step_distance=0.25)
+        assert jsonify(record) == {"epsilon_n": 0.5, "delta_n": "inf", "step_distance": 0.25}
 
     def test_config_round_trip_excludes_salt_value(self):
         config = ExperimentConfig(command="gen", salt=123)

@@ -34,6 +34,7 @@ from ulamlab import (
     translate_coefficient,
     unit_defect,
 )
+from ulamlab.cli import jsonify
 
 TWO_SIN_TENTH = 0.1996668332936563  # |1 - exp(0.2i)|
 
@@ -318,8 +319,12 @@ def test_defect_report_fields(z2_phase):
     assert rep.delta <= 1e-15
     assert rep.norm_kind == "operator"
     assert rep.restricted is False
-    data = rep.to_dict()
-    assert set(data) >= {"epsilon", "delta", "iso_delta", "sup_norm", "witness_pair"}
+    data = jsonify(rep)
+    assert set(data) == {
+        "epsilon", "delta", "iso_delta", "sup_norm", "norm_kind", "witness_pair",
+        "witness_element", "restricted",
+    }
+    assert data["witness_pair"] == list(rep.witness_pair)
 
 
 def test_defect_report_on_free_ball_is_restricted():

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from ulamlab import (
     CERTIFIED_EPSILON,
-    DivergedError,
     GroupMap,
     NotRepairableError,
     PreconditionError,
@@ -31,6 +30,7 @@ from ulamlab import (
     trivial_rep,
     unit_defect,
 )
+from ulamlab.cli import jsonify
 
 stabilize_module = importlib.import_module("ulamlab.stabilize")
 
@@ -72,7 +72,7 @@ class TestBoundCertificate:
             contraction_series(1, 1, 2, 1.0)
 
     def test_certificate_serializes(self):
-        data = contraction_series(5, 1.1, 2, 0.5).to_dict()
+        data = jsonify(contraction_series(5, 1.1, 2, 0.5))
         assert data["kappa1"] == 5
         assert data["truncation_terms"] >= 1
 
@@ -220,14 +220,14 @@ class TestStabilize:
         with pytest.raises(ValueError):
             stabilize(phi, max_iter=0)
 
-    def test_certified_nonconvergence_raises(self):
+    def test_certified_nonconvergence_returns_trace(self):
+        # judging the run is the CLI's (diverged_certified); stabilize only computes
         phi = perturb_unitary(regular_rep(cyclic(4)), 0.02, seed=0)
         eps0, _ = mult_defect(phi)
         assert 0 < eps0 <= CERTIFIED_EPSILON
-        with pytest.raises(DivergedError) as info:
-            stabilize(phi, max_iter=1)
-        assert info.value.trace.converged is False
-        assert info.value.last is not None
+        last, trace = stabilize(phi, max_iter=1)
+        assert trace.converged is False
+        assert trace.final_defect == mult_defect(last)[0]
 
     def test_uncertified_nonconvergence_reports_quietly(self):
         # seed picked so the starting defect sits just above the certified cut

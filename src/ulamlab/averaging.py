@@ -14,6 +14,7 @@ import numpy as np
 
 from . import linalg, maps
 from .linalg import OPERATOR, NormKind
+from .generators import random_map
 from .groups import FiniteGroup, require_finite
 from .maps import (
     Bound,
@@ -29,12 +30,6 @@ from .maps import (
 )
 
 PRECONDITION_TOL = 1e-10
-
-
-def mean(phi: GroupMap) -> np.ndarray:
-    """Uniform average of the map's values."""
-    require_finite(phi.domain, "uniform mean")
-    return phi.values.mean(axis=0)
 
 
 def translate_average(
@@ -104,8 +99,6 @@ def condition_b_report(
     the sampled maps.  ``pd``: the Gram of every translate coefficient map is
     positive semidefinite (its worst minimum eigenvalue is at least zero).
     """
-    from .generators import random_map  # deferred to keep module load acyclic
-
     ones = constant_identity(group, dim)
     identity_residual = float(linalg.op_norm(form(ones, ones) - np.eye(dim)))
     ratios = [0.0]

@@ -130,18 +130,15 @@ class Report:
 
 
 def jsonify(obj):
-    """Reduce to JSON-safe types: complex as [re, im], matrices row-major,
-    an object by its ``to_dict``, else a dataclass by its fields."""
+    """Reduce to JSON-safe types: tuples as lists, numpy scalars as Python ones,
+    an object by its ``to_dict``, else a dataclass by its fields.  Map values
+    come already encoded by :func:`~ulamlab.maps.map_to_dict`."""
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     if hasattr(obj, "to_dict"):
         return jsonify(obj.to_dict())
-    if isinstance(obj, np.ndarray):
-        return jsonify(obj.tolist())
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):

@@ -120,7 +120,7 @@ def perturb_unitary(pi: GroupMap, theta: float, seed: int) -> GroupMap:
     vals = pi.values.copy()
     d = pi.dim
     # the stream of one (d, d) real part, then one imaginary part, per element
-    others = np.delete(np.arange(len(vals)), pi.identity_index)
+    others = np.delete(np.arange(len(vals)), pi.domain.identity)
     for block in maps._blocks(len(others), d * d):
         xs = others[block]
         parts = rng.standard_normal((len(xs), 2, d, d))

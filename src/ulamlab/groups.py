@@ -50,12 +50,6 @@ class FiniteGroup:
     inv: np.ndarray  # (order,) int table of inverses
     label: str
 
-    def product(self, a: int, b: int) -> int:
-        return int(self.mul[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
 
 @dataclass(eq=False)
 class FreeBall:
@@ -182,17 +176,6 @@ def from_table(mul, label: str = "table") -> FiniteGroup:
             raise NotAGroupError(f"element {a} lacks a two-sided inverse")
         inv[a] = candidates[0]
     return FiniteGroup(n, t, identity, inv, label)
-
-
-def reduce_word(word) -> tuple[int, ...]:
-    """Cancel adjacent inverse letter pairs until the word is reduced."""
-    out: list[int] = []
-    for letter in word:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 def free_ball(rank: int, radius: int) -> FreeBall:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
-DEFAULT_SIGMA_MIN_TOL = 1e-8
+SIGMA_MIN_TOL = 1e-8
 
 
 class SingularInputError(ValueError):
@@ -138,11 +138,6 @@ def op_norm(a) -> float:
     return float(singular_values(as_matrix(a))[0])
 
 
-def uinorm(a, kind: NormKind = OPERATOR) -> float:
-    """Norm of ``a`` under the selected gauge."""
-    return float(gauge(singular_values(as_matrix(a)), kind))
-
-
 def _asymmetry(m: np.ndarray, tol: float) -> float:
     """An upper bound on the worst ``||m - m*||`` (operator norm) over a stack.
 
@@ -166,27 +161,29 @@ def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     return (m + adj(m)) / 2.0
 
 
-def _polar_unitary(a, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> tuple[np.ndarray, ...]:
+def _polar_unitary(a) -> tuple[np.ndarray, ...]:
     """``(u, s, vh)``: the unitary polar factor of ``a`` (or of each matrix of a
     stack) and the SVD parts it is formed from; refuses as :func:`polar` does."""
     u_left, s, vh = np.linalg.svd(_as_matrices(a))
     smallest = s[..., -1].ravel()
-    low = np.flatnonzero(smallest < sigma_min_tol)
+    low = np.flatnonzero(smallest < SIGMA_MIN_TOL)
     if low.size:
         raise SingularInputError(
-            f"smallest singular value {smallest[low[0]]:.3e} is below {sigma_min_tol:.3e}"
+            f"smallest singular value {smallest[low[0]]:.3e} is below {SIGMA_MIN_TOL:.3e}"
         )
     return u_left @ vh, s, vh
 
 
-def polar(a, sigma_min_tol: float = DEFAULT_SIGMA_MIN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def polar(a) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition ``a = u @ p`` with ``u`` unitary and ``p`` PSD.
 
     ``a`` may be a stack, decomposed matrix by matrix.  Raises
     :class:`SingularInputError` when a smallest singular value falls below
-    ``sigma_min_tol``, naming the first such matrix's.
+    ``SIGMA_MIN_TOL``, naming the first such matrix's.  The package's snap
+    forms only ``u`` (:func:`_polar_unitary`); the tests and the benchmark's
+    tracer (``bench/spans.py``) take this function as its reference.
     """
-    u, s, vh = _polar_unitary(a, sigma_min_tol)
+    u, s, vh = _polar_unitary(a)
     p = adj(vh) @ (s[..., :, None] * vh)
     p = (p + adj(p)) / 2.0
     return u, p

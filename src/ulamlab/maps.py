@@ -123,15 +123,6 @@ class GroupMap:
             raise ValueError("map values must be finite")
         self.values = vals
 
-    @property
-    def identity_index(self) -> int:
-        return self.domain.identity
-
-    @property
-    def restricted(self) -> bool:
-        """True when products are only defined on the domain's pair index."""
-        return isinstance(self.domain, FreeBall)
-
 
 def constant_identity(domain: FiniteGroup | FreeBall, dim: int) -> GroupMap:
     vals = np.broadcast_to(np.eye(dim, dtype=np.complex128), (n_elements(domain), dim, dim))
@@ -622,7 +613,7 @@ def defect_report(phi: GroupMap, kind: NormKind = OPERATOR) -> DefectReport:
         norm_kind=kind.describe(),
         witness_pair=pair,
         witness_element=element,
-        restricted=phi.restricted,
+        restricted=isinstance(phi.domain, FreeBall),
     )
 
 
@@ -632,17 +623,13 @@ def perturbation_bound_report(phi: GroupMap, psi: GroupMap) -> Certificate:
     Each bound is the defect of ``phi`` plus the growth a uniform
     perturbation of size ``eta = distance(phi, psi)`` can cause.
     """
-    _require_compatible(phi, psi)
     eta = distance(phi, psi)
-    norms = sup_norm(phi) + sup_norm(psi)
-    eps_phi, _ = mult_defect(phi)
-    unit_phi, _ = unit_defect(phi)
-    eps_psi, _ = mult_defect(psi)
-    unit_psi, _ = unit_defect(psi)
+    a, b = defect_report(phi), defect_report(psi)
+    norms = a.sup_norm + b.sup_norm
     return Certificate(
-        iso=Bound(iso_defect(psi), iso_defect(phi) + norms * eta, tol=1e-10),
-        unit=Bound(unit_psi, unit_phi + norms * eta, tol=1e-10),
-        mult=Bound(eps_psi, eps_phi + (1.0 + norms) * eta, tol=1e-10),
+        iso=Bound(b.iso_delta, a.iso_delta + norms * eta, tol=1e-10),
+        unit=Bound(b.delta, a.delta + norms * eta, tol=1e-10),
+        mult=Bound(b.epsilon, a.epsilon + (1.0 + norms) * eta, tol=1e-10),
     )
 
 

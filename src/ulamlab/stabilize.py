@@ -87,23 +87,6 @@ def contraction_series(kappa1: float, kappa2: float, p: float, delta: float) -> 
     )
 
 
-def product_constant(c: float, p: float, delta: float) -> float:
-    """Evaluate ``prod_{n>=0} (1 + c * delta^(p^n))`` to machine accuracy."""
-    if c < 0:
-        raise ValueError(f"c must be nonnegative, got {c}")
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
-    if not 0 <= delta < 1:
-        raise ValueError(f"delta must lie in [0, 1), got {delta}")
-    out = 1.0
-    for n in range(10000):
-        factor = c * delta ** (p**n)
-        if factor < 1e-16 * out:
-            break
-        out *= 1.0 + factor
-    return out
-
-
 def _unitary_part(phi: GroupMap) -> tuple[GroupMap, float]:
     """The polar unitary factor of every value, and the unit defect it removed."""
     delta, _ = unit_defect(phi)
@@ -151,7 +134,7 @@ def kazhdan_step(phi: GroupMap) -> tuple[GroupMap, Certificate]:
     psi = average_pd(phi)
     eye = np.eye(phi.dim, dtype=np.complex128)
     out_delta, _ = unit_defect(psi)
-    unital_residual = float(linalg.op_norm(psi.values[psi.identity_index] - eye))
+    unital_residual = float(linalg.op_norm(psi.values[psi.domain.identity] - eye))
     return psi, Certificate(
         unital=Bound(unital_residual, 0.0, tol=1e-11),
         pd=Bound(0.0, pd_min_eig(psi), tol=1e-9),

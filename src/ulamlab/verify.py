@@ -19,8 +19,8 @@ from . import linalg
 from .linalg import OPERATOR, ky_fan, schatten
 from .averaging import condition_b_report, estimate_checks
 from .generators import (
+    _rng,
     compress_rep,
-    derive_seed,
     perturb_unitary,
     random_map,
     regular_rep,
@@ -70,7 +70,7 @@ def pool_group(spec: str):
 
 
 def _suite_rng(seed: int, label: str) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=derive_seed(seed, f"suite:{label}")))
+    return _rng(seed, f"suite:{label}")
 
 
 @dataclass
@@ -175,7 +175,7 @@ def stinespring_inequality_suite(seed: int, rng: np.random.Generator):
     sub_dim = int(rng.integers(1, min(8, g.order) + 1))
     phi = compress_rep(regular_rep(g), sub_dim, seed)
     v = phi.values
-    e = phi.identity_index
+    e = phi.domain.identity
     left_defect = batch_norms(v[e][None] - v @ adj(v))
     right_defect = batch_norms(v[e][None] - adj(v) @ v)
     mults = pair_defect_norms(phi).reshape(g.order, g.order)
@@ -315,7 +315,3 @@ def dixmier_contract_suite(seed: int, rng: np.random.Generator):
 def run_suite(name: str, seeds: Sequence[int]) -> SuiteResult:
     """Run the registered suite ``name`` over ``seeds``."""
     return SUITES[name](list(seeds))
-
-
-def run_all_suites(seeds: Sequence[int], names: Sequence[str] | None = None) -> list[SuiteResult]:
-    return [run_suite(name, seeds) for name in (names or SUITES)]

@@ -27,11 +27,9 @@ from ulamlab import (
     dixmier_unitarize,
     estimate_checks,
     free_ball,
-    mean,
     mult_defect,
     pd_min_eig,
     perturb_unitary,
-    product_constant,
     regular_rep,
     run_suite,
     schatten,
@@ -40,6 +38,8 @@ from ulamlab import (
     symmetric,
     unit_defect,
 )
+
+from oracles import mean, product_constant
 
 CORPUS_SIZE = 100
 CORPUS_THETA_MAX = 0.03

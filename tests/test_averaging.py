@@ -14,7 +14,6 @@ from ulamlab import (
     estimate_checks,
     form,
     free_ball,
-    mean,
     pd_min_eig,
     perturb_unitary,
     random_map,
@@ -25,6 +24,8 @@ from ulamlab import (
     unit_defect,
 )
 from ulamlab.averaging import translate_average, translate_coefficient as _tc
+
+from oracles import mean
 
 COS_TENTH = 0.9950041652780258
 SIN_TENTH = 0.09983341664682815

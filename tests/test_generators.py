@@ -57,7 +57,7 @@ def test_regular_rep_permutes_basis_vectors():
             e_y = np.zeros(g.order)
             e_y[y] = 1.0
             out = rho.values[x] @ e_y
-            assert out[g.product(x, y)] == 1.0
+            assert out[g.mul[x, y]] == 1.0
             assert out.sum() == 1.0
     eps, _ = mult_defect(rho)
     assert eps == 0.0
@@ -159,7 +159,7 @@ class TestCompressRep:
         assert sup_norm(phi) <= 1.0 + 1e-12
         for x in range(g.order):
             assert_allclose(
-                phi.values[g.inverse(x)], phi.values[x].conj().T, atol=1e-12
+                phi.values[g.inv[x]], phi.values[x].conj().T, atol=1e-12
             )
 
     def test_defect_equivalence_for_exact_isometries(self):

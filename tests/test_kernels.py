@@ -48,7 +48,6 @@ from ulamlab import (
     pd_min_eig,
     perturb_unitary,
     random_map,
-    reduce_word,
     regular_rep,
     schatten,
     stabilize,
@@ -56,12 +55,13 @@ from ulamlab import (
     symmetric,
     translate_average,
     translate_coefficient,
-    uinorm,
     unit_defect,
 )
 from ulamlab.cli import _parallel
 from ulamlab.generators import character_rep
 from ulamlab.stabilize import _unitary_part
+
+from oracles import reduce_word, uinorm
 
 GROUPS = [
     cyclic(1),
@@ -211,7 +211,7 @@ def perturb_reference(pi, theta, seed):
     vals = pi.values.copy()
     d = pi.dim
     for x in range(len(vals)):
-        if x == pi.identity_index:
+        if x == pi.domain.identity:
             continue
         a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         h = a + a.conj().T
@@ -385,7 +385,7 @@ def test_split_scan_keeps_the_first_witness():
     # they fall into every share.
     rep = regular_rep(cyclic(8))
     values = 0.9 * rep.values
-    values[rep.identity_index] = rep.values[rep.identity_index]
+    values[rep.domain.identity] = rep.values[rep.domain.identity]
     phi = GroupMap(rep.domain, rep.dim, values)
     value, witness = mult_defect(phi)
     assert np.count_nonzero(pair_defect_norms(phi) == value) == 7

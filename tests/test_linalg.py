@@ -13,9 +13,10 @@ from ulamlab.linalg import (
     parse_norm,
     polar,
     schatten,
-    uinorm,
     unitary_exp,
 )
+
+from oracles import uinorm
 
 
 def test_op_norm_diagonal():

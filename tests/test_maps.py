@@ -65,7 +65,7 @@ def test_scalar_phase_is_exactly_unitary(z2_phase):
 def test_mult_defect_witness_recomputes(z2_phase):
     eps, (x, y) = mult_defect(z2_phase)
     g = z2_phase.domain
-    xy = g.product(x, y)
+    xy = g.mul[x, y]
     direct = abs(
         z2_phase.values[xy, 0, 0] - z2_phase.values[x, 0, 0] * z2_phase.values[y, 0, 0]
     )
@@ -215,7 +215,7 @@ def _near_representation(which: str, defect: float) -> GroupMap:
         scale = np.full(16, np.sqrt(1.0 - defect))
     else:
         scale = np.full(16, np.exp(1j * np.arcsin(defect / 2.0)))
-        scale[pi.identity_index] = 1.0
+        scale[pi.domain.identity] = 1.0
     return GroupMap(pi.domain, 16, scale[:, None, None] * pi.values)
 
 

@@ -1,3 +1,5 @@
+import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,3 +35,68 @@ def test_import_loads_no_numpy_so_the_cli_can_pin_blas():
         [sys.executable, "-c", LAZY_IMPORT], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+SRC = Path(ulamlab.__file__).resolve().parent
+
+
+def _defines(stmt: ast.stmt, name: str) -> bool:
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return stmt.name == name
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    return any(isinstance(t, ast.Name) and t.id == name for t in targets)
+
+
+def _has_caller(name: str, home: str, trees: dict[str, ast.Module]) -> bool:
+    """Whether a module of the package reads ``name`` of module ``home``
+    outside its own definition: by name in ``home``, as ``home.name``, or
+    through ``from .home import name``."""
+    for module, tree in trees.items():
+        own = set()
+        if module == home:
+            own = {id(n) for stmt in tree.body if _defines(stmt, name) for n in ast.walk(stmt)}
+        for node in ast.walk(tree):
+            if id(node) in own:
+                continue
+            by_name = isinstance(node, ast.Name) and module == home and node.id == name
+            by_attribute = (
+                isinstance(node, ast.Attribute)
+                and node.attr == name
+                and isinstance(node.value, ast.Name)
+                and node.value.id == home
+            )
+            by_import = (
+                isinstance(node, ast.ImportFrom)
+                and node.module == home
+                and any(alias.name == name for alias in node.names)
+            )
+            if by_name or by_attribute or by_import:
+                return True
+    return False
+
+
+def test_every_public_name_has_a_caller_in_the_package():
+    # read from the syntax tree, not the text: docstrings name functions too
+    trees = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    names = [n for n in ulamlab.__all__ if n != "__version__"]
+    assert [n for n in names if not _has_caller(n, ulamlab._SOURCE[n], trees)] == []
+
+
+def test_names_the_benchmark_reads_resolve():
+    # bench/spans.py looks its traced functions up with a bare getattr, and
+    # bench/record_reference.py reads the verify names below
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    pairs = list(spans.TRACED) + [("verify", "_suite_rng"), ("verify", "POOL_SPECS"), ("verify", "SUITES")]
+    missing = [
+        f"{module}.{name}"
+        for module, name in pairs
+        if not hasattr(importlib.import_module(f"ulamlab.{module}"), name)
+    ]
+    assert missing == []

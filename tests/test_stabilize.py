@@ -21,7 +21,6 @@ from ulamlab import (
     mult_defect,
     perturb_unitary,
     polar_repair,
-    product_constant,
     random_map,
     regular_rep,
     similarity_twist,
@@ -31,6 +30,8 @@ from ulamlab import (
     unit_defect,
 )
 from ulamlab.cli import jsonify
+
+from oracles import product_constant
 
 stabilize_module = importlib.import_module("ulamlab.stabilize")
 

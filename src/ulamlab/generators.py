@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -228,6 +229,14 @@ class GenSpec:
     dim: int = 1
 
     def __post_init__(self) -> None:
+        number = {int: numbers.Integral, float: numbers.Real}  # by the type of a field's default
+        for f in fields(self):
+            value, want = getattr(self, f.name), number.get(type(f.default))
+            if want and (isinstance(value, bool) or not isinstance(value, want)):
+                what = "an integer" if want is numbers.Integral else "a number"
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if f.name == "group" and not (value is None or isinstance(value, str)):
+                raise ValueError(f"group must be a group spec string, got {value!r}")
         if self.kind not in GENSPEC_KINDS:
             raise ValueError(f"unknown genspec kind {self.kind!r}")
         for name in ("theta", "bound", "sup"):
@@ -278,6 +287,8 @@ class GenSpec:
             raise ValueError(f"unknown genspec fields: {sorted(extra)}")
         kwargs = dict(data)
         if "parts" in kwargs:
+            if not isinstance(kwargs["parts"], list):
+                raise ValueError(f"parts must be a list of genspecs, got {kwargs['parts']!r}")
             kwargs["parts"] = tuple(GenSpec.from_dict(p) for p in kwargs["parts"])
         if kwargs.get("base") is not None:
             kwargs["base"] = GenSpec.from_dict(kwargs["base"])

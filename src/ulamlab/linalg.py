@@ -138,21 +138,17 @@ def op_norm(a) -> float:
     return float(singular_values(as_matrix(a))[0])
 
 
-def _asymmetry(m: np.ndarray, tol: float) -> float:
-    """An upper bound on the worst ``||m - m*||`` (operator norm) over a stack.
+def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """``(m + m*) / 2``, refusing a stack whose worst ``||m - m*||`` (operator
+    norm) exceeds ``HERMITIAN_TOL``.
 
-    The Frobenius norm bounds the operator norm from above, so it is returned
-    when it is within ``tol``; otherwise the exact operator norm is.
+    The Frobenius norm bounds the operator norm from above, so the exact
+    operator norm is taken only when the Frobenius norm exceeds the tolerance.
     """
     diff = m - adj(m)
-    frobenius = float(np.max(np.linalg.norm(diff, axis=(-2, -1)), initial=0.0))
-    if frobenius <= tol:
-        return frobenius
-    return float(singular_values(diff)[..., 0].max(initial=0.0))
-
-
-def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
-    defect = _asymmetry(m, HERMITIAN_TOL)
+    defect = float(np.max(np.linalg.norm(diff, axis=(-2, -1)), initial=0.0))
+    if not defect <= HERMITIAN_TOL:
+        defect = float(singular_values(diff)[..., 0].max(initial=0.0))
     if defect > HERMITIAN_TOL:
         raise ValueError(
             f"{what} needs a Hermitian matrix: asymmetry {defect:.3e} "

@@ -532,57 +532,46 @@ def sup_norm(phi: GroupMap) -> float:
     return float(batch_norms(phi.values).max())
 
 
-def distance(phi: GroupMap, psi: GroupMap, kind: NormKind = OPERATOR) -> float:
-    """Uniform distance ``max_x ||phi(x) - psi(x)||`` under ``kind``."""
+def distance(phi: GroupMap, psi: GroupMap) -> float:
+    """Uniform distance ``max_x ||phi(x) - psi(x)||`` in operator norm."""
     _require_compatible(phi, psi)
-    if kind.kind != "operator":
-        return float(batch_norms(phi.values - psi.values, kind).max())
     return _op_argmax(len(phi.values), phi.dim, (phi.values - psi.values).__getitem__)[0]
 
 
 def pd_min_eig(phi: GroupMap) -> float:
     """Smallest eigenvalue of the full-group Gram block matrix.
 
-    The Gram ``G`` has blocks ``phi(inv(x_i) * x_j)``.  Its Hermitian part
-    ``(G + G*) / 2`` is written into one ``(n d)^2`` array, a few block rows
-    (``_SPLIT_BLOCK`` entries) at a time, and the same pass sums the squares
-    of ``G - G*``.  A Gram that is not Hermitian within ``GRAM_HERMITIAN_TOL``
-    in operator norm is definitely not PSD and is reported as ``-inf``; the
-    exact norm is taken, from ``G - G*`` written over the same array, only
-    when that Frobenius norm exceeds the tolerance.
+    The Gram ``G`` has blocks ``phi(inv(x_i) * x_j)``.  Block ``(i, j)`` of
+    ``G*`` is ``phi(inv(x_j) * x_i)*``, and ``inv(x_j) * x_i`` is the
+    inverse of ``inv(x_i) * x_j``, so with ``mirror(x) = phi(inv(x))*`` the
+    Hermitian part ``(G + G*) / 2`` is the Gram of ``h = (phi + mirror) /
+    2``, ``G - G*`` that of ``s = phi - mirror``, and ``||G - G*||_F^2 = n
+    sum_x ||s(x)||_F^2``.  A Gram that is not Hermitian within
+    ``GRAM_HERMITIAN_TOL`` in operator norm is definitely not PSD and is
+    reported as ``-inf``; the exact norm, of the Gram of ``s``, is taken only
+    when that Frobenius norm exceeds the tolerance.  Each Gram is gathered
+    into one ``(n d)^2`` array, a few block rows (``_SPLIT_BLOCK`` entries)
+    at a time.
     """
     g = require_finite(phi.domain, "the full-group Gram")
     n, d = g.order, phi.dim
     if n * d > MAX_GRAM_DIM:
         raise SizeLimitError(f"Gram dimension {n * d} exceeds MAX_GRAM_DIM = {MAX_GRAM_DIM}")
     v, cols = phi.values, np.arange(n)
+    mirror = adj(v[g.inv])
     gram = np.empty((n, d, n, d), dtype=np.complex128)
 
-    def rows(hermitian: bool, sl: slice) -> np.ndarray:
-        """Rows ``sl`` of ``(G + G*) / 2``, else of ``G - G*``; each row's ``||G - G*||_F^2``."""
-        a = v[g.mul[g.inv[sl, None], cols]].transpose(0, 2, 1, 3)  # block (i, j) of G
-        mirror = v[g.mul[g.inv, cols[sl, None]]]  # block (j, i) of G, conjugated in place
-        b = np.conjugate(mirror, out=mirror).transpose(0, 3, 1, 2)  # block (i, j) of G*
-        out = gram[sl]
-        if hermitian:
-            np.divide(np.add(a, b, out=out), 2.0, out=out)
-        np.subtract(a, b, out=b)
-        if not hermitian:
-            out[...] = b
-        flat = mirror.reshape(len(mirror), -1).view(np.float64)
-        return np.einsum("ij,ij->i", flat, flat)
+    def fill(blocks: np.ndarray) -> np.ndarray:
+        """The Gram of a per-element map: block ``(i, j)`` is ``blocks[inv(x_i) * x_j]``."""
+        for sl in _blocks(n, n * d * d, _SPLIT_BLOCK):
+            gram[sl] = blocks[g.mul[g.inv[sl, None], cols]].transpose(0, 2, 1, 3)
+        return gram.reshape(n * d, n * d)
 
-    def fill(hermitian: bool) -> float:
-        blocks = _blocks(n, n * d * d, _SPLIT_BLOCK)
-        return float(np.concatenate([rows(hermitian, sl) for sl in blocks]).sum())
-
-    big = gram.reshape(n * d, n * d)
-    if not np.sqrt(fill(True)) <= GRAM_HERMITIAN_TOL:
-        fill(False)
-        if linalg.singular_values(big)[0] > GRAM_HERMITIAN_TOL:
+    s = v - mirror
+    if not np.sqrt(n) * np.linalg.norm(s) <= GRAM_HERMITIAN_TOL:
+        if linalg.singular_values(fill(s))[0] > GRAM_HERMITIAN_TOL:
             return float("-inf")
-        fill(True)
-    return float(np.linalg.eigvalsh(big)[0])
+    return float(np.linalg.eigvalsh(fill((v + mirror) / 2.0))[0])
 
 
 @dataclass

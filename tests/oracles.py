@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ulamlab.groups import require_finite
+from ulamlab.groups import FiniteGroup, from_table, require_finite
 from ulamlab.linalg import OPERATOR, NormKind, as_matrix, gauge, singular_values
 from ulamlab.maps import GroupMap
 from ulamlab.verify import SUITES, SuiteResult, run_suite
@@ -23,6 +23,12 @@ def reduce_word(word) -> tuple[int, ...]:
         else:
             out.append(letter)
     return tuple(out)
+
+
+def reversed_labels(g: FiniteGroup) -> FiniteGroup:
+    """``g`` relabelled by ``x -> order - 1 - x``, so its identity is not index 0."""
+    last = g.order - 1
+    return from_table((last - g.mul)[::-1, ::-1], label=f"{g.label}:reversed")
 
 
 def uinorm(a, kind: NormKind = OPERATOR) -> float:

@@ -220,6 +220,23 @@ class TestExitCodes:
             ["gen", "--group", f"table:{list_table}"],
             ["gen", "--genspec", json.dumps({"kind": "regular", "group": f"table:{missing}"})],
         ]
+        # a field of the wrong JSON type
+        wrong_types = [
+            {"kind": "perturbed", "theta": "0.1"},
+            {"kind": "perturbed", "theta": None},
+            {"kind": "twisted", "bound": "2"},
+            {"kind": "compressed", "sub_dim": "2"},
+            {"kind": "compressed", "sub_dim": 2.5},
+            {"kind": "random_map", "sup": [1]},
+            {"kind": "random_map", "dim": "3"},
+            {"kind": "random_map", "dim": True},
+            {"kind": "character", "k": "a"},
+            {"kind": "character", "k": None},
+            {"kind": "character", "k": 1.5},
+            {"kind": "direct_sum", "parts": 5},
+        ]
+        cases += [["gen", "--group", "cyclic:4", "--genspec", json.dumps(spec)] for spec in wrong_types]
+        cases.append(["gen", "--genspec", '{"kind":"regular","group":5}'])
         for args in cases:
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)

@@ -257,6 +257,14 @@ def test_genspec_rejects_unknown_kind_and_fields():
         GenSpec.from_dict({"kind": "regular", "bogus": 1})
     with pytest.raises(ValueError):
         GenSpec.from_dict({"theta": 0.1})
+    with pytest.raises(ValueError, match="theta must be a number, got '0.1'"):
+        GenSpec.from_dict({"kind": "perturbed", "theta": "0.1"})
+    with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
+        GenSpec.from_dict({"kind": "character", "k": 1.5})
+    with pytest.raises(ValueError, match="group"):
+        GenSpec.from_dict({"kind": "regular", "group": 5})
+    # numpy scalars are numbers, and a float field takes an integer
+    assert GenSpec("character", k=np.int64(2), theta=np.float64(0.1), bound=2).k == 2
 
 
 def test_parse_genspec_inline_and_file(tmp_path):

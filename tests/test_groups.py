@@ -23,7 +23,7 @@ from ulamlab.groups import (
     symmetric,
 )
 
-from oracles import reduce_word
+from oracles import reduce_word, reversed_labels
 
 # Latin square with identity that is not associative (a loop, not a group).
 NONASSOCIATIVE_LOOP = [
@@ -108,6 +108,25 @@ def test_direct_product_axioms_and_order():
     assert g.order == 6
     klein = direct_product(cyclic(2), cyclic(2))
     assert all(klein.mul[a, a] == 0 for a in range(4))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cyclic(1), cyclic(12), dihedral(4), symmetric(4), direct_product(cyclic(2), dihedral(3)),
+     reversed_labels(dihedral(4))],
+    ids=lambda g: g.label,
+)
+def test_swapped_quotient_is_the_inverse_quotient(g):
+    # x_j^-1 x_i = (x_i^-1 x_j)^-1, so block (i, j) of a Gram's adjoint is a
+    # function of x_i^-1 x_j alone; pd_min_eig builds G* on this identity.
+    check_group_axioms(g)
+    a = g.mul[g.inv]
+    assert np.array_equal(a.T, g.inv[a])
+
+
+def test_reversed_labels_move_the_identity():
+    g = reversed_labels(dihedral(4))
+    assert g.identity == 7
 
 
 def test_caps_reject_oversized_groups():

@@ -356,7 +356,7 @@ def split_consumers(phi):
         "unit_defect": unit_defect(near),
         "iso_defect": iso_defect(near),
         "sup_norm": sup_norm(near),
-        "distance": distance(phi, psi, ky_fan(2)),
+        "distance": distance(phi, psi),
     }
 
 

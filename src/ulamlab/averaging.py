@@ -40,8 +40,9 @@ def translate_average(
     ``f(translated, values)`` receives a block of rows
     ``translated[x, y] = phi(x y)`` and ``phi.values``, and returns the sum
     over ``y`` for each row of the block.  Blocks hold at most
-    ``_PAIR_CHUNK`` complex entries, or one row of ``n d^2`` when a row is
-    larger, instead of the whole ``(n, n, d, d)`` tensor.
+    ``maps._BLOCK`` complex entries a thread, split or not, or one row of
+    ``n d^2`` when a row is larger, instead of the whole ``(n, n, d, d)``
+    tensor.
     """
     g = require_finite(phi.domain, "translate averaging")
     sums = np.empty(phi.values.shape, dtype=np.complex128)

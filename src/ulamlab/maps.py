@@ -23,7 +23,6 @@ from .groups import FiniteGroup, FreeBall, n_elements, require_finite
 
 GRAM_HERMITIAN_TOL = 1e-8
 MAX_GRAM_DIM = 8192
-_PAIR_CHUNK = 1 << 22  # complex entries per batch of pair products
 # Complex entries each kernel thread must get before a split pays for waking
 # it.  Measured on a 2-core VM at one BLAS thread on symmetric:4 (values of
 # 24x24): the polar snap of 24 values (13,824 entries) took 6.3 ms serial and
@@ -31,11 +30,15 @@ _PAIR_CHUNK = 1 << 22  # complex entries per batch of pair products
 # of 24 values 1.3 ms and 2.0 ms; a `stabilize` seed took 139-145 ms at 2^12
 # and 145-148 ms at 2^14, where none of the three splits.
 _MIN_SPLIT = 1 << 12
-# Complex entries a kernel thread takes at a time.  A thread keeps the memory
-# of its largest block in its own malloc arena, so whole shares raised the peak
-# RSS of three symmetric:4 `verify` seeds by 10.5 MiB; blocks of 2^15 entries
-# raise it by 2.3 MiB and run no slower.
-_SPLIT_BLOCK = 1 << 15
+# Complex entries a kernel thread takes at a time, serial or split.  A thread
+# keeps the memory of its largest block in its own malloc arena: whole shares
+# raised the peak RSS of three symmetric:4 `verify` seeds by 10.5 MiB, blocks
+# of 2^15 entries by 2.3 MiB, no slower.  Unsplit kernels (each `--workers`
+# thread, a 1-core host) at 2^22 entries built whole (n, n, d, d) tensors:
+# `stabilize --group cyclic:40 --seeds 0..1 --workers 2` peaked at 129-133 MiB
+# RSS against 53-54 MiB at 2^15, in no more time; the `stabilize-s4-w2`
+# benchmark at 91-97 MiB against 84-85.
+_BLOCK = 1 << 15
 # Complex entries the bound passes of `_op_argmax` take at a time, serial or
 # split.  The single-precision temporaries of a block (128 KiB each) stay
 # below glibc's default mmap threshold and reuse heap pages, and a block of
@@ -171,15 +174,15 @@ def _pair_arrays(
     return xs, ys, domain.mul[xs, ys]
 
 
-def _blocks(count: int, entries: int, block: int | None = None):
-    """Slices of ``count`` items of ``entries`` complex entries each.
+def _blocks(stop: int, entries: int, block: int | None = None, start: int = 0):
+    """Slices of the items ``start`` to ``stop`` of ``entries`` complex entries each.
 
-    A block holds at most ``block`` (if given) and ``_PAIR_CHUNK`` entries,
-    or one item when an item is larger.
+    A block holds at most ``block`` (if given) and ``_BLOCK`` entries, or
+    one item when an item is larger.
     """
-    step = max(1, min(block or _PAIR_CHUNK, _PAIR_CHUNK) // entries)
-    for lo in range(0, count, step):
-        yield slice(lo, lo + step)
+    step = max(1, min(block or _BLOCK, _BLOCK) // entries)
+    for lo in range(start, stop, step):
+        yield slice(lo, min(lo + step, stop))
 
 
 @functools.cache
@@ -239,9 +242,9 @@ def _for_blocks(
     Serially the blocks are those of ``_blocks(count, entries, block)``.
     When the calling thread's budget allows ``t > 1`` threads and each gets
     at least ``_MIN_SPLIT`` entries, the items are cut into ``t`` contiguous
-    shares and each share into blocks of at most ``block`` (by default
-    ``_SPLIT_BLOCK``) and ``_PAIR_CHUNK / t`` entries (or one item), so the
-    entries in flight stay within ``_PAIR_CHUNK``.
+    shares and each share into the blocks of ``_blocks``, so a thread holds
+    at most ``block`` and ``_BLOCK`` entries (or one item) at a time, split
+    or not.
     ``fn`` must write only the rows of its block and compute each row
     independently of the others (batched products and decompositions do),
     which makes the result the same at every budget.  The exception of the
@@ -252,12 +255,8 @@ def _for_blocks(
         threads = min(threads, getattr(_budget, "threads", None) or _cores())
     if threads <= 1:
         return [fn(sl) for sl in _blocks(count, entries, block)]
-    step = max(1, min(_PAIR_CHUNK // threads, block or _SPLIT_BLOCK) // entries)
     cuts = [count * i // threads for i in range(threads + 1)]
-    shares = [
-        [slice(lo, min(lo + step, hi)) for lo in range(start, hi, step)]
-        for start, hi in zip(cuts, cuts[1:])
-    ]
+    shares = [list(_blocks(hi, entries, block, lo)) for lo, hi in zip(cuts, cuts[1:])]
     futures = [_executor().submit(_run_share, fn, share) for share in shares[1:]]
     try:
         out = _run_share(fn, shares[0])
@@ -432,9 +431,9 @@ def pair_defect_norms(
 
     Entries follow the order of ``_pair_arrays``, so a finite group's result
     reshapes to ``(n, n)`` indexed by ``[x, y]``.  A sequence of kinds gives
-    one row per kind from a single scan.  Products are formed
-    ``_PAIR_CHUNK`` complex entries at a time, which bounds the memory of the
-    scan independently of the number of pairs.
+    one row per kind from a single scan.  Products are formed at most
+    ``_BLOCK`` complex entries (or one pair) a thread at a time, which bounds
+    the memory of the scan independently of the number of pairs.
     """
     kinds = (kind,) if isinstance(kind, NormKind) else tuple(kind)
     norms = _stack_norms(_pair_count(phi.domain), phi.dim, lambda sl: _pair_defects(phi, sl), kinds)
@@ -550,7 +549,7 @@ def pd_min_eig(phi: GroupMap) -> float:
     ``GRAM_HERMITIAN_TOL`` in operator norm is definitely not PSD and is
     reported as ``-inf``; the exact norm, of the Gram of ``s``, is taken only
     when that Frobenius norm exceeds the tolerance.  Each Gram is gathered
-    into one ``(n d)^2`` array, a few block rows (``_SPLIT_BLOCK`` entries)
+    into one ``(n d)^2`` array, a few block rows (``_BLOCK`` entries)
     at a time.
     """
     g = require_finite(phi.domain, "the full-group Gram")
@@ -563,7 +562,7 @@ def pd_min_eig(phi: GroupMap) -> float:
 
     def fill(blocks: np.ndarray) -> np.ndarray:
         """The Gram of a per-element map: block ``(i, j)`` is ``blocks[inv(x_i) * x_j]``."""
-        for sl in _blocks(n, n * d * d, _SPLIT_BLOCK):
+        for sl in _blocks(n, n * d * d):
             gram[sl] = blocks[g.mul[g.inv[sl, None], cols]].transpose(0, 2, 1, 3)
         return gram.reshape(n * d, n * d)
 

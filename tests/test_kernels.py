@@ -1,11 +1,13 @@
 """The chunked kernels against dense references, and their memory bound.
 
 ``pair_defect_norms`` and ``translate_average`` (and the checks built on the
-same chunking) form their products ``ulamlab.maps._PAIR_CHUNK`` complex
-entries at a time, and the batched polar snap and perturbation decompose
-their values in blocks of the same size.  Shrinking that constant forces many
-chunks and a ragged last one, which must not change any result.  The batched
-decompositions must equal their matrix-by-matrix forms bit for bit.
+same chunking) form their products at most ``ulamlab.maps._BLOCK`` complex
+entries a thread at a time, serial or split, and the batched polar snap and
+perturbation decompose their values in blocks of the same size.  Shrinking
+that constant forces many chunks and a ragged last one, which must not change
+any result; at the shipped size every kernel stays within one memory bound,
+at one kernel thread as at two.  The batched decompositions must equal their
+matrix-by-matrix forms bit for bit.
 
 The same kernels split their blocks across the kernel threads of the calling
 thread's budget (``ulamlab.maps._kernel_threads``).  Every budget must give
@@ -74,18 +76,17 @@ GROUPS = [
 ]
 KINDS = [OPERATOR, schatten(1), schatten(2, normalized=True), ky_fan(2)]
 TOL = 1e-14
-MEMORY_CHUNK = 1 << 14
 MEMORY_BOUND = 8 << 20  # bytes
 
 
 @contextlib.contextmanager
-def pair_chunk(entries: int):
-    saved = ulamlab.maps._PAIR_CHUNK
-    ulamlab.maps._PAIR_CHUNK = entries
+def block_size(entries: int):
+    saved = ulamlab.maps._BLOCK
+    ulamlab.maps._BLOCK = entries
     try:
         yield
     finally:
-        ulamlab.maps._PAIR_CHUNK = saved
+        ulamlab.maps._BLOCK = saved
 
 
 @contextlib.contextmanager
@@ -150,7 +151,7 @@ maps_on_groups = st.builds(
 def test_pair_defect_norms_chunked_matches_dense(phi, chunk, kind):
     expected = dense_pair_norms(phi, finite_pairs(phi.domain), kind)
     full_value, full_witness = mult_defect(phi, kind)
-    with pair_chunk(chunk):
+    with block_size(chunk):
         norms = pair_defect_norms(phi, kind)
         value, witness = mult_defect(phi, kind)
     assert norms.shape == (phi.domain.order**2,)
@@ -173,7 +174,7 @@ def test_pair_defect_norms_chunked_matches_dense_on_free_ball(radius, dim, seed,
     phi = random_map(ball, dim, seed=seed)
     expected = dense_pair_norms(phi, ball_pairs(ball), kind)
     full_witness = mult_defect(phi, kind)[1]
-    with pair_chunk(chunk):
+    with block_size(chunk):
         norms = pair_defect_norms(phi, kind)
         witness = mult_defect(phi, kind)[1]
     assert np.max(np.abs(norms - expected)) <= TOL
@@ -187,7 +188,7 @@ def test_translate_average_chunked_matches_dense(phi, chunk):
     n = g.order
     pd = np.array([sum(v[g.mul[x, y]] @ v[y].conj().T for y in range(n)) / n for x in range(n)])
     coeff = np.array([sum(v[g.mul[x, y]].conj().T @ v[y] for y in range(n)) / n for x in range(n)])
-    with pair_chunk(chunk):
+    with block_size(chunk):
         shifted = translate_average(phi, lambda t, vals: t.sum(axis=1))
         averaged = average_pd(phi).values
         coefficients = translate_coefficient(phi).values
@@ -238,7 +239,7 @@ def test_batched_perturbation_equals_element_loop():
                 expected = perturb_reference(pi, theta, seed)
                 assert np.array_equal(perturb_unitary(pi, theta, seed).values, expected)
                 # 3 values a block: ragged for 5, 7 and 23 non-identity elements
-                with pair_chunk(3 * pi.dim**2):
+                with block_size(3 * pi.dim**2):
                     assert np.array_equal(perturb_unitary(pi, theta, seed).values, expected)
 
 
@@ -249,13 +250,14 @@ def test_batched_polar_snap_equals_value_loop():
         for m in (phi, near, average_pd(phi)):
             expected = np.stack([linalg.polar(v)[0] for v in m.values])
             assert np.array_equal(_unitary_part(m)[0].values, expected)
-            with pair_chunk(2 * m.dim**2):
+            with block_size(2 * m.dim**2):
                 assert np.array_equal(_unitary_part(m)[0].values, expected)
 
 
 def test_chunked_kernels_bound_memory():
     # Dense (n, n, d, d) intermediates would take 64000 * 40 * 16 bytes = 39 MiB.
-    # At two kernel threads each thread takes half a chunk at a time.
+    # Every thread takes blocks of at most the shipped _BLOCK entries, at one
+    # kernel thread (a --workers thread) as at two.
     for budget in (1, 2):
         with ulamlab.maps._kernel_threads(budget):
             assert_kernels_bound_memory()
@@ -276,17 +278,16 @@ def assert_kernels_bound_memory():
         "_unitary_part": lambda: _unitary_part(psi),
     }
     peaks = {}
-    with pair_chunk(MEMORY_CHUNK):
-        for name, call in calls.items():
-            tracemalloc.start()
-            try:
-                result = call()
-                peaks[name] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            if name.startswith("estimate_checks"):
-                _, skipped, _ = result
-                assert not skipped, (name, skipped)
+    for name, call in calls.items():
+        tracemalloc.start()
+        try:
+            result = call()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if name.startswith("estimate_checks"):
+            _, skipped, _ = result
+            assert not skipped, (name, skipped)
     assert all(peak < MEMORY_BOUND for peak in peaks.values()), peaks
 
 
@@ -369,8 +370,8 @@ def test_split_kernels_equal_serial(name, kernel_pool):
     # 3 threads cut 8 values (or 7) into ragged shares; the small chunk gives
     # every share several blocks.
     for budget in (1, 2, 3):
-        for chunk in (ulamlab.maps._PAIR_CHUNK, 3 * phi.dim**2):
-            with kernel_threads(budget), pair_chunk(chunk):
+        for chunk in (ulamlab.maps._BLOCK, 3 * phi.dim**2):
+            with kernel_threads(budget), block_size(chunk):
                 before = kernel_pool.submits
                 got = split_consumers(phi)
             assert (kernel_pool.submits > before) == (budget > 1)

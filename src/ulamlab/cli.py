@@ -34,7 +34,7 @@ from . import maps
 from .linalg import SingularInputError, parse_norm
 from .groups import FiniteGroup, UnsupportedDomainError, parse_group_spec
 from .maps import Bound, PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
-from .generators import GenSpec, build_map, derive_seed, parse_genspec
+from .generators import RECIPES, GenSpec, build_map, derive_seed, parse_genspec
 from .stabilize import CERTIFIED_EPSILON, NotRepairableError, dixmier_unitarize, stabilize
 from .verify import SUITES, SuiteResult, run_suite
 
@@ -163,18 +163,18 @@ def render_report(report: Report, ndjson: bool) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _default_genspec(config: ExperimentConfig, theta: float) -> dict:
+def _default_genspec(config: ExperimentConfig) -> dict:
     if config.command == "dixmier":
         return {"kind": "twisted", "base": {"kind": "regular"}, "bound": 2.0, "seed": 0}
-    return {"kind": "perturbed", "base": {"kind": "regular"}, "theta": theta, "seed": 0}
+    return {"kind": "perturbed", "base": {"kind": "regular"}, "theta": config.theta[0], "seed": 0}
 
 
 def _spec_for_seed(config: ExperimentConfig, seed: int, theta: float | None = None) -> GenSpec:
-    data = dict(config.genspec or _default_genspec(config, theta if theta is not None else config.theta[0]))
-    spec = GenSpec.from_dict(data)
-    if theta is not None and spec.kind == "perturbed":
+    spec = GenSpec.from_dict(config.genspec or _default_genspec(config))
+    # The corpus seed and a grid point's theta replace the top-level ones, which
+    # reach the map only if its kind reads them; nested bases keep theirs.
+    if theta is not None:
         spec = dataclasses.replace(spec, theta=theta)
-    # The corpus seed replaces the top-level seed; nested bases keep theirs.
     return dataclasses.replace(spec, seed=seed)
 
 
@@ -487,7 +487,7 @@ def _refuse_overridden(command: str, kwargs: dict) -> None:
     genspec = kwargs.get("genspec")
     if genspec is None:
         return
-    if command == "sweep" and genspec["kind"] != "perturbed":
+    if command == "sweep" and "theta" not in RECIPES[genspec["kind"]].reads:
         raise click.UsageError(
             "sweep applies its --theta grid to a perturbed --genspec only, "
             f"not to a {genspec['kind']!r} one"

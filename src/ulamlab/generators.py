@@ -13,6 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,18 +22,6 @@ from .groups import FiniteGroup, FreeBall, cyclic, n_elements, require_finite
 from .maps import GroupMap, PreconditionError, mult_defect, unit_defect
 
 MAX_REGULAR_ORDER = 256
-
-GENSPEC_KINDS = (
-    "regular",
-    "trivial",
-    "character",
-    "direct_sum",
-    "conjugated",
-    "perturbed",
-    "compressed",
-    "twisted",
-    "random_map",
-)
 
 
 def derive_seed(seed: int, label: str) -> int:
@@ -207,13 +196,48 @@ def random_map(
     return GroupMap(domain, dim, vals, label=f"random[{sup:g}]")
 
 
+class Recipe(NamedTuple):
+    reads: tuple[str, ...]  # the fields besides ``kind`` and ``group``
+    build: Callable  # (spec, domain, or the map of its base if it reads one) -> GroupMap
+
+
+# Each recipe kind: the fields it reads and how it is built.
+RECIPES = {
+    "regular": Recipe((), lambda spec, on: regular_rep(on)),
+    "trivial": Recipe((), lambda spec, on: trivial_rep(on)),
+    "character": Recipe(("k",), lambda spec, on: character_rep(on, spec.k)),
+    "direct_sum": Recipe(
+        ("parts",), lambda spec, on: direct_sum([build_map(p, on) for p in spec.parts])
+    ),
+    "conjugated": Recipe(("base", "seed"), lambda spec, on: conjugate_rep(on, spec.seed)),
+    "perturbed": Recipe(
+        ("base", "theta", "seed"), lambda spec, on: perturb_unitary(on, spec.theta, spec.seed)
+    ),
+    "compressed": Recipe(
+        ("base", "sub_dim", "seed"), lambda spec, on: compress_rep(on, spec.sub_dim, spec.seed)
+    ),
+    "twisted": Recipe(
+        ("base", "bound", "seed"), lambda spec, on: similarity_twist(on, spec.bound, spec.seed)[0]
+    ),
+    "random_map": Recipe(
+        ("sup", "dim", "seed"), lambda spec, on: random_map(on, spec.dim, spec.sup, spec.seed)
+    ),
+}
+
+
+def _recipe(kind: object) -> Recipe:
+    if not isinstance(kind, str) or kind not in RECIPES:
+        raise ValueError(f"unknown genspec kind {kind!r}")
+    return RECIPES[kind]
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Declarative recipe for a seeded map construction.
 
     ``group`` is an optional group spec string; when absent the group must be
-    supplied at build time.  Structured kinds carry a ``base`` recipe
-    (defaulting to the regular representation) or summand ``parts``.
+    supplied at build time.  Each kind reads the fields ``RECIPES`` lists
+    for it, which are all that ``from_dict`` accepts and ``to_dict`` echoes.
     """
 
     kind: str
@@ -237,8 +261,7 @@ class GenSpec:
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
             if f.name == "group" and not (value is None or isinstance(value, str)):
                 raise ValueError(f"group must be a group spec string, got {value!r}")
-        if self.kind not in GENSPEC_KINDS:
-            raise ValueError(f"unknown genspec kind {self.kind!r}")
+        _recipe(self.kind)
         for name in ("theta", "bound", "sup"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -257,34 +280,23 @@ class GenSpec:
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.group is not None:
-            out["group"] = self.group
-        if self.kind == "character":
-            out["k"] = self.k
-        if self.kind == "direct_sum":
-            out["parts"] = [p.to_dict() for p in self.parts]
-        if self.base is not None:
-            out["base"] = self.base.to_dict()
-        if self.kind == "perturbed":
-            out["theta"] = self.theta
-        if self.kind == "compressed":
-            out["sub_dim"] = self.sub_dim
-        if self.kind == "twisted":
-            out["bound"] = self.bound
-        if self.kind == "random_map":
-            out["sup"] = self.sup
-            out["dim"] = self.dim
-        if self.kind in ("conjugated", "perturbed", "compressed", "twisted", "random_map"):
-            out["seed"] = self.seed
+        for name in ("group", *RECIPES[self.kind].reads):
+            value = getattr(self, name)
+            if isinstance(value, GenSpec):
+                value = value.to_dict()
+            elif isinstance(value, tuple):
+                value = [p.to_dict() for p in value]
+            if value is not None:  # an absent group or base
+                out[name] = value
         return out
 
     @staticmethod
     def from_dict(data: dict) -> "GenSpec":
         if not isinstance(data, dict) or "kind" not in data:
             raise ValueError("genspec must be an object with a 'kind' field")
-        extra = set(data) - {f.name for f in fields(GenSpec)}
-        if extra:
-            raise ValueError(f"unknown genspec fields: {sorted(extra)}")
+        unread = set(data) - {"kind", "group", *_recipe(data["kind"]).reads}
+        if unread:
+            raise ValueError(f"genspec kind {data['kind']!r} does not read {sorted(unread)}")
         kwargs = dict(data)
         if "parts" in kwargs:
             if not isinstance(kwargs["parts"], list):
@@ -314,22 +326,7 @@ def build_map(spec: GenSpec, domain: FiniteGroup | FreeBall | None = None) -> Gr
         domain = parse_group_spec(spec.group)
     if domain is None:
         raise ValueError("genspec has no group and none was provided")
-    if spec.kind == "trivial":
-        return trivial_rep(domain)
-    if spec.kind == "random_map":
-        return random_map(domain, spec.dim, spec.sup, spec.seed)
-    if spec.kind == "direct_sum":
-        return direct_sum([build_map(p, domain) for p in spec.parts])
-    if spec.kind == "regular":
-        return regular_rep(domain)
-    if spec.kind == "character":
-        return character_rep(domain, spec.k)
-    base = build_map(spec.base or GenSpec("regular"), domain)
-    if spec.kind == "conjugated":
-        return conjugate_rep(base, spec.seed)
-    if spec.kind == "perturbed":
-        return perturb_unitary(base, spec.theta, spec.seed)
-    if spec.kind == "compressed":
-        return compress_rep(base, spec.sub_dim, spec.seed)
-    twisted, _ = similarity_twist(base, spec.bound, spec.seed)
-    return twisted
+    recipe = RECIPES[spec.kind]
+    if "base" in recipe.reads:  # built on its base, the regular representation by default
+        domain = build_map(spec.base or GenSpec("regular"), domain)
+    return recipe.build(spec, domain)

@@ -234,12 +234,26 @@ class TestExitCodes:
             {"kind": "character", "k": None},
             {"kind": "character", "k": 1.5},
             {"kind": "direct_sum", "parts": 5},
+            {"kind": ["regular"]},
+            {"kind": {}},
+            {"kind": None},
         ]
         cases += [["gen", "--group", "cyclic:4", "--genspec", json.dumps(spec)] for spec in wrong_types]
         cases.append(["gen", "--genspec", '{"kind":"regular","group":5}'])
         for args in cases:
             result = runner.invoke(main, args)
             assert result.exit_code == 2, (args, result.output)
+        # a field the kind does not read, named in the message
+        unread = [
+            ({"kind": "trivial", "base": {"kind": "regular"}}, "base"),
+            ({"kind": "regular", "theta": 0.5}, "theta"),
+            ({"kind": "direct_sum", "parts": [{"kind": "regular"}], "seed": 3}, "seed"),
+        ]
+        for spec, name in unread:
+            args = ["gen", "--group", "cyclic:3", "--genspec", json.dumps(spec)]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, (spec, result.output)
+            assert f"does not read ['{name}']" in result.output, result.output
 
     def test_direct_sum_over_two_groups_exits_two(self, runner):
         parts = [{"kind": "regular"}, {"kind": "regular", "group": "dihedral:3"}]

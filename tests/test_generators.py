@@ -225,27 +225,40 @@ class TestRandomMap:
         assert phi.values.shape[0] == 17
 
 
+# Each recipe with its JSON echo: the kind, the group if set, and the fields
+# the kind reads, nothing else.
 GENSPEC_CASES = [
-    GenSpec("regular"),
-    GenSpec("trivial"),
-    GenSpec("character", k=2),
-    GenSpec("perturbed", theta=0.05, seed=3),
-    GenSpec("conjugated", seed=1),
-    GenSpec("compressed", sub_dim=2, seed=2),
-    GenSpec("twisted", bound=1.5, seed=4),
-    GenSpec("random_map", dim=3, sup=0.8, seed=5),
-    GenSpec(
-        "direct_sum",
-        parts=(GenSpec("character", k=0), GenSpec("character", k=1)),
+    (GenSpec("regular"), {"kind": "regular"}),
+    (GenSpec("trivial"), {"kind": "trivial"}),
+    (GenSpec("character", k=2), {"kind": "character", "k": 2}),
+    (GenSpec("perturbed", theta=0.05, seed=3), {"kind": "perturbed", "theta": 0.05, "seed": 3}),
+    (GenSpec("conjugated", seed=1), {"kind": "conjugated", "seed": 1}),
+    (GenSpec("compressed", sub_dim=2, seed=2), {"kind": "compressed", "sub_dim": 2, "seed": 2}),
+    (GenSpec("twisted", bound=1.5, seed=4), {"kind": "twisted", "bound": 1.5, "seed": 4}),
+    (
+        GenSpec("random_map", dim=3, sup=0.8, seed=5),
+        {"kind": "random_map", "sup": 0.8, "dim": 3, "seed": 5},
     ),
-    GenSpec("perturbed", theta=0.02, seed=7, base=GenSpec("conjugated", seed=9)),
-    GenSpec("regular", group="dihedral:3"),
+    (
+        GenSpec("direct_sum", parts=(GenSpec("character", k=0), GenSpec("character", k=1))),
+        {
+            "kind": "direct_sum",
+            "parts": [{"kind": "character", "k": 0}, {"kind": "character", "k": 1}],
+        },
+    ),
+    (
+        GenSpec("perturbed", theta=0.02, seed=7, base=GenSpec("conjugated", seed=9)),
+        {"kind": "perturbed", "base": {"kind": "conjugated", "seed": 9}, "theta": 0.02, "seed": 7},
+    ),
+    (GenSpec("regular", group="dihedral:3"), {"kind": "regular", "group": "dihedral:3"}),
 ]
 
 
-@pytest.mark.parametrize("spec", GENSPEC_CASES, ids=lambda s: s.kind)
-def test_genspec_dict_round_trip(spec):
+@pytest.mark.parametrize("case", GENSPEC_CASES, ids=lambda case: case[0].kind)
+def test_genspec_dict_round_trip(case):
+    spec, echo = case
     data = spec.to_dict()
+    assert data == echo
     back = GenSpec.from_dict(json.loads(json.dumps(data)))
     assert back == spec
 
@@ -263,6 +276,18 @@ def test_genspec_rejects_unknown_kind_and_fields():
         GenSpec.from_dict({"kind": "character", "k": 1.5})
     with pytest.raises(ValueError, match="group"):
         GenSpec.from_dict({"kind": "regular", "group": 5})
+    # a field the kind does not read
+    unread = [
+        ({"kind": "trivial", "base": {"kind": "regular"}}, "base"),
+        ({"kind": "regular", "theta": 0.5}, "theta"),
+        ({"kind": "direct_sum", "parts": [{"kind": "trivial"}], "seed": 3}, "seed"),
+    ]
+    for data, field in unread:
+        with pytest.raises(ValueError, match=f"does not read \\['{field}'\\]"):
+            GenSpec.from_dict(data)
+    for kind in (["regular"], {}, None):
+        with pytest.raises(ValueError, match="unknown genspec kind"):
+            GenSpec.from_dict({"kind": kind})
     # numpy scalars are numbers, and a float field takes an integer
     assert GenSpec("character", k=np.int64(2), theta=np.float64(0.1), bound=2).k == 2
 

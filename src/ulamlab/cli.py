@@ -216,57 +216,45 @@ def _parallel(jobs, workers: int) -> list:
         return list(pool.map(call, jobs))
 
 
-def _cmd_gen(config: ExperimentConfig, domains: dict) -> Report:
-    kind = parse_norm(config.norm)
-    records = []
-    for seed in config.effective_seeds():
-        spec = _spec_for_seed(config, seed)
-        phi = _build(config, spec, domains)
-        row = {
-            "seed": seed,
-            "genspec": spec.to_dict(),
-            "group": phi.domain.label,
-            "dim": phi.dim,
-            "defects": defect_report(phi, kind),
-        }
+def _rows(config: ExperimentConfig, row, keys=(None,)) -> list:
+    """``row(key, seed)`` for every key, then every seed of the run, on up to
+    ``config.workers`` threads; the results keep that order."""
+    seeds = config.effective_seeds()
+    return _parallel([partial(row, key, seed) for key in keys for seed in seeds], config.workers)
+
+
+def _seeded_map(config: ExperimentConfig, domains: dict, seed: int, theta: float | None = None):
+    """The spec and map of ``seed`` (at a grid point's ``theta``), and the
+    fields that open its row."""
+    spec = _spec_for_seed(config, seed, theta)
+    phi = _build(config, spec, domains)
+    row = {"seed": seed, "group": phi.domain.label, "dim": phi.dim}
+    if theta is not None:
+        row["theta"] = theta
+    return spec, phi, row
+
+
+def _defects_row(config: ExperimentConfig, domains: dict, _, seed: int) -> dict:
+    spec, phi, row = _seeded_map(config, domains, seed)
+    row["defects"] = defect_report(phi, parse_norm(config.norm))
+    if config.command == "gen":
+        row["genspec"] = spec.to_dict()
         if len(phi.values) * phi.dim * phi.dim <= MAX_EMBEDDED_MAP:
             row["map"] = map_to_dict(phi)
-        records.append(row)
-    passed = all(
-        r["defects"].iso_delta <= r["defects"].delta + 1e-12 for r in records
-    )
-    return Report(config, {"maps": len(records)}, records, passed=passed)
+    elif isinstance(phi.domain, FiniteGroup) and phi.domain.order * phi.dim <= MAX_DEFECTS_GRAM:
+        row["pd_min_eig"] = pd_min_eig(phi)
+    return row
 
 
 def _cmd_defects(config: ExperimentConfig, domains: dict) -> Report:
-    kind = parse_norm(config.norm)
-    records = []
-    for seed in config.effective_seeds():
-        spec = _spec_for_seed(config, seed)
-        phi = _build(config, spec, domains)
-        row = {
-            "seed": seed,
-            "group": phi.domain.label,
-            "dim": phi.dim,
-            "defects": defect_report(phi, kind),
-        }
-        if isinstance(phi.domain, FiniteGroup) and phi.domain.order * phi.dim <= MAX_DEFECTS_GRAM:
-            row["pd_min_eig"] = pd_min_eig(phi)
-        records.append(row)
-    passed = all(
-        r["defects"].iso_delta <= r["defects"].delta + 1e-12 for r in records
-    )
+    """``gen`` and ``defects``: each map passes when ``iso_delta <= delta``."""
+    records = _rows(config, partial(_defects_row, config, domains))
+    passed = all(r["defects"].iso_delta <= r["defects"].delta + 1e-12 for r in records)
     return Report(config, {"maps": len(records)}, records, passed=passed)
 
 
-def _stabilize_one(
-    config: ExperimentConfig, domains: dict, seed: int, theta: float | None = None
-) -> dict:
-    spec = _spec_for_seed(config, seed, theta)
-    phi = _build(config, spec, domains)
-    row: dict = {"seed": seed, "group": phi.domain.label, "dim": phi.dim}
-    if theta is not None:
-        row["theta"] = theta
+def _stabilize_row(config: ExperimentConfig, domains: dict, theta: float | None, seed: int) -> dict:
+    _, phi, row = _seeded_map(config, domains, seed, theta)
     _, trace = stabilize(phi, tol=config.tol, max_iter=config.max_iter)
     eps0 = trace.iterations[0].epsilon_n if trace.iterations else trace.final_defect
     certified = eps0 <= CERTIFIED_EPSILON
@@ -301,60 +289,44 @@ def _stabilize_one(
     return row
 
 
-def _stabilize_rows(
-    config: ExperimentConfig, domains: dict, thetas: tuple[float | None, ...]
-) -> tuple[list[dict], bool, bool]:
-    """A row for every theta (``None``: the recipe's own) and seed, in that
-    order; whether all pass; whether any diverged inside the certified regime."""
-    seeds = config.effective_seeds()
-    jobs = [lambda t=t, s=s: _stabilize_one(config, domains, s, t) for t in thetas for s in seeds]
-    rows = _parallel(jobs, config.workers)
-    diverged = any(row["diverged_certified"] for row in rows)
-    return rows, all(row["ok"] for row in rows) and not diverged, diverged
-
-
 def _cmd_stabilize(config: ExperimentConfig, domains: dict) -> Report:
-    rows, passed, diverged = _stabilize_rows(config, domains, (None,))
-    records = [rec for row in rows for rec in row.pop("iteration_records")]
-    summary = {
-        "runs": rows,
-        "converged_runs": sum(1 for r in rows if r["converged"]),
-    }
+    """``stabilize``, and ``sweep``, which runs every seed at each theta of its
+    grid and reports the rows without their iterations."""
+    sweep = config.command == "sweep"
+    rows = _rows(config, partial(_stabilize_row, config, domains), config.theta if sweep else (None,))
+    iterations = [rec for row in rows for rec in row.pop("iteration_records")]
+    diverged = any(row["diverged_certified"] for row in rows)
+    passed = all(row["ok"] for row in rows) and not diverged
+    if sweep:
+        summary, records = {"grid": list(config.theta), "seeds_per_point": len(config.seeds)}, rows
+    else:
+        summary = {"runs": rows, "converged_runs": sum(1 for r in rows if r["converged"])}
+        records = iterations
     return Report(config, summary, records, passed=passed, diverged_certified=diverged)
 
 
-def _cmd_sweep(config: ExperimentConfig, domains: dict) -> Report:
-    rows, passed, diverged = _stabilize_rows(config, domains, config.theta)
-    for row in rows:
-        row.pop("iteration_records")
-    summary = {"grid": list(config.theta), "seeds_per_point": len(config.seeds)}
-    return Report(config, summary, rows, passed=passed, diverged_certified=diverged)
+def _dixmier_row(config: ExperimentConfig, domains: dict, _, seed: int) -> dict:
+    _, psi, row = _seeded_map(config, domains, seed)
+    row["report"] = dixmier_unitarize(psi)[1]
+    return row
 
 
 def _cmd_dixmier(config: ExperimentConfig, domains: dict) -> Report:
-    records = []
-    for seed in config.effective_seeds():
-        spec = _spec_for_seed(config, seed)
-        psi = _build(config, spec, domains)
-        _, report = dixmier_unitarize(psi)
-        records.append({"seed": seed, "group": psi.domain.label, "dim": psi.dim, "report": report})
+    records = _rows(config, partial(_dixmier_row, config, domains))
     passed = all(r["report"].passed for r in records)
     return Report(config, {"runs": len(records)}, records, passed=passed)
 
 
 def _cmd_verify(config: ExperimentConfig, domains: dict) -> Report:
-    seeds = config.effective_seeds()
-    # each suite runs in w interleaved seed slices, merged back in input order
-    w = min(config.workers, len(seeds))
-    jobs = [
-        lambda name=name, i=i: run_suite(name, seeds[i::w]) for name in SUITES for i in range(w)
-    ]
-    parts = _parallel(jobs, config.workers)
-    results = [SuiteResult.merge(parts[k : k + w]) for k in range(0, len(parts), w)]
+    # one job per (suite, seed); merged in seed order, each suite keeps the
+    # bound the serial run keeps, whatever the workers
+    n = len(config.seeds)
+    parts = _rows(config, lambda name, seed: run_suite(name, [seed]), SUITES)
+    results = [SuiteResult.merge(parts[k : k + n]) for k in range(0, len(parts), n)]
     passed = all(r.passed for r in results)
     summary = {
         "suites": list(SUITES),
-        "seed_count": len(seeds),
+        "seed_count": n,
         "worst": {
             key: value for r in results for key, value in sorted(r.notes.items())
         },
@@ -363,12 +335,12 @@ def _cmd_verify(config: ExperimentConfig, domains: dict) -> Report:
 
 
 _COMMANDS = {
-    "gen": _cmd_gen,
+    "gen": _cmd_defects,
     "defects": _cmd_defects,
     "stabilize": _cmd_stabilize,
     "dixmier": _cmd_dixmier,
     "verify": _cmd_verify,
-    "sweep": _cmd_sweep,
+    "sweep": _cmd_stabilize,
 }
 
 
@@ -523,15 +495,14 @@ def _finish(command: str, **kwargs) -> None:
     except Exception as err:  # exit 1 is kept for a failed bound
         click.echo(f"internal error: {type(err).__name__}: {err}", err=True)
         sys.exit(EXIT_INTERNAL)
-    if config.out:
-        try:
+    try:
+        if config.out:
             Path(config.out).write_text(text)
-        except OSError as err:
-            click.echo(f"configuration error: {err}", err=True)
-            sys.exit(EXIT_CONFIG)
-        click.echo(f"pass={str(report.passed).lower()} -> {config.out}")
-    else:
+            text = f"pass={str(report.passed).lower()} -> {config.out}\n"
         click.echo(text, nl=False)
+    except OSError as err:  # a full disk, a closed pipe
+        click.echo(f"configuration error: {err}", err=True)
+        sys.exit(EXIT_CONFIG)
     if report.diverged_certified:
         sys.exit(EXIT_DIVERGED)
     sys.exit(EXIT_PASS if report.passed else EXIT_FAIL)

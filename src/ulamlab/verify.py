@@ -9,6 +9,7 @@ so passing means every margin stays above minus its tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Iterator, Sequence
@@ -95,8 +96,16 @@ class SuiteResult:
         return self.bounds.passed
 
     def note(self, key: str, check: Bound) -> None:
-        """Keep ``check`` under ``key`` when its margin is below the one kept so far."""
-        if key not in self.bounds or check.margin < self.bounds[key].margin:
+        """Keep ``check`` under ``key`` when its margin is below the one kept so far.
+
+        A NaN margin ranks below every other and, once kept, is never
+        replaced, so the verdict does not depend on the order of the seeds.
+        """
+        kept = self.bounds.get(key)
+        if kept is None or (
+            not math.isnan(kept.margin)
+            and (math.isnan(check.margin) or check.margin < kept.margin)
+        ):
             self.bounds[key] = check
 
     def to_dict(self) -> dict:

@@ -10,6 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import ulamlab
+from ulamlab import Bound, SuiteResult
 from ulamlab.cli import (
     EXIT_DIVERGED,
     EXIT_FAIL,
@@ -133,6 +134,20 @@ class TestDeterminism:
             threaded = invoke_json(runner, base + ["--workers", workers])
             assert serial["results"] == threaded["results"]
             assert serial["pass"] == threaded["pass"]
+
+    def test_verify_ties_keep_the_smallest_seeds_bound_at_any_workers(self, runner, monkeypatch):
+        def tie_suite(seeds):
+            result = SuiteResult("tie", len(seeds))
+            for seed in seeds:  # seeds 1..5 tie below seed 0, each with its own tol
+                result.note("m", Bound(0.0, 1.0 if seed == 0 else 0.5, tol=seed / 100))
+            return result
+
+        table = {"tie": tie_suite}
+        monkeypatch.setattr("ulamlab.cli.SUITES", table)
+        monkeypatch.setattr("ulamlab.verify.SUITES", table)
+        for workers in ("1", "3"):
+            report = invoke_json(runner, ["verify", "--seeds", "0..5", "--workers", workers])
+            assert report["results"]["records"][0]["tolerances"] == {"m": 0.01}, workers
 
     def test_blas_threads_do_not_change_results(self):
         # The threaded Gram eigvalsh of pd_min_eig moved the last bits of this
@@ -482,13 +497,14 @@ class TestOptionTable:
             main.commands[command].make_context(command, args)
 
 
-def run_module(args, **env):
+def run_module(args, stdout=subprocess.PIPE, **env):
     """``python -m ulamlab.cli`` with ``args`` in a fresh interpreter."""
     src = str(Path(ulamlab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "ulamlab.cli", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": path, **env},
         timeout=120,
@@ -499,6 +515,22 @@ def test_module_entry_point_runs():
     proc = run_module(["gen", "--group", "cyclic:2"])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["schema_version"].startswith("ulamlab-report/")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "args",
+    [["verify", "--seeds", "0..3"], ["gen", "--group", "cyclic:3", "--out", "{tmp}/r.json"]],
+    ids=["report", "status-line"],
+)
+def test_failed_stdout_write_exits_two(args, tmp_path):
+    # CliRunner's stdout never fails a write; a fresh interpreter's can
+    with open("/dev/full", "w") as full:
+        proc = run_module([a.format(tmp=tmp_path) for a in args], stdout=full)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("configuration error:"), proc.stderr
 
 
 class TestHelpers:

@@ -1,3 +1,4 @@
+import math
 import sys
 from collections import Counter
 
@@ -38,15 +39,15 @@ def test_run_suite_rejects_unknown_name():
         run_suite("nonsense", SEEDS)
 
 
-def test_worker_chunking_merges_to_same_margins():
-    # the slices `verify --workers 3` runs, merged in input order
+def test_per_seed_results_merge_to_the_serial_run():
+    # the one-seed jobs `verify` runs for each suite, merged in seed order
     serial = run_suite("square_inequality", SEEDS)
-    parallel = SuiteResult.merge([run_suite("square_inequality", SEEDS[i::3]) for i in range(3)])
-    assert serial.trials == parallel.trials
-    assert serial.notes.keys() == parallel.notes.keys()
+    merged = SuiteResult.merge([run_suite("square_inequality", [seed]) for seed in SEEDS])
+    assert serial.trials == merged.trials
+    assert serial.notes.keys() == merged.notes.keys()
     for key in serial.notes:
-        assert serial.notes[key] == pytest.approx(parallel.notes[key], abs=0)
-    assert serial.to_dict() == parallel.to_dict()
+        assert serial.notes[key] == pytest.approx(merged.notes[key], abs=0)
+    assert serial.to_dict() == merged.to_dict()
 
 
 def test_merge_takes_worst_margin_and_sums_trials():
@@ -64,13 +65,28 @@ def test_note_keeps_the_first_bound_of_smallest_margin():
     result.note("m", Bound(0.0, 0.5))
     result.note("m", first)
     result.note("m", Bound(0.0, 0.25, tol=1.0))  # a tie keeps the bound kept so far
-    result.note("m", Bound(0.0, float("nan")))  # NaN is below nothing
     assert result.bounds["m"] is first
     assert result.to_dict()["tolerances"] == {"m": 1e-10}
     result.note("n", Bound(0.0, float("nan")))
     result.note("n", Bound(0.0, -1.0))  # nothing is below NaN
     assert result.notes["n"] != result.notes["n"]
     assert not result.passed
+
+
+@pytest.mark.parametrize("nan_first", [True, False], ids=["nan-first", "nan-last"])
+def test_a_nan_margin_ranks_worst_in_either_order(nan_first):
+    margins = [0.5, 0.25, float("nan")]
+    if nan_first:
+        margins.reverse()
+    noted = SuiteResult("demo", trials=len(margins))
+    for margin in margins:
+        noted.note("m", Bound(0.0, margin))
+    merged = SuiteResult.merge(
+        [SuiteResult("demo", 1, Certificate(m=Bound(0.0, margin))) for margin in margins]
+    )
+    for result in (noted, merged):
+        assert math.isnan(result.notes["m"])
+        assert result.passed is False
 
 
 def test_suite_result_to_dict_carries_margins():

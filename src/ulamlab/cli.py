@@ -21,10 +21,12 @@ import json
 import math
 import sys
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import click
 from click.core import ParameterSource
@@ -95,6 +97,12 @@ class ExperimentConfig:
             raise ValueError("theta values must be nonnegative and finite")
         if len(self.theta) > 1 and self.command != "sweep":
             raise ValueError(f"only sweep takes a theta list; {self.command} takes one theta")
+        rows = len(self.theta) * len(self.seeds)
+        if rows > MAX_SEEDS:
+            raise ValueError(
+                f"{len(self.theta)} theta values times {len(self.seeds)} seeds make {rows} rows, "
+                f"more than MAX_SEEDS = {MAX_SEEDS}"
+            )
 
     def effective_seeds(self) -> list[int]:
         if self.salt is None:
@@ -196,16 +204,22 @@ def _build(config: ExperimentConfig, spec: GenSpec, domains: dict):
         raise ConfigError(str(err)) from err
 
 
-def _parallel(jobs, workers: int) -> list:
-    """Run ``jobs`` on up to ``workers`` threads; the results keep input order.
+def _parallel(jobs: Iterable, count: int, workers: int) -> Iterator:
+    """Run ``count`` ``jobs`` on up to ``workers`` threads and yield their
+    results in input order.
 
-    The cores are shared out: each worker's kernels may use
-    ``cores // workers`` threads (at least one), so workers times kernel
-    threads stays within the cores whenever the workers do.
+    At most ``2 * workers`` jobs are taken ahead of the result the caller
+    waits for, so neither the jobs nor their results are held all at once.
+    The first failing job in input order raises, and the jobs not yet
+    started are cancelled.  The cores are shared out: each worker's kernels
+    may use ``cores // workers`` threads (at least one), so workers times
+    kernel threads stays within the cores whenever the workers do.
     """
-    if workers <= 1 or len(jobs) <= 1:
-        return [job() for job in jobs]
-    threads = min(workers, len(jobs))
+    if workers <= 1 or count <= 1:
+        for job in jobs:
+            yield job()
+        return
+    threads = min(workers, count)
     share = max(1, maps._cores() // threads)
 
     def call(job):
@@ -213,14 +227,25 @@ def _parallel(jobs, workers: int) -> list:
             return job()
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(call, jobs))
+        pending = deque()
+        try:
+            for job in jobs:
+                pending.append(pool.submit(call, job))
+                if len(pending) >= 2 * threads:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
-def _rows(config: ExperimentConfig, row, keys=(None,)) -> list:
+def _rows(config: ExperimentConfig, row, keys=(None,)) -> Iterator:
     """``row(key, seed)`` for every key, then every seed of the run, on up to
-    ``config.workers`` threads; the results keep that order."""
+    ``config.workers`` threads; the results come in that order."""
     seeds = config.effective_seeds()
-    return _parallel([partial(row, key, seed) for key in keys for seed in seeds], config.workers)
+    jobs = (partial(row, key, seed) for key in keys for seed in seeds)
+    return _parallel(jobs, len(keys) * len(seeds), config.workers)
 
 
 def _seeded_map(config: ExperimentConfig, domains: dict, seed: int, theta: float | None = None):
@@ -248,37 +273,35 @@ def _defects_row(config: ExperimentConfig, domains: dict, _, seed: int) -> dict:
 
 def _cmd_defects(config: ExperimentConfig, domains: dict) -> Report:
     """``gen`` and ``defects``: each map passes when ``iso_delta <= delta``."""
-    records = _rows(config, partial(_defects_row, config, domains))
+    records = list(_rows(config, partial(_defects_row, config, domains)))
     passed = all(r["defects"].iso_delta <= r["defects"].delta + 1e-12 for r in records)
     return Report(config, {"maps": len(records)}, records, passed=passed)
 
 
 def _stabilize_row(config: ExperimentConfig, domains: dict, theta: float | None, seed: int) -> dict:
     _, phi, row = _seeded_map(config, domains, seed, theta)
-    _, trace = stabilize(phi, tol=config.tol, max_iter=config.max_iter)
-    eps0 = trace.iterations[0].epsilon_n if trace.iterations else trace.final_defect
+    # a sweep row reports no round: its loop measures only what decides it
+    measure = config.command == "stabilize"
+    _, trace = stabilize(phi, tol=config.tol, max_iter=config.max_iter, measure=measure)
+    eps0 = trace.epsilon_0
     certified = eps0 <= CERTIFIED_EPSILON
     row.update(
         {
             "epsilon_0": eps0,
-            "iterations": len(trace.iterations),
+            "iterations": trace.rounds,
             "converged": trace.converged,
             "final_defect": trace.final_defect,
             "total_distance": trace.total_distance,
             "certified": certified,
             "diverged_certified": certified and not trace.converged,
             "theory": trace.theory,
-            "iteration_records": [
-                {
-                    "record": "iteration",
-                    "seed": seed,
-                    "iteration": i,
-                    **dataclasses.asdict(rec),
-                }
-                for i, rec in enumerate(trace.iterations)
-            ],
         }
     )
+    if measure:
+        row["iteration_records"] = [
+            {"record": "iteration", "seed": seed, "iteration": i, **dataclasses.asdict(rec)}
+            for i, rec in enumerate(trace.iterations)
+        ]
     if certified:
         moved = Bound(trace.total_distance, 2.0 * eps0, tol=1e-9).strict()
         row["distance_bound"] = moved.bound
@@ -293,15 +316,15 @@ def _cmd_stabilize(config: ExperimentConfig, domains: dict) -> Report:
     """``stabilize``, and ``sweep``, which runs every seed at each theta of its
     grid and reports the rows without their iterations."""
     sweep = config.command == "sweep"
-    rows = _rows(config, partial(_stabilize_row, config, domains), config.theta if sweep else (None,))
-    iterations = [rec for row in rows for rec in row.pop("iteration_records")]
+    keys = config.theta if sweep else (None,)
+    rows = list(_rows(config, partial(_stabilize_row, config, domains), keys))
     diverged = any(row["diverged_certified"] for row in rows)
     passed = all(row["ok"] for row in rows) and not diverged
     if sweep:
         summary, records = {"grid": list(config.theta), "seeds_per_point": len(config.seeds)}, rows
     else:
+        records = [rec for row in rows for rec in row.pop("iteration_records")]
         summary = {"runs": rows, "converged_runs": sum(1 for r in rows if r["converged"])}
-        records = iterations
     return Report(config, summary, records, passed=passed, diverged_certified=diverged)
 
 
@@ -312,17 +335,19 @@ def _dixmier_row(config: ExperimentConfig, domains: dict, _, seed: int) -> dict:
 
 
 def _cmd_dixmier(config: ExperimentConfig, domains: dict) -> Report:
-    records = _rows(config, partial(_dixmier_row, config, domains))
+    records = list(_rows(config, partial(_dixmier_row, config, domains)))
     passed = all(r["report"].passed for r in records)
     return Report(config, {"runs": len(records)}, records, passed=passed)
 
 
 def _cmd_verify(config: ExperimentConfig, domains: dict) -> Report:
-    # one job per (suite, seed); merged in seed order, each suite keeps the
-    # bound the serial run keeps, whatever the workers
+    # one job per (suite, seed), each folded into its suite as it arrives; in
+    # seed order, which is SuiteResult.merge's, so each suite keeps the bound
+    # the serial run keeps, whatever the workers
     n = len(config.seeds)
-    parts = _rows(config, lambda name, seed: run_suite(name, [seed]), SUITES)
-    results = [SuiteResult.merge(parts[k : k + n]) for k in range(0, len(parts), n)]
+    results: list[SuiteResult] = []
+    for k, part in enumerate(_rows(config, lambda name, seed: run_suite(name, [seed]), SUITES)):
+        results.append(part if k % n == 0 else SuiteResult.merge([results.pop(), part]))
     passed = all(r.passed for r in results)
     summary = {
         "suites": list(SUITES),

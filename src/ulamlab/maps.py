@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -481,32 +482,59 @@ def _unit_sides(phi: GroupMap, at: slice, out: np.ndarray | None = None) -> np.n
     return np.subtract(np.eye(phi.dim, dtype=np.complex128), out, out=out)
 
 
-def _defect_bound(phi: GroupMap, which: str, tol: float) -> float:
-    """An upper bound on the ``"unit"`` or ``"mult"`` defect of ``phi``: the
-    largest Frobenius norm of the residuals that defect decomposes when it is
-    within ``tol``, else the exact defect, so ``bound > tol`` refuses exactly
-    what the exact test refuses, with the exact value."""
+def _largest_residual(phi: GroupMap, which: str) -> float:
+    """The largest Frobenius norm of the residuals whose operator norms the
+    ``"unit"`` or ``"mult"`` defect of ``phi`` maximizes, formed as that
+    defect forms them (`_unit_sides`, `_pair_defects`).
+
+    Rounding: the computed sum of the ``2 d^2`` squares of a residual errs by
+    at most ``2 d^2 u`` relative and its root by ``d^2 u`` (u = 2^-53), about
+    1e-8 at d = 10^4.  The norm is NaN if a residual has a NaN entry and inf
+    if a product overflows.
+    """
     d = phi.dim
     if which == "unit":
-        count, entries, take, exact = len(phi.values), 2 * d * d, _unit_sides, unit_defect
+        count, entries, take = len(phi.values), 2 * d * d, _unit_sides
     else:
-        count, entries, take, exact = _pair_count(phi.domain), d * d, _pair_defects, mult_defect
+        count, entries, take = _pair_count(phi.domain), d * d, _pair_defects
 
     def worst(sl: slice) -> float:
         flat = take(phi, sl).reshape(-1, d * d).view(np.float64)
         return np.einsum("ij,ij->i", flat, flat).max(initial=0.0)
 
-    frobenius = float(np.sqrt(np.max(_for_blocks(count, entries, worst, _BOUND_BLOCK))))
+    return float(np.sqrt(np.max(_for_blocks(count, entries, worst, _BOUND_BLOCK))))
+
+
+def _defect_bound(phi: GroupMap, which: str, tol: float) -> float:
+    """An upper bound on the ``"unit"`` or ``"mult"`` defect of ``phi``: the
+    largest Frobenius norm of the residuals that defect decomposes when it is
+    within ``tol``, else the exact defect, so ``bound > tol`` refuses exactly
+    what the exact test refuses, with the exact value."""
+    frobenius = _largest_residual(phi, which)
     # Rounding: a backward stable SVD of a computed residual R errs by at most
     # p(d) u sigma_max(R), so the exact test's value is at most (1 + p(d) u)
-    # sigma_max(R) <= (1 + p(d) u) ||R||_F; the computed sum of 2 d^2 squares
-    # errs by 2 d^2 u, its root by d^2 u (u = 2^-53).  Both stay below
-    # `_BOUND_SLACK` up to d = 10^4, so a norm within ``tol / (1 +
-    # _BOUND_SLACK)`` passes the exact test.  A NaN or inf norm (an
-    # overflowing product) is never within and falls back to the exact defect.
+    # sigma_max(R) <= (1 + p(d) u) ||R||_F.  With the rounding of the norm
+    # (`_largest_residual`) it stays below `_BOUND_SLACK` up to d = 10^4, so a
+    # norm within ``tol / (1 + _BOUND_SLACK)`` passes the exact test.  A NaN
+    # or inf norm is never within and falls back to the exact defect.
     if frobenius <= tol / (1.0 + _BOUND_SLACK):
         return frobenius
-    return exact(phi)[0]
+    return (unit_defect if which == "unit" else mult_defect)(phi)[0]
+
+
+def _mult_defect_at_least(phi: GroupMap, tol: float) -> bool:
+    """True only if the mult defect of ``phi`` is at least ``tol``, certified
+    by the largest Frobenius norm of its pair defects; False certifies
+    nothing, and only the exact defect then tells."""
+    frobenius = _largest_residual(phi, "mult")
+    # A d x d residual R has sigma_max(R) >= ||R||_F / sqrt(d), and the exact
+    # test's value, from a backward stable SVD of the same computed R, is at
+    # least (1 - p(d) u) sigma_max(R).  With the rounding of the norm
+    # (`_largest_residual`) and of ``sqrt(d) tol (1 + _BOUND_SLACK)`` that
+    # loses less than `_BOUND_SLACK` up to d = 10^4, so a norm of at least
+    # that product gives an exact value of at least ``tol``.  An inf norm (an
+    # overflowing product) and a NaN one never certify.
+    return math.isfinite(frobenius) and frobenius >= math.sqrt(phi.dim) * tol * (1.0 + _BOUND_SLACK)
 
 
 def _require_defect(phi: GroupMap, which: str, tol: float, what: str) -> None:

@@ -87,10 +87,17 @@ def contraction_series(kappa1: float, kappa2: float, p: float, delta: float) -> 
     )
 
 
-def _unitary_part(phi: GroupMap) -> tuple[GroupMap, float]:
-    """The polar unitary factor of every value, and the unit defect it removed."""
-    delta, _ = unit_defect(phi)
-    if delta >= 1.0 - 1e-9:
+def _unitary_part(phi: GroupMap, measure: bool = True) -> tuple[GroupMap, float]:
+    """The polar unitary factor of every value, and the unit defect it removed.
+
+    With ``measure=False`` the second value is only an upper bound on that
+    defect: the exact defect is taken only when the Frobenius bound of
+    ``maps._defect_bound`` cannot tell it from one, so the refusal and its
+    message are the same.
+    """
+    limit = 1.0 - 1e-9
+    delta = unit_defect(phi)[0] if measure else maps._defect_bound(phi, "unit", limit)
+    if delta >= limit:
         raise NotRepairableError(f"unit defect {delta:.6g} is not strictly below 1")
     repaired = np.empty_like(phi.values)
 
@@ -146,18 +153,27 @@ def kazhdan_step(phi: GroupMap) -> tuple[GroupMap, Certificate]:
 
 @dataclass
 class IterationRecord:
-    epsilon_n: float
-    delta_n: float
-    step_distance: float
+    """One round: the mult defect it started from, the unit defect its snap
+    removed and how far it moved the map; ``None`` where the round did not
+    measure the value (``stabilize(..., measure=False)``)."""
+
+    epsilon_n: float | None
+    delta_n: float | None
+    step_distance: float | None
 
 
 @dataclass
 class StabilizationTrace:
+    epsilon_0: float
     iterations: list[IterationRecord] = field(default_factory=list)
     total_distance: float = 0.0
     final_defect: float = 0.0
     converged: bool = False
     theory: ContractionSeries | None = None
+
+    @property
+    def rounds(self) -> int:
+        return len(self.iterations)
 
 
 def _theory_series(eps0: float) -> ContractionSeries:
@@ -168,7 +184,7 @@ def _theory_series(eps0: float) -> ContractionSeries:
 
 
 def stabilize(
-    phi: GroupMap, tol: float = 1e-12, max_iter: int = 50
+    phi: GroupMap, tol: float = 1e-12, max_iter: int = 50, measure: bool = True
 ) -> tuple[GroupMap, StabilizationTrace]:
     """Iterate averaging and polar repair until the map is a representation.
 
@@ -180,6 +196,16 @@ def stabilize(
     larger inputs still run but may legitimately fail to converge.  Judging
     a run is the caller's: the CLI reports one that did not converge inside
     the certified regime as ``diverged_certified`` (exit 4).
+
+    With ``measure=False`` a round measures only what decides the loop, and
+    its record holds ``None`` for the rest: the snap's precondition is
+    settled by ``maps._defect_bound``, no step distance is taken, and
+    between rounds a Frobenius certificate that the mult defect is at least
+    ``tol`` (``maps._mult_defect_at_least``) stands for the exact scan.  The
+    scan still runs when the certificate fails and after the last round
+    allowed, so the last map, ``epsilon_0``, the round count,
+    ``final_defect``, ``total_distance`` and every refusal are those of the
+    measured run.
     """
     require_finite(phi.domain, "stabilization")
     if tol <= 0:
@@ -189,16 +215,22 @@ def stabilize(
     maps._require_defect(phi, "unit", UNITARY_TOL, "stabilization needs unitary values")
     eps0, _ = mult_defect(phi)
     current = phi
-    eps_n = eps0
-    trace = StabilizationTrace(theory=_theory_series(eps0))
-    for _ in range(max_iter):
-        if eps_n < tol:
+    eps_n: float | None = eps0  # None: certified to be at least tol, not measured
+    trace = StabilizationTrace(epsilon_0=eps0, theory=_theory_series(eps0))
+    for n in range(1, max_iter + 1):
+        if eps_n is not None and eps_n < tol:
             break
         # averaging needs unitary input: the precondition checks round 1, the snap the rest
-        repaired, delta_n = _unitary_part(average_pd(current))
-        trace.iterations.append(IterationRecord(eps_n, delta_n, distance(current, repaired)))
+        repaired, delta_n = _unitary_part(average_pd(current), measure)
+        if measure:
+            trace.iterations.append(IterationRecord(eps_n, delta_n, distance(current, repaired)))
+        else:
+            trace.iterations.append(IterationRecord(eps_n, None, None))
         current = repaired
-        eps_n, _ = mult_defect(current)
+        if measure or n == max_iter or not maps._mult_defect_at_least(current, tol):
+            eps_n, _ = mult_defect(current)
+        else:
+            eps_n = None
     trace.converged = eps_n < tol
     trace.final_defect = eps_n
     trace.total_distance = distance(phi, current)

@@ -4,6 +4,9 @@ import re
 import shlex
 import subprocess
 import sys
+import time
+import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,11 +19,14 @@ from ulamlab.cli import (
     EXIT_FAIL,
     EXIT_INTERNAL,
     EXIT_PRECONDITION,
+    MAX_SEEDS,
     MAX_WORKERS,
     ExperimentConfig,
     Report,
+    _parallel,
     jsonify,
     main,
+    run,
 )
 from ulamlab.stabilize import IterationRecord
 
@@ -307,6 +313,21 @@ class TestExitCodes:
             ExperimentConfig(command="gen", workers=MAX_WORKERS + 1)
         assert ExperimentConfig(command="gen", workers=MAX_WORKERS).workers == MAX_WORKERS
 
+    def test_oversized_sweep_grid_exits_two_before_any_row(self, runner, monkeypatch):
+        # every (theta, seed) pair is a row; their count obeys the seed bound
+        monkeypatch.setattr("ulamlab.cli.run", no_work)
+        args = ["sweep", "--theta", "0.01,0.02", "--seeds", f"0..{MAX_SEEDS - 1}"]
+        start = time.perf_counter()
+        result = runner.invoke(main, args)
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2, result.output
+        assert f"MAX_SEEDS = {MAX_SEEDS}" in result.stderr
+        assert "Traceback" not in result.output
+        half = tuple(range(MAX_SEEDS // 2))
+        with pytest.raises(ValueError, match="MAX_SEEDS"):
+            ExperimentConfig(command="sweep", theta=(0.01, 0.02), seeds=half + (-1,))
+        assert len(ExperimentConfig(command="sweep", theta=(0.01, 0.02), seeds=half).seeds) == len(half)
+
     def test_theta_list_outside_sweep_exits_two(self, runner):
         for command in ("gen", "defects", "stabilize", "dixmier", "verify"):
             args = [command, "--theta", "0.01,0.05", "--seeds", "0"]
@@ -531,6 +552,53 @@ def test_failed_stdout_write_exits_two(args, tmp_path):
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("configuration error:"), proc.stderr
+
+
+class TestRowDriver:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_parallel_keeps_order_and_takes_few_jobs_ahead(self, workers):
+        taken = []
+
+        def jobs():
+            for i in range(40):
+                taken.append(i)
+                yield partial(abs, -i)
+
+        for i, result in enumerate(_parallel(jobs(), 40, workers)):
+            assert result == i
+            assert len(taken) <= i + 1 + 2 * workers
+
+    def test_parallel_raises_the_first_failure_in_input_order(self):
+        def job(i):
+            time.sleep(0.02 if i == 3 else 0.0)  # the later failure finishes first
+            if i in (3, 5):
+                raise ValueError(f"job {i}")
+            return i
+
+        with pytest.raises(ValueError, match="job 3"):
+            list(_parallel((partial(job, i) for i in range(8)), 8, 4))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verify_fold_memory_does_not_grow_with_seeds(self, monkeypatch, workers):
+        def one_seed(name, seeds):
+            result = SuiteResult(name, len(seeds))
+            for key in range(8):
+                result.note(f"{name}_{key}", Bound(float(seeds[0] % 7), 10.0, tol=1e-9))
+            return result
+
+        monkeypatch.setattr("ulamlab.cli.run_suite", one_seed)
+        peaks = {}
+        for n in (100, 1000):
+            config = ExperimentConfig(command="verify", seeds=tuple(range(n)), workers=workers)
+            tracemalloc.start()
+            report = run(config)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert report.summary["seed_count"] == n
+            assert [r["trials"] for r in report.records] == [n] * len(report.records)
+        # a kept one-seed result per (suite, seed) would add about 9 KB a seed;
+        # the run's own list of seeds adds 8 bytes
+        assert peaks[1000] - peaks[100] < 64 * 900, peaks
 
 
 class TestHelpers:

@@ -414,9 +414,9 @@ def test_parallel_workers_share_the_cores(monkeypatch, kernel_pool):
         expected = mult_defect(phi)
     scans = [lambda: mult_defect(phi)] * 4
     for workers in (2, 4):
-        assert _parallel(scans, workers) == [expected] * 4
+        assert list(_parallel(scans, 4, workers)) == [expected] * 4
     assert kernel_pool.submits == 0
-    assert _parallel(scans, 1) == [expected] * 4
+    assert list(_parallel(scans, 4, 1)) == [expected] * 4
     assert kernel_pool.submits == 4
 
 
@@ -431,7 +431,7 @@ def test_workers_split_kernels_on_spare_cores(monkeypatch, kernel_pool):
     sys.setswitchinterval(1e-6)
     try:
         scans = [lambda kind=kind: mult_defect(phi, kind) for kind in KINDS] * 3
-        assert _parallel(scans, 3) == expected
+        assert list(_parallel(scans, len(scans), 3)) == expected
     finally:
         sys.setswitchinterval(interval)
     assert kernel_pool.submits == len(scans)

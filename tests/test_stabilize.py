@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ulamlab import (
@@ -34,6 +36,7 @@ from ulamlab.cli import jsonify
 from oracles import product_constant
 
 stabilize_module = importlib.import_module("ulamlab.stabilize")
+maps_module = importlib.import_module("ulamlab.maps")
 
 TWO_SIN_TENTH = 0.1996668332936563
 COS_TENTH = 0.9950041652780258
@@ -226,9 +229,15 @@ class TestStabilize:
         phi = perturb_unitary(regular_rep(cyclic(4)), 0.02, seed=0)
         eps0, _ = mult_defect(phi)
         assert 0 < eps0 <= CERTIFIED_EPSILON
-        last, trace = stabilize(phi, max_iter=1)
-        assert trace.converged is False
-        assert trace.final_defect == mult_defect(last)[0]
+        for max_iter in (1, 2):
+            last, trace = stabilize(phi, max_iter=max_iter)
+            assert trace.converged is False and trace.rounds == max_iter
+            assert trace.final_defect == mult_defect(last)[0]
+            # an unmeasured run takes the exact defect after the last round allowed
+            lean_last, lean = stabilize(phi, max_iter=max_iter, measure=False)
+            assert np.array_equal(lean_last.values, last.values)
+            assert not lean.converged and lean.rounds == max_iter
+            assert lean.final_defect == trace.final_defect
 
     def test_uncertified_nonconvergence_reports_quietly(self):
         # seed picked so the starting defect sits just above the certified cut
@@ -238,27 +247,41 @@ class TestStabilize:
         _, trace = stabilize(phi, max_iter=1)
         assert trace.converged is False
 
-    def test_each_round_is_one_average_and_one_scan(self, monkeypatch):
+    @pytest.mark.parametrize("measure", [True, False], ids=["measured", "unmeasured"])
+    def test_each_round_is_one_average_and_one_scan(self, monkeypatch, measure):
         calls = Counter()
 
-        def counted(name):
-            inner = getattr(stabilize_module, name)
+        def counted(module, name):
+            inner = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return inner(*args, **kwargs)
 
-            return wrapper
+            monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("mult_defect", "average_pd", "pd_min_eig", "kazhdan_step", "polar_repair"):
-            monkeypatch.setattr(stabilize_module, name, counted(name))
+        for name in ("mult_defect", "unit_defect", "distance", "average_pd", "pd_min_eig",
+                     "kazhdan_step", "polar_repair"):
+            counted(stabilize_module, name)
+        for name in ("mult_defect", "unit_defect"):  # the scans maps._defect_bound falls back to
+            counted(maps_module, name)
         phi = perturb_unitary(regular_rep(dihedral(4)), 0.03, seed=0)
-        _, trace = stabilize_module.stabilize(phi)
-        rounds = len(trace.iterations)
-        assert rounds >= 2
-        assert calls["mult_defect"] == rounds + 1
+        _, trace = stabilize_module.stabilize(phi, measure=measure)
+        rounds = trace.rounds
+        assert rounds >= 2 and trace.converged
+        assert len(trace.iterations) == rounds
         assert calls["average_pd"] == rounds
         assert calls["pd_min_eig"] == calls["kazhdan_step"] == calls["polar_repair"] == 0
+        if measure:  # each round's epsilon, delta and step, then the total distance
+            assert calls["mult_defect"] == rounds + 1
+            assert calls["unit_defect"] == rounds
+            assert calls["distance"] == rounds + 1
+        else:  # epsilon_0, the closing defect and the total distance
+            assert calls["mult_defect"] == 2
+            assert calls["unit_defect"] == 0
+            assert calls["distance"] == 1
+            assert [rec.delta_n for rec in trace.iterations] == [None] * rounds
+            assert trace.iterations[0].epsilon_n == trace.epsilon_0
 
     @pytest.mark.parametrize("group", [cyclic(6), dihedral(4), symmetric(3)], ids=lambda g: g.label)
     def test_loop_equals_certified_replay(self, group):
@@ -280,7 +303,50 @@ class TestStabilize:
                 eps, _ = mult_defect(current)
             assert np.array_equal(result.values, current.values)
             assert trace.iterations == records
+            assert trace.epsilon_0 == mult_defect(phi)[0]
             assert trace.total_distance == distance(phi, current)
+            # the certified decisions of an unmeasured run take the same steps
+            lean_result, lean = stabilize(phi, measure=False)
+            assert np.array_equal(lean_result.values, result.values)
+            assert (lean.epsilon_0, lean.final_defect, lean.rounds, lean.total_distance) == (
+                trace.epsilon_0, trace.final_defect, trace.rounds, trace.total_distance
+            )
+
+@settings(max_examples=80, deadline=None)
+@given(
+    group=st.sampled_from([cyclic(2), cyclic(5), dihedral(3), dihedral(4)]),
+    kind=st.sampled_from(["phase", "phase_regular", "perturbed"]),
+    angle=st.floats(1e-9, 0.5),
+    seed=st.integers(0, 2**16),
+    rel=st.floats(-2e-6, 1e-6),
+)
+def test_mult_certificate_never_claims_a_defect_below_tol(group, kind, angle, seed, rel):
+    # tol lies within 1e-6 relative of the exact defect, on either side, and
+    # reaches past the certificate's own slack of 1e-6.  A phase, and a phase
+    # times the regular representation, have pair defects that are a scalar
+    # times a unitary, whose Frobenius norm is sqrt(d) times the operator
+    # norm: there the certificate is tight.
+    phases = np.exp(1j * angle * np.arange(group.order) ** 2 * (seed % 7 + 1))[:, None, None]
+    if kind == "phase":
+        phi = GroupMap(group, 1, phases)
+    elif kind == "phase_regular":
+        rho = regular_rep(group)
+        phi = GroupMap(group, rho.dim, phases * rho.values)
+    else:
+        phi = perturb_unitary(regular_rep(group), angle, seed=seed)
+    exact, _ = mult_defect(phi)
+    assume(exact > 0)
+    tol = exact * (1.0 + rel)
+    if maps_module._mult_defect_at_least(phi, tol):
+        assert exact >= tol
+
+
+def test_mult_certificate_refuses_nonfinite_norms():
+    big = GroupMap(cyclic(2), 1, np.array([[[1.0]], [[1e200]]], dtype=complex))
+    with np.errstate(over="ignore", invalid="ignore"):  # the product overflows
+        assert not np.isfinite(maps_module._largest_residual(big, "mult"))
+        assert not np.isfinite(mult_defect(big)[0])
+        assert not maps_module._mult_defect_at_least(big, 1.0)
 
 
 class TestDixmier:

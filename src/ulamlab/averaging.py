@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg, maps
+from .executor import _collect, _for_blocks
 from .linalg import OPERATOR, NormKind
 from .generators import random_map
 from .groups import FiniteGroup, require_finite
@@ -40,17 +41,16 @@ def translate_average(
     ``f(translated, values)`` receives a block of rows
     ``translated[x, y] = phi(x y)`` and ``phi.values``, and returns the sum
     over ``y`` for each row of the block.  Blocks hold at most
-    ``maps._BLOCK`` complex entries a thread, split or not, or one row of
-    ``n d^2`` when a row is larger, instead of the whole ``(n, n, d, d)``
+    ``executor._BLOCK`` complex entries a thread, split or not, or one row
+    of ``n d^2`` when a row is larger, instead of the whole ``(n, n, d, d)``
     tensor.
     """
     g = require_finite(phi.domain, "translate averaging")
-    sums = np.empty(phi.values.shape, dtype=np.complex128)
-
-    def fill(rows: slice) -> None:
-        sums[rows] = f(phi.values[g.mul[rows]], phi.values)
-
-    maps._for_blocks(g.order, g.order * phi.dim * phi.dim, fill)
+    sums = _collect(
+        np.empty(phi.values.shape, dtype=np.complex128),
+        g.order * phi.dim * phi.dim,
+        lambda rows: f(phi.values[g.mul[rows]], phi.values),
+    )
     return sums / g.order
 
 
@@ -135,7 +135,7 @@ def condition_c_check(phi: GroupMap, psi: GroupMap) -> float:
         left = star[rows] @ psi.values[rows]
         return float(batch_norms(left - right).max())
 
-    return max(maps._for_blocks(g.order, g.order * phi.dim * phi.dim, worst), default=0.0)
+    return max(_for_blocks(g.order, g.order * phi.dim * phi.dim, worst), default=0.0)
 
 
 def estimate_checks(

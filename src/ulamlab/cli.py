@@ -21,18 +21,16 @@ import json
 import math
 import sys
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import click
 from click.core import ParameterSource
 import numpy as np
 
-from . import maps
+from .executor import _parallel
 from .linalg import SingularInputError, parse_norm
 from .groups import FiniteGroup, UnsupportedDomainError, parse_group_spec
 from .maps import Bound, PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
@@ -202,42 +200,6 @@ def _build(config: ExperimentConfig, spec: GenSpec, domains: dict):
         raise
     except (ValueError, OSError) as err:
         raise ConfigError(str(err)) from err
-
-
-def _parallel(jobs: Iterable, count: int, workers: int) -> Iterator:
-    """Run ``count`` ``jobs`` on up to ``workers`` threads and yield their
-    results in input order.
-
-    At most ``2 * workers`` jobs are taken ahead of the result the caller
-    waits for, so neither the jobs nor their results are held all at once.
-    The first failing job in input order raises, and the jobs not yet
-    started are cancelled.  The cores are shared out: each worker's kernels
-    may use ``cores // workers`` threads (at least one), so workers times
-    kernel threads stays within the cores whenever the workers do.
-    """
-    if workers <= 1 or count <= 1:
-        for job in jobs:
-            yield job()
-        return
-    threads = min(workers, count)
-    share = max(1, maps._cores() // threads)
-
-    def call(job):
-        with maps._kernel_threads(share):
-            return job()
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        try:
-            for job in jobs:
-                pending.append(pool.submit(call, job))
-                if len(pending) >= 2 * threads:
-                    yield pending.popleft().result()
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
 
 
 def _rows(config: ExperimentConfig, row, keys=(None,)) -> Iterator:

@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import linalg, maps
+from .executor import _blocks, _for_blocks
 from .groups import FiniteGroup, FreeBall, cyclic, n_elements, require_finite
 from .maps import GroupMap, PreconditionError, mult_defect, unit_defect
 
@@ -111,7 +112,7 @@ def perturb_unitary(pi: GroupMap, theta: float, seed: int) -> GroupMap:
     d = pi.dim
     # the stream of one (d, d) real part, then one imaginary part, per element
     others = np.delete(np.arange(len(vals)), pi.domain.identity)
-    for block in maps._blocks(len(others), d * d):
+    for block in _blocks(len(others), d * d):
         xs = others[block]
         parts = rng.standard_normal((len(xs), 2, d, d))
 
@@ -124,7 +125,7 @@ def perturb_unitary(pi: GroupMap, theta: float, seed: int) -> GroupMap:
                 ys, h, scale = xs[sl][keep], h[keep], scale[keep]
                 vals[ys] = vals[ys] @ linalg.unitary_exp(h * (theta / scale)[:, None, None])
 
-        maps._for_blocks(len(xs), d * d, rotate)
+        _for_blocks(len(xs), d * d, rotate)
     return GroupMap(pi.domain, d, vals, label=f"perturbed[{theta:g}]")
 
 

@@ -138,18 +138,29 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
 def from_table(mul, label: str = "table") -> FiniteGroup:
     """Validate a multiplication table and build the group it defines.
 
-    Raises :class:`NotAGroupError` naming the failing row, column, identity
-    or triple, and ``ValueError`` for a table larger than ``MAX_TABLE_ORDER``
-    before validating it.
+    Raises :class:`NotAGroupError` naming the failing entry, row, column,
+    identity or triple, and ``ValueError`` for a label that is not a string
+    or a table larger than ``MAX_TABLE_ORDER`` before validating it.
     """
-    t = np.asarray(mul, dtype=np.int64)
-    if t.ndim != 2 or t.shape[0] != t.shape[1] or t.shape[0] == 0:
-        raise NotAGroupError(f"table must be square and nonempty, got shape {t.shape}")
-    n = t.shape[0]
+    if not isinstance(label, str):
+        raise ValueError(f"table 'label' must be a string, got {label!r}")
+    cells = np.asarray(mul, dtype=object)  # the entries as given: a cast truncates a float
+    if cells.ndim != 2 or cells.shape[0] != cells.shape[1] or cells.shape[0] == 0:
+        raise NotAGroupError(f"table must be square and nonempty, got shape {cells.shape}")
+    n = cells.shape[0]
     if n > MAX_TABLE_ORDER:
         raise ValueError(f"table order {n} exceeds MAX_TABLE_ORDER = {MAX_TABLE_ORDER}")
+    wrong = sorted(
+        kind.__name__
+        for kind in set(map(type, cells.flat))
+        if kind is bool or not issubclass(kind, (int, np.integer))
+    )
+    if wrong:
+        raise NotAGroupError(f"table 'mul' entries must be integers, got {', '.join(wrong)}")
+    t = np.asarray(mul)
     if t.min() < 0 or t.max() >= n:
         raise NotAGroupError("table entries must be element indices in [0, order)")
+    t = t.astype(np.int64, copy=False)
     full = np.arange(n, dtype=np.int64)
     for a in range(n):
         if not np.array_equal(np.sort(t[a]), full):

@@ -7,39 +7,19 @@ map is from being a multiplicative, unitary-valued representation.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
+from .executor import _blocks, _collect, _for_blocks
 from .linalg import OPERATOR, NormKind, adj
 from .groups import FiniteGroup, FreeBall, n_elements, require_finite
 
 GRAM_HERMITIAN_TOL = 1e-8
 MAX_GRAM_DIM = 8192
-# Complex entries each kernel thread must get before a split pays for waking
-# it.  Measured on a 2-core VM at one BLAS thread on symmetric:4 (values of
-# 24x24): the polar snap of 24 values (13,824 entries) took 6.3 ms serial and
-# 4.2 ms split, the unit defect of 48 sides 3.1 ms and 3.6 ms, the distance
-# of 24 values 1.3 ms and 2.0 ms; a `stabilize` seed took 139-145 ms at 2^12
-# and 145-148 ms at 2^14, where none of the three splits.
-_MIN_SPLIT = 1 << 12
-# Complex entries a kernel thread takes at a time, serial or split.  A thread
-# keeps the memory of its largest block in its own malloc arena: whole shares
-# raised the peak RSS of three symmetric:4 `verify` seeds by 10.5 MiB, blocks
-# of 2^15 entries by 2.3 MiB, no slower.  Unsplit kernels (each `--workers`
-# thread, a 1-core host) at 2^22 entries built whole (n, n, d, d) tensors:
-# `stabilize --group cyclic:40 --seeds 0..1 --workers 2` peaked at 129-133 MiB
-# RSS against 53-54 MiB at 2^15, in no more time; the `stabilize-s4-w2`
-# benchmark at 91-97 MiB against 84-85.
-_BLOCK = 1 << 15
 # Complex entries the bound passes of `_op_argmax` take at a time, serial or
 # split.  The single-precision temporaries of a block (128 KiB each) stay
 # below glibc's default mmap threshold and reuse heap pages, and a block of
@@ -175,110 +155,6 @@ def _pair_arrays(
     return xs, ys, domain.mul[xs, ys]
 
 
-def _blocks(stop: int, entries: int, block: int | None = None, start: int = 0):
-    """Slices of the items ``start`` to ``stop`` of ``entries`` complex entries each.
-
-    A block holds at most ``block`` (if given) and ``_BLOCK`` entries, or
-    one item when an item is larger.
-    """
-    step = max(1, min(block or _BLOCK, _BLOCK) // entries)
-    for lo in range(start, stop, step):
-        yield slice(lo, min(lo + step, stop))
-
-
-@functools.cache
-def _cores() -> int:
-    """The cores this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
-
-_budget = threading.local()  # .threads: kernel threads the calling thread may use
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-@contextlib.contextmanager
-def _kernel_threads(threads: int):
-    """Let kernels called from this thread use ``threads`` threads (unset: every core)."""
-    saved = getattr(_budget, "threads", None)
-    _budget.threads = threads
-    try:
-        yield
-    finally:
-        _budget.threads = saved
-
-
-def _executor() -> ThreadPoolExecutor:
-    """The kernel pool, made on the first split; the caller runs one share itself."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(1, _cores() - 1), thread_name_prefix="ulamlab-kernel")
-        return _pool
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads: make a new pool on demand."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _run_share(fn: Callable[[slice], object], share: list[slice]) -> list:
-    with _kernel_threads(1):  # a share never splits again
-        return [fn(sl) for sl in share]
-
-
-def _for_blocks(
-    count: int, entries: int, fn: Callable[[slice], object], block: int | None = None
-) -> list:
-    """``fn`` of every block of ``count`` items of ``entries`` complex entries, in order.
-
-    Serially the blocks are those of ``_blocks(count, entries, block)``.
-    When the calling thread's budget allows ``t > 1`` threads and each gets
-    at least ``_MIN_SPLIT`` entries, the items are cut into ``t`` contiguous
-    shares and each share into the blocks of ``_blocks``, so a thread holds
-    at most ``block`` and ``_BLOCK`` entries (or one item) at a time, split
-    or not.
-    ``fn`` must write only the rows of its block and compute each row
-    independently of the others (batched products and decompositions do),
-    which makes the result the same at every budget.  The exception of the
-    first failing block is raised.
-    """
-    threads = min(count, count * entries // _MIN_SPLIT)
-    if threads > 1:
-        threads = min(threads, getattr(_budget, "threads", None) or _cores())
-    if threads <= 1:
-        return [fn(sl) for sl in _blocks(count, entries, block)]
-    cuts = [count * i // threads for i in range(threads + 1)]
-    shares = [list(_blocks(hi, entries, block, lo)) for lo, hi in zip(cuts, cuts[1:])]
-    futures = [_executor().submit(_run_share, fn, share) for share in shares[1:]]
-    try:
-        out = _run_share(fn, shares[0])
-    finally:
-        wait(futures)
-    return out + [part for future in futures for part in future.result()]
-
-
-def _collect(
-    count: int, entries: int, fn: Callable[[slice], np.ndarray], block: int | None = None
-) -> np.ndarray:
-    """``fn(sl)`` of every block of ``count`` items, written into one float array."""
-    out = np.empty(count)
-
-    def fill(sl: slice) -> None:
-        out[sl] = fn(sl)
-
-    _for_blocks(count, entries, fill, block)
-    return out
-
-
 def _stack_norms(
     count: int,
     dim: int,
@@ -302,9 +178,9 @@ def _stack_norms(
     return norms
 
 
-def batch_norms(mats: np.ndarray, kind: NormKind = OPERATOR) -> np.ndarray:
-    """Norm of each matrix in a ``(count, d, d)`` stack under ``kind``."""
-    return _stack_norms(len(mats), mats.shape[-1], mats.__getitem__, (kind,))[0]
+def batch_norms(mats: np.ndarray) -> np.ndarray:
+    """Operator norm of each matrix in a ``(count, d, d)`` stack."""
+    return _stack_norms(len(mats), mats.shape[-1], mats.__getitem__)[0]
 
 
 def _bound_slack(dim: int) -> float:
@@ -365,7 +241,7 @@ def _op_argmax(
         norms = _stack_norms(count, dim, take)[0]
         w = int(np.argmax(norms))
         return float(norms[w]), w
-    bounds = _collect(count, entries, lambda sl: _op_bounds(take(sl)), _BOUND_BLOCK)
+    bounds = _collect(np.empty(count), entries, lambda sl: _op_bounds(take(sl)), _BOUND_BLOCK)
     top = int(np.argmax(bounds))
     best = linalg.singular_values(take(slice(top, top + 1)))[0, 0]
     if bounds[top] == 0.0:  # every matrix is zero, so is every norm
@@ -387,7 +263,7 @@ def _op_argmax(
     index = index[index != top]
     if len(index) >= _MIN_FILTER_COUNT:
         fine = _collect(
-            len(index),
+            np.empty(len(index)),
             entries,
             lambda sl: _op_bounds(take(index[sl]), 4, single=False),
             _BOUND_BLOCK,
@@ -433,8 +309,8 @@ def pair_defect_norms(
     Entries follow the order of ``_pair_arrays``, so a finite group's result
     reshapes to ``(n, n)`` indexed by ``[x, y]``.  A sequence of kinds gives
     one row per kind from a single scan.  Products are formed at most
-    ``_BLOCK`` complex entries (or one pair) a thread at a time, which bounds
-    the memory of the scan independently of the number of pairs.
+    ``executor._BLOCK`` complex entries (or one pair) a thread at a time,
+    which bounds the memory of the scan independently of the number of pairs.
     """
     kinds = (kind,) if isinstance(kind, NormKind) else tuple(kind)
     norms = _stack_norms(_pair_count(phi.domain), phi.dim, lambda sl: _pair_defects(phi, sl), kinds)
@@ -577,8 +453,8 @@ def pd_min_eig(phi: GroupMap) -> float:
     ``GRAM_HERMITIAN_TOL`` in operator norm is definitely not PSD and is
     reported as ``-inf``; the exact norm, of the Gram of ``s``, is taken only
     when that Frobenius norm exceeds the tolerance.  Each Gram is gathered
-    into one ``(n d)^2`` array, a few block rows (``_BLOCK`` entries)
-    at a time.
+    into one ``(n d)^2`` array, a few block rows (``executor._BLOCK``
+    entries) at a time.
     """
     g = require_finite(phi.domain, "the full-group Gram")
     n, d = g.order, phi.dim

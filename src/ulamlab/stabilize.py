@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, maps
+from .executor import _collect
 from .groups import require_finite
 from .maps import (
     Bound,
@@ -99,12 +100,11 @@ def _unitary_part(phi: GroupMap, measure: bool = True) -> tuple[GroupMap, float]
     delta = unit_defect(phi)[0] if measure else maps._defect_bound(phi, "unit", limit)
     if delta >= limit:
         raise NotRepairableError(f"unit defect {delta:.6g} is not strictly below 1")
-    repaired = np.empty_like(phi.values)
-
-    def snap(block: slice) -> None:
-        repaired[block] = linalg._polar_unitary(phi.values[block])[0]
-
-    maps._for_blocks(len(phi.values), phi.dim * phi.dim, snap)
+    repaired = _collect(
+        np.empty_like(phi.values),
+        phi.dim * phi.dim,
+        lambda block: linalg._polar_unitary(phi.values[block])[0],
+    )
     label = f"repair({phi.label})" if phi.label else "repair"
     return GroupMap(phi.domain, phi.dim, repaired, label=label), delta
 

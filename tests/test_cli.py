@@ -23,11 +23,11 @@ from ulamlab.cli import (
     MAX_WORKERS,
     ExperimentConfig,
     Report,
-    _parallel,
     jsonify,
     main,
     run,
 )
+from ulamlab.executor import _parallel
 from ulamlab.stabilize import IterationRecord
 
 
@@ -221,6 +221,9 @@ class TestExitCodes:
         missing = tmp_path / "missing.json"
         empty_table.write_text("{}")
         list_table.write_text("[[0]]")
+        float_table, number_label = tmp_path / "float.json", tmp_path / "label.json"
+        float_table.write_text('{"mul": [[0, 1.7], [1.2, 0]]}')
+        number_label.write_text('{"label": 5, "mul": [[0, 1], [1, 0]]}')
         cases = [
             ["gen", "--group", "wat:3"],
             ["gen", "--seeds", "5..2"],
@@ -239,6 +242,8 @@ class TestExitCodes:
             ["dixmier", "--group", "cyclic:3", "--genspec", '{"kind":"twisted","bound":NaN}'],
             ["gen", "--group", f"table:{empty_table}"],
             ["gen", "--group", f"table:{list_table}"],
+            ["defects", "--group", f"table:{float_table}"],
+            ["defects", "--group", f"product:table:{number_label},cyclic:2"],
             ["gen", "--genspec", json.dumps({"kind": "regular", "group": f"table:{missing}"})],
         ]
         # a field of the wrong JSON type
@@ -303,7 +308,7 @@ class TestExitCodes:
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
-        monkeypatch.setattr("ulamlab.cli.ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr("ulamlab.executor.ThreadPoolExecutor", no_pool)
         monkeypatch.setattr("ulamlab.cli.run", no_pool)
         args = ["verify", "--seeds", "0..99999", "--workers", str(MAX_WORKERS + 1)]
         result = runner.invoke(main, args)

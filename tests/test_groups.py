@@ -169,6 +169,15 @@ def test_from_table_rejects_out_of_range_entries():
         from_table([[0, 1], [1, 2]])
 
 
+def test_from_table_rejects_entries_that_are_not_integers():
+    # cast to integers, the first table would be cyclic:2's and the second
+    # the identity's of order 2
+    for mul in ([[0, 1.7], [1.2, 0]], [[False, True], [True, False]]):
+        with pytest.raises(NotAGroupError, match="'mul' entries must be integers"):
+            from_table(mul)
+    assert from_table(np.array([[0, 1], [1, 0]], dtype=np.int32)).order == 2
+
+
 def test_reduce_word_cancels_adjacent_inverses():
     assert reduce_word([1, -1]) == ()
     assert reduce_word([1, 2, -2, -1]) == ()
@@ -315,6 +324,15 @@ def test_parse_group_spec_table_file(tmp_path):
     g = parse_group_spec(f"table:{path}")
     assert g.order == 3
     check_group_axioms(g)
+
+
+def test_parse_group_spec_rejects_a_label_that_is_not_a_string(tmp_path):
+    # a number would reach the report as one, and a product of it fails on its label
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"label": 5, "mul": [[0, 1], [1, 0]]}))
+    for spec in (f"table:{path}", f"product:table:{path},cyclic:2"):
+        with pytest.raises(ValueError, match="'label' must be a string"):
+            parse_group_spec(spec)
 
 
 def test_parse_group_spec_rejects_unknown():

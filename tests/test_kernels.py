@@ -1,17 +1,17 @@
 """The chunked kernels against dense references, and their memory bound.
 
 ``pair_defect_norms`` and ``translate_average`` (and the checks built on the
-same chunking) form their products at most ``ulamlab.maps._BLOCK`` complex
-entries a thread at a time, serial or split, and the batched polar snap and
-perturbation decompose their values in blocks of the same size.  Shrinking
-that constant forces many chunks and a ragged last one, which must not change
-any result; at the shipped size every kernel stays within one memory bound,
-at one kernel thread as at two.  The batched decompositions must equal their
+same chunking) form their products at most ``ulamlab.executor._BLOCK``
+complex entries a thread at a time, serial or split, and the batched polar
+snap and perturbation decompose their values in blocks of the same size.
+Shrinking that constant forces many chunks and a ragged last one, which must
+not change any result; at the shipped size every kernel stays within one
+memory bound, at one kernel thread as at two.  The batched decompositions must equal their
 matrix-by-matrix forms bit for bit.
 
 The same kernels split their blocks across the kernel threads of the calling
-thread's budget (``ulamlab.maps._kernel_threads``).  Every budget must give
-the serial result bit for bit.
+thread's budget (``ulamlab.executor._kernel_threads``).  Every budget must
+give the serial result bit for bit.
 
 The operator-norm maxima (``ulamlab.maps._op_argmax``) decompose only the
 matrices whose upper bound can reach the max.  They must give the max and the
@@ -28,6 +28,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ulamlab.executor
 import ulamlab.maps
 from ulamlab import (
     OPERATOR,
@@ -59,7 +60,7 @@ from ulamlab import (
     translate_coefficient,
     unit_defect,
 )
-from ulamlab.cli import _parallel
+from ulamlab.executor import _parallel
 from ulamlab.generators import character_rep
 from ulamlab.stabilize import _unitary_part
 
@@ -81,24 +82,24 @@ MEMORY_BOUND = 8 << 20  # bytes
 
 @contextlib.contextmanager
 def block_size(entries: int):
-    saved = ulamlab.maps._BLOCK
-    ulamlab.maps._BLOCK = entries
+    saved = ulamlab.executor._BLOCK
+    ulamlab.executor._BLOCK = entries
     try:
         yield
     finally:
-        ulamlab.maps._BLOCK = saved
+        ulamlab.executor._BLOCK = saved
 
 
 @contextlib.contextmanager
 def kernel_threads(budget: int, min_split: int = 1):
     """Give the calling thread ``budget`` kernel threads; by default every block may split."""
-    saved = ulamlab.maps._MIN_SPLIT
-    ulamlab.maps._MIN_SPLIT = min_split
+    saved = ulamlab.executor._MIN_SPLIT
+    ulamlab.executor._MIN_SPLIT = min_split
     try:
-        with ulamlab.maps._kernel_threads(budget):
+        with ulamlab.executor._kernel_threads(budget):
             yield
     finally:
-        ulamlab.maps._MIN_SPLIT = saved
+        ulamlab.executor._MIN_SPLIT = saved
 
 
 class CountingPool:
@@ -113,8 +114,8 @@ class CountingPool:
 
 @pytest.fixture
 def kernel_pool(monkeypatch):
-    pool = CountingPool(ulamlab.maps._executor())
-    monkeypatch.setattr(ulamlab.maps, "_executor", lambda: pool)
+    pool = CountingPool(ulamlab.executor._executor())
+    monkeypatch.setattr(ulamlab.executor, "_executor", lambda: pool)
     return pool
 
 
@@ -259,7 +260,7 @@ def test_chunked_kernels_bound_memory():
     # Every thread takes blocks of at most the shipped _BLOCK entries, at one
     # kernel thread (a --workers thread) as at two.
     for budget in (1, 2):
-        with ulamlab.maps._kernel_threads(budget):
+        with ulamlab.executor._kernel_threads(budget):
             assert_kernels_bound_memory()
 
 
@@ -299,7 +300,7 @@ def test_pd_min_eig_holds_one_gram():
     phi = perturb_unitary(regular_rep(g), 0.03, seed=0)
     gram = 16 * (g.order * phi.dim) ** 2
     for budget in (1, 2):
-        with ulamlab.maps._kernel_threads(budget):
+        with ulamlab.executor._kernel_threads(budget):
             for psi, hermitian in ((average_pd(phi), True), (phi, False)):
                 tracemalloc.start()
                 try:
@@ -370,7 +371,7 @@ def test_split_kernels_equal_serial(name, kernel_pool):
     # 3 threads cut 8 values (or 7) into ragged shares; the small chunk gives
     # every share several blocks.
     for budget in (1, 2, 3):
-        for chunk in (ulamlab.maps._BLOCK, 3 * phi.dim**2):
+        for chunk in (ulamlab.executor._BLOCK, 3 * phi.dim**2):
             with kernel_threads(budget), block_size(chunk):
                 before = kernel_pool.submits
                 got = split_consumers(phi)
@@ -398,7 +399,7 @@ def test_split_scan_keeps_the_first_witness():
 
 def test_small_maps_start_no_kernel_thread(kernel_pool):
     phi = perturb_unitary(regular_rep(dihedral(4)), 0.03, seed=0)
-    with ulamlab.maps._kernel_threads(8):
+    with ulamlab.executor._kernel_threads(8):
         psi = average_pd(phi)
         stabilize(phi)
         estimate_checks(phi, psi, [schatten(1, normalized=True)])
@@ -409,8 +410,8 @@ def test_small_maps_start_no_kernel_thread(kernel_pool):
 def test_parallel_workers_share_the_cores(monkeypatch, kernel_pool):
     # cyclic:14 has 14^4 pair entries, enough for two kernel threads.
     phi = perturb_unitary(regular_rep(cyclic(14)), 0.05, seed=0)
-    monkeypatch.setattr(ulamlab.maps, "_cores", lambda: 2)
-    with ulamlab.maps._kernel_threads(1):
+    monkeypatch.setattr(ulamlab.executor, "_cores", lambda: 2)
+    with ulamlab.executor._kernel_threads(1):
         expected = mult_defect(phi)
     scans = [lambda: mult_defect(phi)] * 4
     for workers in (2, 4):
@@ -424,9 +425,9 @@ def test_workers_split_kernels_on_spare_cores(monkeypatch, kernel_pool):
     # Three workers on six cores: each splits its scans in two, all through the
     # one kernel pool, and thread switches are forced as often as possible.
     phi = perturb_unitary(regular_rep(cyclic(14)), 0.05, seed=0)
-    with ulamlab.maps._kernel_threads(1):
+    with ulamlab.executor._kernel_threads(1):
         expected = [mult_defect(phi, kind) for kind in KINDS] * 3
-    monkeypatch.setattr(ulamlab.maps, "_cores", lambda: 6)
+    monkeypatch.setattr(ulamlab.executor, "_cores", lambda: 6)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -683,7 +684,7 @@ def test_pair_indices_are_built_per_block():
     phi = GroupMap(g, 1, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, g.order))[:, None, None])
     pairs = g.order**2
     for budget in (1, 2):
-        with ulamlab.maps._kernel_threads(budget):
+        with ulamlab.executor._kernel_threads(budget):
             expected = mult_defect(phi)
             tracemalloc.start()
             try:

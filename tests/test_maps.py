@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ulamlab.executor
 import ulamlab.linalg
 import ulamlab.maps
 from ulamlab import (
@@ -192,7 +193,7 @@ def test_pd_min_eig_equals_the_dense_gram(g):
     # eigvalsh must be the dense one bit for bit, on one block or many.
     phi = perturb_unitary(regular_rep(g), 0.03, seed=0)
     if g.label == "symmetric:4":
-        assert (g.order * phi.dim) ** 2 > ulamlab.maps._BLOCK
+        assert (g.order * phi.dim) ** 2 > ulamlab.executor._BLOCK
     for psi in (average_pd(phi), translate_coefficient(phi)):
         expected = dense_pd_min_eig(psi)
         assert np.isfinite(expected)

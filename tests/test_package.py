@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import ulamlab
+import ulamlab.executor
 
 
 def test_public_names_resolve_once():
@@ -17,6 +18,7 @@ def test_public_names_resolve_once():
 LAZY_IMPORT = """
 import os, sys
 import ulamlab
+import ulamlab.executor
 assert "numpy" not in sys.modules, "import ulamlab loaded numpy"
 import ulamlab.cli
 threads = [os.environ[v] for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")]
@@ -100,3 +102,28 @@ def test_names_the_benchmark_reads_resolve():
         if not hasattr(importlib.import_module(f"ulamlab.{module}"), name)
     ]
     assert missing == []
+
+
+def test_only_the_executor_module_knows_about_threads():
+    # The executor shares a run's cores between --workers and kernel threads:
+    # a module that started threads of its own would share them twice.  Its
+    # names are read from it alone, not through a module that imports them.
+    executor = {n for n in vars(ulamlab.executor) if n.startswith("_") and not n.startswith("__")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "executor":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                modules = []
+            found += [(path.stem, m) for m in modules if m.split(".")[0] in ("threading", "concurrent")]
+            if isinstance(node, ast.ImportFrom) and node.level and node.module != "executor":
+                found += [(path.stem, a.name) for a in node.names if a.name in executor]
+            if isinstance(node, ast.Attribute) and node.attr in executor:
+                if not (isinstance(node.value, ast.Name) and node.value.id == "executor"):
+                    found.append((path.stem, node.attr))
+    assert found == []

@@ -20,7 +20,7 @@ import numpy as np
 from . import linalg, maps
 from .executor import _blocks, _for_blocks
 from .groups import FiniteGroup, FreeBall, cyclic, n_elements, require_finite
-from .maps import GroupMap, PreconditionError, mult_defect, unit_defect
+from .maps import GroupMap, PreconditionError, SizeLimitError, mult_defect, unit_defect
 
 MAX_REGULAR_ORDER = 256
 
@@ -186,8 +186,13 @@ def random_map(
         raise ValueError(f"dimension must be >= 1, got {dim}")
     if sup < 0:
         raise ValueError(f"sup bound must be nonnegative, got {sup}")
-    rng = _rng(seed, "random_map")
     n = n_elements(domain)
+    if n * dim * dim > MAX_REGULAR_ORDER**3:
+        raise SizeLimitError(
+            f"random_map of {n} values of dimension {dim} holds {n * dim * dim} entries, "
+            f"more than MAX_REGULAR_ORDER**3 = {MAX_REGULAR_ORDER**3}"
+        )
+    rng = _rng(seed, "random_map")
     vals = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
     peak = float(maps.batch_norms(vals).max())
     if sup == 0.0 or peak == 0.0:

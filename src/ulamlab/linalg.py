@@ -159,15 +159,20 @@ def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
 
 def _polar_unitary(a) -> tuple[np.ndarray, ...]:
     """``(u, s, vh)``: the unitary polar factor of ``a`` (or of each matrix of a
-    stack) and the SVD parts it is formed from; refuses as :func:`polar` does."""
+    stack) and the SVD parts it is formed from; :func:`_require_invertible`
+    refuses as :func:`polar` does."""
     u_left, s, vh = np.linalg.svd(_as_matrices(a))
+    return u_left @ vh, s, vh
+
+
+def _require_invertible(s: np.ndarray) -> None:
+    """Refuse singular values ``s`` (a row per matrix) whose smallest is below ``SIGMA_MIN_TOL``."""
     smallest = s[..., -1].ravel()
     low = np.flatnonzero(smallest < SIGMA_MIN_TOL)
     if low.size:
         raise SingularInputError(
             f"smallest singular value {smallest[low[0]]:.3e} is below {SIGMA_MIN_TOL:.3e}"
         )
-    return u_left @ vh, s, vh
 
 
 def polar(a) -> tuple[np.ndarray, np.ndarray]:
@@ -180,6 +185,7 @@ def polar(a) -> tuple[np.ndarray, np.ndarray]:
     tracer (``bench/spans.py``) take this function as its reference.
     """
     u, s, vh = _polar_unitary(a)
+    _require_invertible(s)
     p = adj(vh) @ (s[..., :, None] * vh)
     p = (p + adj(p)) / 2.0
     return u, p

@@ -234,14 +234,24 @@ def _op_argmax(
     not fall below its value are kept.  When at least `_MIN_FILTER_COUNT`
     remain besides the top they are bounded again, four squarings deep in
     double precision, and the survivors are decomposed.  A stack below the
-    ``_MIN_FILTER`` gate decomposes every matrix.
+    ``_MIN_FILTER`` gate decomposes every matrix.  A stack of one bound block
+    (`_BOUND_BLOCK` entries) is taken once, as one array, and bounded unsplit.
     """
     entries = dim * dim
     if count < _MIN_FILTER_COUNT or count * entries < _MIN_FILTER:
         norms = _stack_norms(count, dim, take)[0]
         w = int(np.argmax(norms))
         return float(norms[w]), w
-    bounds = _collect(np.empty(count), entries, lambda sl: _op_bounds(take(sl)), _BOUND_BLOCK)
+    one_block = count * entries <= _BOUND_BLOCK
+    if one_block:  # formed once, and its bound passes run unsplit
+        take = take(slice(0, count)).__getitem__
+
+    def bound(items: int, fn: Callable[[slice], np.ndarray]) -> np.ndarray:
+        if one_block:
+            return fn(slice(0, items))
+        return _collect(np.empty(items), entries, fn, _BOUND_BLOCK)
+
+    bounds = bound(count, lambda sl: _op_bounds(take(sl)))
     top = int(np.argmax(bounds))
     best = linalg.singular_values(take(slice(top, top + 1)))[0, 0]
     if bounds[top] == 0.0:  # every matrix is zero, so is every norm
@@ -262,12 +272,7 @@ def _op_argmax(
     index = np.flatnonzero(~(bounds < best / (1.0 + _bound_slack(dim))))
     index = index[index != top]
     if len(index) >= _MIN_FILTER_COUNT:
-        fine = _collect(
-            np.empty(len(index)),
-            entries,
-            lambda sl: _op_bounds(take(index[sl]), 4, single=False),
-            _BOUND_BLOCK,
-        )
+        fine = bound(len(index), lambda sl: _op_bounds(take(index[sl]), 4, single=False))
         index = index[~(fine < best / (1.0 + _BOUND_SLACK))]
     # The norms go where the bounds were, the top's back in its place, and
     # every matrix left out ranks below them, so that argmax finds the first
@@ -335,26 +340,54 @@ def mult_defect(phi: GroupMap, kind: NormKind = OPERATOR) -> tuple[float, tuple[
     return value, (int(xs[0]), int(ys[0]))
 
 
-def unit_defect(phi: GroupMap) -> tuple[float, int]:
+def unit_defect(phi: GroupMap, sigma: np.ndarray | None = None) -> tuple[float, int]:
     """Worst of ``1 - v v*`` and ``1 - v* v`` in operator norm, with witness.
 
     The witness is the first element whose left or right defect is the worst.
+    Given ``sigma``, the values' singular values, only sides that can attain it are formed.
     """
-    n, d = len(phi.values), phi.dim
+    return _side_argmax(phi, sigma, 2)
+
+
+def _unit_bounds(dim: int, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the computed norm of either side (`_unit_sides`) of each value
+    about ``max_i |1 - sigma_i^2|``, the exact norm of both, from ``sigma``."""
+    estimate = np.abs(1.0 - sigma * sigma).max(axis=1)
+    # Rounding, to first order, with u = 2^-53 and s = sigma_max(v): a backward
+    # stable SVD gives the singular values of v + E, ||E|| <= p(d) u s with p(d)
+    # u about d 2^-52 as in `_op_argmax`, so (Weyl) each sigma_i^2 errs by 2 p(d)
+    # u s^2, and the estimate's arithmetic adds 2 u (1 + s^2).  The side formed,
+    # fl(1 - fl(v v*)), is within gamma_2d d s^2 + sqrt(d) u (1 + s^2) of 1 - v v*
+    # (Higham 2002, sec. 3.5, with || |A| || <= sqrt(d) ||A||), and its SVD errs
+    # by p(d) u (1 + s^2): in all (2 d^2 + 6 d + sqrt(d) + 2) u (1 + s^2), below
+    # ``slack``.  A NaN or inf estimate gives NaN or inf bounds.
+    slack = dim * dim * 2.0**-49 * (1.0 + sigma[:, 0] ** 2)
+    return estimate - slack, estimate + slack
+
+
+def _side_argmax(phi: GroupMap, sigma: np.ndarray | None, sides: int) -> tuple[float, int]:
+    """The largest norm of the ``sides`` (2, or 1: ``1 - v* v``) of `_unit_sides` and the
+    first element attaining it, over the elements whose `_unit_bounds` can reach it."""
+    d, keep = phi.dim, np.arange(len(phi.values))
+    if sigma is not None:  # every element if a bound is NaN
+        lower, upper = _unit_bounds(d, sigma)
+        keep = np.flatnonzero(~(upper < np.max(lower)))
     # formed in place block by block: whole-stack temporaries doubled the peak memory
-    sides = np.empty((n, 2, d, d), dtype=np.complex128)
-    _for_blocks(n, 2 * d * d, lambda sl: _unit_sides(phi, sl, sides[sl]), _BOUND_BLOCK)
-    value, w = _op_argmax(2 * n, d, sides.reshape(-1, d, d).__getitem__)
-    return value, w // 2
+    stack = np.empty((len(keep), sides, d, d), dtype=np.complex128)
+    _for_blocks(len(keep), sides * d * d, lambda sl: _unit_sides(phi, keep[sl], stack[sl]), _BOUND_BLOCK)
+    value, w = _op_argmax(sides * len(keep), d, stack.reshape(-1, d, d).__getitem__)
+    return value, int(keep[w // sides])
 
 
-def _unit_sides(phi: GroupMap, at: slice, out: np.ndarray | None = None) -> np.ndarray:
-    """``1 - v v*`` at ``[x, 0]`` and ``1 - v* v`` at ``[x, 1]`` for the values at a slice."""
+def _unit_sides(phi: GroupMap, at: slice | np.ndarray, out: np.ndarray | None = None):
+    """``1 - v v*`` at ``[x, 0]`` and ``1 - v* v`` at ``[x, -1]`` for the values
+    at a slice or index array; an ``out`` of one side per value takes the last."""
     v = phi.values[at]
     if out is None:
         out = np.empty((len(v), 2, phi.dim, phi.dim), dtype=np.complex128)
-    np.matmul(v, adj(v), out=out[:, 0])
-    np.matmul(adj(v), v, out=out[:, 1])
+    if out.shape[1] == 2:
+        np.matmul(v, adj(v), out=out[:, 0])
+    np.matmul(adj(v), v, out=out[:, -1])
     return np.subtract(np.eye(phi.dim, dtype=np.complex128), out, out=out)
 
 
@@ -421,11 +454,9 @@ def _require_defect(phi: GroupMap, which: str, tol: float, what: str) -> None:
         raise PreconditionError(f"{what}; {which} defect is {value:.3e}")
 
 
-def iso_defect(phi: GroupMap) -> float:
-    """Worst ``1 - v* v`` deviation alone (isometry defect)."""
-    v = phi.values
-    eye = np.eye(phi.dim, dtype=np.complex128)
-    return _op_argmax(len(v), phi.dim, (eye - adj(v) @ v).__getitem__)[0]
+def iso_defect(phi: GroupMap, sigma: np.ndarray | None = None) -> float:
+    """Worst ``1 - v* v`` deviation alone (isometry defect); ``sigma`` as in `unit_defect`."""
+    return _side_argmax(phi, sigma, 1)[0]
 
 
 def sup_norm(phi: GroupMap) -> float:
@@ -493,15 +524,18 @@ def defect_report(phi: GroupMap, kind: NormKind = OPERATOR) -> DefectReport:
     """All defect measurements in one pass.
 
     ``epsilon`` uses the requested norm; ``delta`` and ``iso_delta`` are
-    operator-norm quantities.
+    operator-norm quantities.  The values are decomposed once, for
+    ``sup_norm`` and to narrow the unit and isometry scans.
     """
     eps, pair = mult_defect(phi, kind)
-    delta, element = unit_defect(phi)
+    v, d = phi.values, phi.dim
+    sigma = _collect(np.empty((len(v), d)), d * d, lambda sl: linalg.singular_values(v[sl]))
+    delta, element = unit_defect(phi, sigma)
     return DefectReport(
         epsilon=eps,
         delta=delta,
-        iso_delta=iso_defect(phi),
-        sup_norm=sup_norm(phi),
+        iso_delta=iso_defect(phi, sigma),
+        sup_norm=float(sigma[:, 0].max()),
         norm_kind=kind.describe(),
         witness_pair=pair,
         witness_element=element,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg, maps
-from .executor import _collect
+from .executor import _for_blocks
 from .groups import require_finite
 from .maps import (
     Bound,
@@ -91,20 +91,24 @@ def contraction_series(kappa1: float, kappa2: float, p: float, delta: float) -> 
 def _unitary_part(phi: GroupMap, measure: bool = True) -> tuple[GroupMap, float]:
     """The polar unitary factor of every value, and the unit defect it removed.
 
-    With ``measure=False`` the second value is only an upper bound on that
-    defect: the exact defect is taken only when the Frobenius bound of
-    ``maps._defect_bound`` cannot tell it from one, so the refusal and its
-    message are the same.
+    One SVD of each value gives its polar factor and the singular values that
+    narrow the exact unit-defect scan.  With ``measure=False`` the second value
+    is only the bound those values give (``maps._unit_bounds``); the exact defect
+    is taken when it reaches the limit, so the refusal and its message are the same.
     """
     limit = 1.0 - 1e-9
-    delta = unit_defect(phi)[0] if measure else maps._defect_bound(phi, "unit", limit)
+    repaired, sigma = np.empty_like(phi.values), np.empty((len(phi.values), phi.dim))
+
+    def fill(block: slice) -> None:
+        repaired[block], sigma[block], _ = linalg._polar_unitary(phi.values[block])
+
+    _for_blocks(len(phi.values), phi.dim * phi.dim, fill)
+    delta = float(np.max(maps._unit_bounds(phi.dim, sigma)[1]))
+    if measure or not delta < limit:
+        delta = unit_defect(phi, sigma)[0]
     if delta >= limit:
         raise NotRepairableError(f"unit defect {delta:.6g} is not strictly below 1")
-    repaired = _collect(
-        np.empty_like(phi.values),
-        phi.dim * phi.dim,
-        lambda block: linalg._polar_unitary(phi.values[block])[0],
-    )
+    linalg._require_invertible(sigma)
     label = f"repair({phi.label})" if phi.label else "repair"
     return GroupMap(phi.domain, phi.dim, repaired, label=label), delta
 

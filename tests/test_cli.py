@@ -346,6 +346,15 @@ class TestExitCodes:
             ExperimentConfig(command="stabilize", theta=(0.01, 0.05))
         assert ExperimentConfig(command="sweep", theta=(0.01, 0.05)).theta == (0.01, 0.05)
 
+    def test_oversized_random_map_exits_two_before_drawing(self, runner):
+        genspec = json.dumps({"kind": "random_map", "dim": 65})
+        start = time.perf_counter()
+        result = runner.invoke(main, ["gen", "--group", "cyclic:4096", "--genspec", genspec])
+        assert time.perf_counter() - start < 1.0
+        assert result.exit_code == 2, result.output
+        assert "MAX_REGULAR_ORDER**3 = 16777216" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_table_order_limit_exits_two(self, runner, monkeypatch, tmp_path):
         table = tmp_path / "cyclic6.json"
         table.write_text(json.dumps({"mul": ulamlab.cyclic(6).mul.tolist()}))

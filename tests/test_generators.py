@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from ulamlab import (
     GenSpec,
     PreconditionError,
+    SizeLimitError,
     UnsupportedDomainError,
     build_map,
     compress_rep,
@@ -29,7 +30,7 @@ from ulamlab import (
     trivial_rep,
     unit_defect,
 )
-from ulamlab.generators import character_rep
+from ulamlab.generators import MAX_REGULAR_ORDER, character_rep
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -223,6 +224,18 @@ class TestRandomMap:
     def test_works_on_free_ball(self):
         phi = random_map(free_ball(2, 2), 2, seed=0)
         assert phi.values.shape[0] == 17
+
+    def test_oversized_map_is_refused_before_drawing(self, monkeypatch):
+        # 4096 values of dimension 65 are just over MAX_REGULAR_ORDER**3
+        # entries, about 277 MiB of values and as much again for each draw.
+        def no_draw(*args, **kwargs):
+            raise AssertionError("values were drawn")
+
+        monkeypatch.setattr("ulamlab.generators._rng", no_draw)
+        g = cyclic(4096)
+        with pytest.raises(SizeLimitError, match=r"MAX_REGULAR_ORDER\*\*3 = 16777216"):
+            random_map(g, 65)
+        assert MAX_REGULAR_ORDER**3 == 16_777_216 < g.order * 65**2
 
 
 # Each recipe with its JSON echo: the kind, the group if set, and the fields

@@ -33,10 +33,13 @@ import ulamlab.maps
 from ulamlab import (
     OPERATOR,
     GroupMap,
+    NotRepairableError,
+    SingularInputError,
     average_pd,
     condition_c_check,
     conjugate_rep,
     cyclic,
+    defect_report,
     derive_seed,
     dihedral,
     direct_product,
@@ -697,3 +700,125 @@ def test_pair_indices_are_built_per_block():
     x, y = expected[1]
     v = phi.values
     assert abs(v[x] @ v[y] - v[g.mul[x, y]])[0, 0] == expected[0]
+
+
+def test_one_block_stack_is_taken_once():
+    # At most _BOUND_BLOCK entries: one take, bounded, filtered and decomposed
+    # from one array, at any budget; above it, the takes of every bound block,
+    # the top, the fine pass and the survivors: 3 + 1 + 3 + 2 for 63 tied
+    # candidates, 3 + 1 for none.
+    def counted(stack, calls):
+        def take(at):
+            calls.append(at)
+            return stack[at]
+
+        return take
+
+    cases = [("spectra", 40, 8, None), ("unitary_multiples", 40, 8, None)]
+    cases += [("unitary_multiples", 64, 24, 9), ("spectra", 64, 24, 7), ("random", 64, 24, 4)]
+    for kind, count, dim, takes in cases:
+        stack = make_stack(kind, count, dim, seed=2)
+        for budget in (1, 2) if takes is None else (1,):
+            calls = []
+            with kernel_threads(budget, min_split=ulamlab.executor._MIN_SPLIT):
+                got = ulamlab.maps._op_argmax(count, dim, counted(stack, calls))
+            assert got == op_reference(stack), (kind, count, dim)
+            assert len(calls) == (takes or 1), (kind, count, dim, budget)
+
+
+LIMIT = 1.0 - 1e-9  # the snap refuses a unit defect from here
+
+
+def snap_reference(phi):
+    """The snap decided by the full unit-defect scan, then ``linalg.polar``:
+    the repaired values and the defect, or the refusal's class and message."""
+    delta = unit_defect(phi)[0]
+    if delta >= LIMIT:
+        return NotRepairableError, f"unit defect {delta:.6g} is not strictly below 1"
+    try:
+        return linalg.polar(phi.values)[0], delta
+    except SingularInputError as err:
+        return SingularInputError, str(err)
+
+
+def assert_snap_equals_reference(phi, sides):
+    """``sides`` collects the calls of ``maps._unit_sides``."""
+    expected = snap_reference(phi)
+    for measure in (True, False):
+        sides.clear()
+        try:
+            psi, delta = _unitary_part(phi, measure)
+        except (NotRepairableError, SingularInputError) as err:
+            assert (type(err), str(err)) == expected, measure
+            continue
+        values, exact = expected
+        assert np.array_equal(psi.values, values), measure
+        if measure:
+            assert same_float(delta, exact)
+        else:  # an upper bound; the exact scan runs only near the limit
+            assert exact <= delta < LIMIT
+            assert not sides or (delta == exact and exact >= 0.5)
+
+
+def scalar_values(c, dim):
+    """cyclic:2 values 1 and ``diag(c, 1, ...)``: unit defect ``|1 - |c|^2|``."""
+    values = np.stack([np.eye(dim, dtype=complex)] * 2)
+    values[1, 0, 0] = c
+    return values
+
+
+def test_snap_decides_its_unit_defect_from_its_singular_values(monkeypatch):
+    # Unit defects a few ulps either side of the limit, from below (|c|^2
+    # near 1e-9) and above (near 2 - 1e-9); smallest singular values around
+    # SIGMA_MIN_TOL, which the unit-defect refusal always precedes; and the
+    # stacks of the operator-norm tests at every scale.
+    near = []
+    for dim in (1, 2):
+        for k in range(-4, 5):
+            for square in (1e-9 + k * 2.0**-53, 2.0 - 1e-9 + k * 2.0**-52):
+                for phase in (1.0, 1j):
+                    near.append(GroupMap(cyclic(2), dim, scalar_values(phase * np.sqrt(square), dim)))
+    deltas = [unit_defect(phi)[0] for phi in near]
+    assert sum(d < LIMIT for d in deltas) >= 8 and sum(d > LIMIT for d in deltas) >= 8, deltas
+    singular = [
+        GroupMap(cyclic(2), dim, scalar_values(s * linalg.SIGMA_MIN_TOL, dim))
+        for dim in (1, 2)
+        for s in (0.5, 1.0, 2.0)
+    ]
+    stacks = []
+    for g in (cyclic(2), dihedral(4), cyclic(16)):
+        for dim in (1, 3, 5):
+            for values in MAP_VALUES.values():
+                stacks += [GroupMap(g, dim, values(g, dim, dim) * scale) for scale in MAP_SCALES]
+        phi = perturb_unitary(regular_rep(g), 0.05, seed=1)
+        stacks += [phi, average_pd(phi)]
+    sides = []
+    form = ulamlab.maps._unit_sides
+    monkeypatch.setattr(ulamlab.maps, "_unit_sides", lambda *args: sides.append(1) or form(*args))
+    for phi in near + singular + stacks:
+        assert_snap_equals_reference(phi, sides)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    g=st.sampled_from(FILTER_GROUPS),
+    dim=st.integers(1, 6),
+    kind=st.sampled_from(sorted(MAP_VALUES) + ["perturbed", "averaged"]),
+    scale=st.sampled_from(MAP_SCALES),
+    seed=st.integers(0, 2**16),
+    budget=st.sampled_from((1, 2)),
+)
+def test_defect_report_equals_separate_scans(g, dim, kind, scale, seed, budget):
+    if kind in ("perturbed", "averaged"):  # unit defects of rounding, and of a round
+        phi = perturb_unitary(regular_rep(g), 0.05, seed)
+        phi = average_pd(phi) if kind == "averaged" else phi
+        phi = GroupMap(g, phi.dim, phi.values * scale)
+    else:
+        phi = GroupMap(g, dim, MAP_VALUES[kind](g, dim, seed) * scale)
+    with kernel_threads(budget):
+        report = defect_report(phi)
+    delta, element = unit_defect(phi)
+    assert (report.epsilon, report.witness_pair) == mult_defect(phi)
+    assert same_float(report.delta, delta) and report.witness_element == element
+    assert same_float(report.iso_delta, iso_defect(phi))
+    assert same_float(report.sup_norm, sup_norm(phi))

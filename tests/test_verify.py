@@ -198,12 +198,18 @@ def test_stabilize_seed_takes_operator_maxima_only_for_reported_values(monkeypat
     assert rounds >= 2 and trace.converged
     # Each round reports its epsilon_n, delta_n and step distance, and the run
     # its final defect and total distance: one mult defect over the 64 pairs
-    # per epsilon, one unit defect over 16 sides per delta and one distance
-    # over 8 values per distance.  The unit-defect preconditions of the
-    # perturbation and of the loop take none.
+    # per epsilon, one unit defect per delta and one distance over 8 values
+    # per distance.  A unit defect scans the sides of the elements its
+    # snap's singular values leave as candidates: 2 and 1 of the 8 in the
+    # first two rounds, all 8 (16 sides) in the last, whose unit defect is
+    # rounding.  The unit-defect preconditions of the perturbation and of the
+    # loop take none.
     maxima = {key: n for key, n in calls.items() if key.startswith("_op_argmax")}
+    assert rounds == 3
     assert maxima == {
         "_op_argmax[64]": rounds + 1,
-        "_op_argmax[16]": rounds,
+        "_op_argmax[4]": 1,
+        "_op_argmax[2]": 1,
+        "_op_argmax[16]": 1,
         "_op_argmax[8]": rounds + 1,
     }

@@ -16,6 +16,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -34,14 +35,14 @@ from .executor import _parallel
 from .linalg import SingularInputError, parse_norm
 from .groups import FiniteGroup, UnsupportedDomainError, parse_group_spec
 from .maps import Bound, PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
-from .generators import RECIPES, GenSpec, build_map, derive_seed, parse_genspec
+from .generators import RECIPES, GenSpec, build_grid, build_map, derive_seed, parse_genspec
 from .stabilize import CERTIFIED_EPSILON, NotRepairableError, dixmier_unitarize, stabilize
 from .verify import SUITES, SuiteResult, run_suite
 
 SCHEMA_VERSION = "ulamlab-report/2"
 SEED_SALT_ENV = "ULAMLAB_SEED_SALT"
 MAX_SEEDS = 100000
-MAX_WORKERS = 64  # threads one run may start for seeds and grid points
+MAX_WORKERS = 64  # threads one run may start for seeds
 MAX_EMBEDDED_MAP = 65536  # entries; larger maps are left out of gen reports
 MAX_DEFECTS_GRAM = 2048  # order * dim; larger maps are left out of pd_min_eig in defects reports
 
@@ -175,31 +176,33 @@ def _default_genspec(config: ExperimentConfig) -> dict:
     return {"kind": "perturbed", "base": {"kind": "regular"}, "theta": config.theta[0], "seed": 0}
 
 
-def _spec_for_seed(config: ExperimentConfig, seed: int, theta: float | None = None) -> GenSpec:
+def _spec_for_seed(config: ExperimentConfig, seed: int) -> GenSpec:
     spec = GenSpec.from_dict(config.genspec or _default_genspec(config))
-    # The corpus seed and a grid point's theta replace the top-level ones, which
-    # reach the map only if its kind reads them; nested bases keep theirs.
-    if theta is not None:
-        spec = dataclasses.replace(spec, theta=theta)
+    # The corpus seed (and a grid point's theta) replace the top-level ones,
+    # which reach the map only if its kind reads them; nested bases keep theirs.
     return dataclasses.replace(spec, seed=seed)
 
 
-def _build(config: ExperimentConfig, spec: GenSpec, domains: dict):
-    """Build the seeded map on its domain, parsed once per run into ``domains``
-    (keyed by group spec).
-
-    A ``ValueError`` that is no precondition error, or an ``OSError`` from
-    reading a ``table:`` file, is a config error.
-    """
-    group = spec.group if spec.group is not None else config.group
+@contextlib.contextmanager
+def _config_errors():
+    """A ``ValueError`` that is no precondition error, or an ``OSError`` from
+    reading a ``table:`` file, is a config error."""
     try:
-        if group not in domains:
-            domains[group] = parse_group_spec(group)
-        return build_map(dataclasses.replace(spec, group=None), domains[group])
+        yield
     except _PRECONDITION_ERRORS:
         raise
     except (ValueError, OSError) as err:
         raise ConfigError(str(err)) from err
+
+
+def _build(config: ExperimentConfig, spec: GenSpec, domains: dict, build):
+    """``build`` (`build_map`, or `build_grid` for a sweep) of the seeded spec
+    on its domain, parsed once per run into ``domains`` (keyed by group spec)."""
+    group = spec.group if spec.group is not None else config.group
+    with _config_errors():
+        if group not in domains:
+            domains[group] = parse_group_spec(group)
+        return build(dataclasses.replace(spec, group=None), domains[group])
 
 
 def _rows(config: ExperimentConfig, row, keys=(None,)) -> Iterator:
@@ -210,15 +213,16 @@ def _rows(config: ExperimentConfig, row, keys=(None,)) -> Iterator:
     return _parallel(jobs, len(keys) * len(seeds), config.workers)
 
 
-def _seeded_map(config: ExperimentConfig, domains: dict, seed: int, theta: float | None = None):
-    """The spec and map of ``seed`` (at a grid point's ``theta``), and the
-    fields that open its row."""
-    spec = _spec_for_seed(config, seed, theta)
-    phi = _build(config, spec, domains)
-    row = {"seed": seed, "group": phi.domain.label, "dim": phi.dim}
-    if theta is not None:
-        row["theta"] = theta
-    return spec, phi, row
+def _opening(seed: int, phi) -> dict:
+    """The fields that open the row of ``seed``'s map ``phi``."""
+    return {"seed": seed, "group": phi.domain.label, "dim": phi.dim}
+
+
+def _seeded_map(config: ExperimentConfig, domains: dict, seed: int):
+    """The spec and map of ``seed``, and the fields that open its row."""
+    spec = _spec_for_seed(config, seed)
+    phi = _build(config, spec, domains, build_map)
+    return spec, phi, _opening(seed, phi)
 
 
 def _defects_row(config: ExperimentConfig, domains: dict, _, seed: int) -> dict:
@@ -240,8 +244,8 @@ def _cmd_defects(config: ExperimentConfig, domains: dict) -> Report:
     return Report(config, {"maps": len(records)}, records, passed=passed)
 
 
-def _stabilize_row(config: ExperimentConfig, domains: dict, theta: float | None, seed: int) -> dict:
-    _, phi, row = _seeded_map(config, domains, seed, theta)
+def _stabilized(config: ExperimentConfig, phi, row: dict) -> dict:
+    """``row`` with the results of stabilizing ``phi``."""
     # a sweep row reports no round: its loop measures only what decides it
     measure = config.command == "stabilize"
     _, trace = stabilize(phi, tol=config.tol, max_iter=config.max_iter, measure=measure)
@@ -261,7 +265,7 @@ def _stabilize_row(config: ExperimentConfig, domains: dict, theta: float | None,
     )
     if measure:
         row["iteration_records"] = [
-            {"record": "iteration", "seed": seed, "iteration": i, **dataclasses.asdict(rec)}
+            {"record": "iteration", "seed": row["seed"], "iteration": i, **dataclasses.asdict(rec)}
             for i, rec in enumerate(trace.iterations)
         ]
     if certified:
@@ -274,12 +278,55 @@ def _stabilize_row(config: ExperimentConfig, domains: dict, theta: float | None,
     return row
 
 
+def _stabilize_row(config: ExperimentConfig, domains: dict, _, seed: int) -> dict:
+    _, phi, row = _seeded_map(config, domains, seed)
+    return _stabilized(config, phi, row)
+
+
+def _sweep_rows(config: ExperimentConfig, domains: dict, _, seed: int) -> list:
+    """The rows of ``seed`` at each theta of the grid, in grid order, on one
+    spec, one base and one draw of directions (`build_grid`).  An error
+    takes the place of its row and ends the list: no later row of the seed
+    can come first in theta-major order."""
+    rows: list = []
+    try:
+        at = _build(config, _spec_for_seed(config, seed), domains, build_grid)
+        for theta in config.theta:
+            with _config_errors():
+                phi = at(theta)
+            rows.append(_stabilized(config, phi, {**_opening(seed, phi), "theta": theta}))
+    except Exception as err:  # raised in its place by _theta_major
+        rows.append(err)
+    return rows
+
+
+def _theta_major(per_seed: Iterator[list], points: int) -> list[dict]:
+    """The rows of every seed at each grid point in turn.  The first error in
+    that order raises, whatever order the seeds' jobs ran in; a seed whose
+    first row failed holds it, so no later seed is waited for."""
+    seeds = []
+    for rows in per_seed:
+        seeds.append(rows)
+        if isinstance(rows[0], Exception):
+            break
+    out = []
+    for k in range(points):
+        for rows in seeds:
+            if isinstance(rows[k], Exception):
+                raise rows[k]
+            out.append(rows[k])
+    return out
+
+
 def _cmd_stabilize(config: ExperimentConfig, domains: dict) -> Report:
-    """``stabilize``, and ``sweep``, which runs every seed at each theta of its
-    grid and reports the rows without their iterations."""
+    """``stabilize``, and ``sweep``, which runs each seed's grid as one job
+    and reports the rows theta-major, without their iterations."""
     sweep = config.command == "sweep"
-    keys = config.theta if sweep else (None,)
-    rows = list(_rows(config, partial(_stabilize_row, config, domains), keys))
+    if sweep:
+        per_seed = _rows(config, partial(_sweep_rows, config, domains))
+        rows = _theta_major(per_seed, len(config.theta))
+    else:
+        rows = list(_rows(config, partial(_stabilize_row, config, domains)))
     diverged = any(row["diverged_certified"] for row in rows)
     passed = all(row["ok"] for row in rows) and not diverged
     if sweep:
@@ -398,7 +445,8 @@ _OPTIONS = {
     "norm": dict(help="Norm for defect scans: operator, schatten:p[:normalized], kyfan:k."),
     "seeds": dict(callback=_checked(_parse_seeds),
                   help="Seed range A..B (inclusive) or a single seed."),
-    "workers": dict(type=int, help="Parallelism across seeds and grid points."),
+    "workers": dict(type=int, help="Parallelism across seeds; a sweep's job is a "
+                                    "seed with its whole theta grid."),
     "out": dict(type=click.Path(dir_okay=False),
                 help="Write the report here instead of stdout."),
     "ndjson": dict(is_flag=True,

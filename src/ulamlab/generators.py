@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -104,28 +104,64 @@ def perturb_unitary(pi: GroupMap, theta: float, seed: int) -> GroupMap:
     The result stays exactly unitary-valued; the multiplicative defect grows
     by at most ``3 * theta``.
     """
+    _require_theta(theta)
+    return _rotated(pi, _directions(pi, seed), theta)
+
+
+def perturb_grid(pi: GroupMap, seed: int) -> Callable[[float], GroupMap]:
+    """``theta -> perturb_unitary(pi, theta, seed)`` for the thetas of a grid.
+
+    The base's unit precondition and the draw of the directions with their
+    norms run once, at the first theta in range; the directions, one array
+    the size of the map, are then held for the rest of the grid.
+    """
+    drawn: list = []
+
+    def at(theta: float) -> GroupMap:
+        _require_theta(theta)
+        if not drawn:
+            drawn.append(list(_directions(pi, seed)))
+        return _rotated(pi, drawn[0], theta)
+
+    return at
+
+
+def _require_theta(theta: float) -> None:
     if not 0.0 <= theta <= 1.0:
         raise ValueError(f"theta must lie in [0, 1], got {theta}")
+
+
+def _directions(pi: GroupMap, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The seeded directions of ``perturb_unitary``, a block of elements at a
+    time: the non-identity elements ``xs``, a Hermitian ``H_x`` for each and
+    its operator norm.  The base's unit precondition is checked first."""
     maps._require_defect(pi, "unit", 1e-9, "perturbation base must be unitary-valued")
     rng = _rng(seed, "perturb")
-    vals = pi.values.copy()
     d = pi.dim
     # the stream of one (d, d) real part, then one imaginary part, per element
-    others = np.delete(np.arange(len(vals)), pi.domain.identity)
+    others = np.delete(np.arange(len(pi.values)), pi.domain.identity)
     for block in _blocks(len(others), d * d):
-        xs = others[block]
-        parts = rng.standard_normal((len(xs), 2, d, d))
+        parts = rng.standard_normal((block.stop - block.start, 2, d, d))
+        a = parts[:, 0] + 1j * parts[:, 1]
+        h = a + linalg.adj(a)
+        yield others[block], h, maps._stack_norms(len(h), d, h.__getitem__)[0]
+
+
+def _rotated(pi: GroupMap, directions, theta: float) -> GroupMap:
+    """``pi`` with each value ``x`` of ``directions`` multiplied by
+    ``exp(i theta H_x / ||H_x||)``."""
+    vals = pi.values.copy()
+    d = pi.dim
+    for xs, h, scale in directions:  # drawn at theta 0 too, which rotates nothing
 
         def rotate(sl: slice) -> None:
-            a = parts[sl, 0] + 1j * parts[sl, 1]
-            h = a + linalg.adj(a)
-            scale = maps._stack_norms(len(h), d, h.__getitem__)[0]
-            if theta > 0.0:
-                keep = scale > 0.0
-                ys, h, scale = xs[sl][keep], h[keep], scale[keep]
-                vals[ys] = vals[ys] @ linalg.unitary_exp(h * (theta / scale)[:, None, None])
+            keep = scale[sl] > 0.0
+            ys = xs[sl][keep]
+            step = h[sl][keep] * (theta / scale[sl][keep])[:, None, None]
+            vals[ys] = vals[ys] @ linalg.unitary_exp(step)
 
-        _for_blocks(len(xs), d * d, rotate)
+        if theta > 0.0:
+            _for_blocks(len(xs), d * d, rotate)
     return GroupMap(pi.domain, d, vals, label=f"perturbed[{theta:g}]")
 
 
@@ -187,11 +223,7 @@ def random_map(
     if sup < 0:
         raise ValueError(f"sup bound must be nonnegative, got {sup}")
     n = n_elements(domain)
-    if n * dim * dim > MAX_REGULAR_ORDER**3:
-        raise SizeLimitError(
-            f"random_map of {n} values of dimension {dim} holds {n * dim * dim} entries, "
-            f"more than MAX_REGULAR_ORDER**3 = {MAX_REGULAR_ORDER**3}"
-        )
+    _require_entries("random_map", n, dim)
     rng = _rng(seed, "random_map")
     vals = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
     peak = float(maps.batch_norms(vals).max())
@@ -200,6 +232,26 @@ def random_map(
     else:
         vals *= sup / peak
     return GroupMap(domain, dim, vals, label=f"random[{sup:g}]")
+
+
+def _require_entries(kind: str, n: int, dim: int) -> None:
+    """Refuse a map of ``n`` values of dimension ``dim`` before it is built
+    when it would hold more than ``MAX_REGULAR_ORDER**3`` entries."""
+    if n * dim * dim > MAX_REGULAR_ORDER**3:
+        raise SizeLimitError(
+            f"{kind} of {n} values of dimension {dim} holds {n * dim * dim} entries, "
+            f"more than MAX_REGULAR_ORDER**3 = {MAX_REGULAR_ORDER**3}"
+        )
+
+
+def _direct_sum_of(specs: tuple["GenSpec", ...], on) -> GroupMap:
+    """The direct sum of the maps of ``specs``, built one at a time; refused as
+    soon as the parts built so far would stack into too many entries."""
+    parts: list[GroupMap] = []
+    for spec in specs:
+        parts.append(build_map(spec, on))
+        _require_entries("direct_sum", len(parts[0].values), sum(p.dim for p in parts))
+    return direct_sum(parts)
 
 
 class Recipe(NamedTuple):
@@ -212,9 +264,7 @@ RECIPES = {
     "regular": Recipe((), lambda spec, on: regular_rep(on)),
     "trivial": Recipe((), lambda spec, on: trivial_rep(on)),
     "character": Recipe(("k",), lambda spec, on: character_rep(on, spec.k)),
-    "direct_sum": Recipe(
-        ("parts",), lambda spec, on: direct_sum([build_map(p, on) for p in spec.parts])
-    ),
+    "direct_sum": Recipe(("parts",), lambda spec, on: _direct_sum_of(spec.parts, on)),
     "conjugated": Recipe(("base", "seed"), lambda spec, on: conjugate_rep(on, spec.seed)),
     "perturbed": Recipe(
         ("base", "theta", "seed"), lambda spec, on: perturb_unitary(on, spec.theta, spec.seed)
@@ -326,13 +376,31 @@ def parse_genspec(text: str) -> GenSpec:
 
 def build_map(spec: GenSpec, domain: FiniteGroup | FreeBall | None = None) -> GroupMap:
     """Materialize a recipe into a map, resolving the domain if embedded."""
+    return RECIPES[spec.kind].build(spec, _built_on(spec, domain))
+
+
+def build_grid(
+    spec: GenSpec, domain: FiniteGroup | FreeBall | None = None
+) -> Callable[[float], GroupMap]:
+    """``theta -> build_map(spec at that theta, domain)`` for the thetas of a grid.
+
+    The domain and base are built once; a perturbed spec also draws its
+    directions once (`perturb_grid`).
+    """
+    on = _built_on(spec, domain)
+    if spec.kind == "perturbed":
+        return perturb_grid(on, spec.seed)
+    return lambda theta: RECIPES[spec.kind].build(spec, on)  # a kind that reads no theta
+
+
+def _built_on(spec: GenSpec, domain: FiniteGroup | FreeBall | None):
+    """What the recipe of ``spec`` builds on: its domain, or its base's map."""
     from .groups import parse_group_spec
 
     if spec.group is not None:
         domain = parse_group_spec(spec.group)
     if domain is None:
         raise ValueError("genspec has no group and none was provided")
-    recipe = RECIPES[spec.kind]
-    if "base" in recipe.reads:  # built on its base, the regular representation by default
+    if "base" in RECIPES[spec.kind].reads:  # the regular representation by default
         domain = build_map(spec.base or GenSpec("regular"), domain)
-    return recipe.build(spec, domain)
+    return domain

@@ -9,12 +9,14 @@ import tracemalloc
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import ulamlab
 from ulamlab import Bound, SuiteResult
 from ulamlab.cli import (
+    EXIT_CONFIG,
     EXIT_DIVERGED,
     EXIT_FAIL,
     EXIT_INTERNAL,
@@ -355,6 +357,14 @@ class TestExitCodes:
         assert "MAX_REGULAR_ORDER**3 = 16777216" in result.stderr
         assert "Traceback" not in result.output
 
+    def test_oversized_direct_sum_exits_two_before_stacking(self, runner):
+        parts = [{"kind": "regular"}] * 3  # 128 * 384**2 entries, a 302 MB stack
+        genspec = json.dumps({"kind": "direct_sum", "parts": parts})
+        result = runner.invoke(main, ["gen", "--group", "cyclic:128", "--genspec", genspec])
+        assert result.exit_code == 2, result.output
+        assert "MAX_REGULAR_ORDER**3 = 16777216" in result.stderr
+        assert "Traceback" not in result.output
+
     def test_table_order_limit_exits_two(self, runner, monkeypatch, tmp_path):
         table = tmp_path / "cyclic6.json"
         table.write_text(json.dumps({"mul": ulamlab.cyclic(6).mul.tolist()}))
@@ -613,6 +623,92 @@ class TestRowDriver:
         # a kept one-seed result per (suite, seed) would add about 9 KB a seed;
         # the run's own list of seeds adds 8 bytes
         assert peaks[1000] - peaks[100] < 64 * 900, peaks
+
+
+class TestSweepJobs:
+    """A sweep runs one job per seed over its whole theta grid."""
+
+    @pytest.fixture
+    def base_checks(self, monkeypatch):
+        """The labels of the perturbation bases whose unit precondition runs."""
+        checks = []
+        real = ulamlab.maps._require_defect
+
+        def require(phi, which, tol, what):
+            if what.startswith("perturbation base"):
+                checks.append(phi.label)
+            return real(phi, which, tol, what)
+
+        monkeypatch.setattr("ulamlab.maps._require_defect", require)
+        return checks
+
+    def test_sweep_draws_and_checks_each_base_once_per_seed(
+        self, runner, monkeypatch, base_checks
+    ):
+        draws = []
+        real_rng = ulamlab.generators._rng
+
+        def rng(seed, label):
+            if label == "perturb":
+                draws.append(seed)
+            return real_rng(seed, label)
+
+        monkeypatch.setattr("ulamlab.generators._rng", rng)
+        args = ["sweep", "--group", "cyclic:4", "--theta", "0.01,0.02,0.03", "--seeds", "0..1"]
+        rows = invoke_json(runner, args)["results"]["records"]
+        assert [(r["theta"], r["seed"]) for r in rows] == [
+            (theta, seed) for theta in (0.01, 0.02, 0.03) for seed in (0, 1)
+        ]
+        assert draws == [0, 1]
+        assert base_checks == ["regular[cyclic:4]"] * 2
+
+    def test_a_seed_failing_its_first_row_ends_the_sweep(self, runner, base_checks):
+        # no later seed's row comes before it in theta-major order
+        base = {"kind": "compressed", "sub_dim": 2}  # not unitary-valued
+        genspec = json.dumps({"kind": "perturbed", "base": base})
+        args = ["sweep", "--group", "cyclic:3", "--genspec", genspec, "--theta", "0.01,0.02",
+                "--seeds", "0..9"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == EXIT_PRECONDITION, result.output
+        assert "perturbation base must be unitary-valued" in result.stderr
+        assert len(base_checks) == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_first_failure_in_theta_major_order_decides(self, runner, monkeypatch, workers):
+        # Seed 0's job fails at its second grid point and seed 1's at its
+        # first; theta-major, (0.02, seed 1) comes before (0.04, seed 0).
+        rep = ulamlab.regular_rep(ulamlab.cyclic(3))
+        failures = {
+            (0.04, 0): ulamlab.PreconditionError("late row"),
+            (0.02, 1): ulamlab.SizeLimitError("early row"),
+        }
+        values = {key: ulamlab.perturb_unitary(rep, *key).values for key in failures}
+        real = ulamlab.cli.stabilize
+
+        def failing(phi, **kwargs):
+            for key, err in failures.items():
+                if np.array_equal(phi.values, values[key]):
+                    raise err
+            return real(phi, **kwargs)
+
+        monkeypatch.setattr("ulamlab.cli.stabilize", failing)
+        args = ["sweep", "--group", "cyclic:3", "--theta", "0.02,0.04", "--seeds", "0..1"]
+        result = runner.invoke(main, args + ["--workers", workers])
+        assert result.exit_code == EXIT_CONFIG, result.output
+        assert result.stdout == ""
+        assert result.stderr == "configuration error: early row\n"
+
+    def test_sweep_memory_does_not_grow_with_its_grid(self):
+        # A seed's job holds its base and directions for the grid, one row's
+        # map at a time; a map of cyclic:24 is 24**3 * 16 bytes.
+        peaks = {}
+        for points in (1, 8):
+            config = ExperimentConfig(command="sweep", group="cyclic:24", theta=(0.02,) * points)
+            tracemalloc.start()
+            run(config)
+            peaks[points] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peaks[8] - peaks[1] < 24**3 * 16 // 4, peaks
 
 
 class TestHelpers:

@@ -30,7 +30,7 @@ from ulamlab import (
     trivial_rep,
     unit_defect,
 )
-from ulamlab.generators import MAX_REGULAR_ORDER, character_rep
+from ulamlab.generators import MAX_REGULAR_ORDER, build_grid, character_rep, perturb_grid
 
 
 def test_derive_seed_is_stable_and_label_sensitive():
@@ -93,6 +93,27 @@ def test_direct_sum_blocks():
     assert eps <= 1e-15
 
 
+def test_oversized_direct_sum_is_refused_before_stacking(monkeypatch):
+    # Three regular parts on cyclic:128 would stack into 128 * 384**2 entries
+    # (302 MB); the third part built is over the limit, so no fourth is built.
+    built = []
+
+    def counting(g):
+        built.append(g.order)
+        return regular_rep(g)
+
+    def no_stack(parts):
+        raise AssertionError("the parts were stacked")
+
+    monkeypatch.setattr("ulamlab.generators.regular_rep", counting)
+    monkeypatch.setattr("ulamlab.generators.direct_sum", no_stack)
+    spec = GenSpec("direct_sum", parts=(GenSpec("regular"),) * 4)
+    with pytest.raises(SizeLimitError, match=r"MAX_REGULAR_ORDER\*\*3 = 16777216"):
+        build_map(spec, cyclic(128))
+    assert built == [128, 128, 128]
+    assert 128 * 256**2 <= MAX_REGULAR_ORDER**3 < 128 * 384**2
+
+
 def test_direct_sum_requires_shared_domain():
     with pytest.raises(ValueError):
         direct_sum([trivial_rep(cyclic(2)), trivial_rep(cyclic(3))])
@@ -150,6 +171,43 @@ class TestPerturbUnitary:
             perturb_unitary(rho, 1.5, seed=0)
         with pytest.raises(PreconditionError):
             perturb_unitary(random_map(cyclic(3), 2, seed=0), 0.1, seed=0)
+
+
+class TestPerturbGrid:
+    BASES = {
+        "cyclic:2": regular_rep(cyclic(2)),
+        "dihedral:4": regular_rep(dihedral(4)),
+        "symmetric:4": regular_rep(symmetric(4)),
+        "conjugated": conjugate_rep(regular_rep(dihedral(3)), seed=4),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_grid_maps_equal_single_theta_maps(self, name, monkeypatch):
+        pi = self.BASES[name]
+        for block in (None, 3 * pi.dim**2):  # one block, or 3 values a block
+            if block:
+                monkeypatch.setattr("ulamlab.executor._BLOCK", block)
+            at = perturb_grid(pi, seed=7)
+            for theta in (0.01, 1.0, 0.0, 0.01):  # any order, a theta twice
+                expected = perturb_unitary(pi, theta, seed=7)
+                got = at(theta)
+                assert np.array_equal(got.values, expected.values), (name, block, theta)
+                assert got.label == expected.label
+
+    def test_build_grid_equals_build_map_at_each_theta(self):
+        spec = GenSpec("perturbed", base=GenSpec("conjugated", seed=3), seed=5)
+        at = build_grid(spec, dihedral(3))
+        for theta in (0.0, 0.01, 1.0):
+            at_theta = GenSpec.from_dict({**spec.to_dict(), "theta": theta})
+            expected = build_map(at_theta, dihedral(3))
+            assert np.array_equal(at(theta).values, expected.values)
+
+    def test_grid_checks_theta_before_its_base(self):
+        at = perturb_grid(random_map(cyclic(3), 2, seed=0), seed=0)  # nothing checked yet
+        with pytest.raises(ValueError, match=r"theta must lie in \[0, 1\], got 1.5"):
+            at(1.5)
+        with pytest.raises(PreconditionError, match="perturbation base must be unitary-valued"):
+            at(0.1)
 
 
 class TestCompressRep:

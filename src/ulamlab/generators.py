@@ -135,7 +135,7 @@ def _directions(pi: GroupMap, seed: int) -> Iterator[tuple[np.ndarray, np.ndarra
     """The seeded directions of ``perturb_unitary``, a block of elements at a
     time: the non-identity elements ``xs``, a Hermitian ``H_x`` for each and
     its operator norm.  The base's unit precondition is checked first."""
-    maps._require_defect(pi, "unit", 1e-9, "perturbation base must be unitary-valued")
+    maps._require_defect(pi, "unit", maps.UNITARY_TOL, "perturbation base must be unitary-valued")
     rng = _rng(seed, "perturb")
     d = pi.dim
     # the stream of one (d, d) real part, then one imaginary part, per element
@@ -191,9 +191,9 @@ def similarity_twist(pi: GroupMap, bound: float, seed: int) -> tuple[GroupMap, f
     """
     if bound < 1.0:
         raise ValueError(f"condition bound must be >= 1, got {bound}")
-    eps = maps._defect_bound(pi, "mult", 1e-9)
-    delta = maps._defect_bound(pi, "unit", 1e-9)
-    if eps > 1e-9 or delta > 1e-9:
+    eps = maps._defect_bound(pi, "mult", maps.UNITARY_TOL)
+    delta = maps._defect_bound(pi, "unit", maps.UNITARY_TOL)
+    if eps > maps.UNITARY_TOL or delta > maps.UNITARY_TOL:
         eps, delta = mult_defect(pi)[0], unit_defect(pi)[0]  # the message names both
         raise PreconditionError(
             "twist base must be an exact unitary representation; "

@@ -7,12 +7,43 @@ the tolerances and error taxonomy the rest of the library relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-10
 SIGMA_MIN_TOL = 1e-8
+
+# Rounding
+#
+# One model (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+# sec. 3.5) settles every skip of an exact operator norm.  The unit roundoff
+# u is 2^-53 in double precision and 2^-24 in single.  A computed d x d
+# complex product errs by at most gamma_2d |A||B| <= 2 d^2 u ||A|| ||B|| in
+# operator norm.  A backward stable SVD returns the singular values of A + E,
+# ||E|| <= p(d) u ||A|| with p(d) u about d 2^-52, so each is within p(d) u
+# sigma_max(A) of the exact one (Weyl).  A computed Frobenius norm, the root
+# of 2 d^2 squares, errs by at most d^2 u relative.  The slack S covers these
+# two, together below 1e-8, for d up to 10^4 and tolerances from about
+# 1e-150: below that, entries near tol square to subnormals or 0 (a 2 x 2
+# stack of entries 1e-170 has Frobenius norm 0.0 and sigma_max 2e-170).
+UNIT_ROUNDOFF = 2.0**-53
+SINGLE_ROUNDOFF = 2.0**-24
+FROBENIUS_SLACK = 1e-6  # S, relative, of every bound formed in double precision
+
+
+def _frobenius_within(frobenius: float, tol: float) -> bool:
+    """Whether the largest computed Frobenius norm of a stack certifies every
+    computed operator norm in it at most ``tol`` (``sigma_max <= ||R||_F``)."""
+    return frobenius <= tol / (1.0 + FROBENIUS_SLACK)
+
+
+def _frobenius_at_least(frobenius: float, dim: int, tol: float) -> bool:
+    """Whether the largest computed Frobenius norm of a stack of ``dim x dim``
+    matrices certifies the largest computed operator norm at least ``tol``
+    (``sigma_max >= ||R||_F / sqrt(d)``).  NaN and inf certify neither."""
+    return math.isfinite(frobenius) and frobenius >= math.sqrt(dim) * tol * (1.0 + FROBENIUS_SLACK)
 
 
 class SingularInputError(ValueError):
@@ -140,14 +171,11 @@ def op_norm(a) -> float:
 
 def _require_hermitian(m: np.ndarray, what: str) -> np.ndarray:
     """``(m + m*) / 2``, refusing a stack whose worst ``||m - m*||`` (operator
-    norm) exceeds ``HERMITIAN_TOL``.
-
-    The Frobenius norm bounds the operator norm from above, so the exact
-    operator norm is taken only when the Frobenius norm exceeds the tolerance.
-    """
+    norm) exceeds ``HERMITIAN_TOL``.  The exact norm is taken only when the
+    largest Frobenius norm does not certify it (`_frobenius_within`)."""
     diff = m - adj(m)
     defect = float(np.max(np.linalg.norm(diff, axis=(-2, -1)), initial=0.0))
-    if not defect <= HERMITIAN_TOL:
+    if not _frobenius_within(defect, HERMITIAN_TOL):
         defect = float(singular_values(diff)[..., 0].max(initial=0.0))
     if defect > HERMITIAN_TOL:
         raise ValueError(

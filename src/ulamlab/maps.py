@@ -7,7 +7,6 @@ map is from being a multiplicative, unitary-valued representation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from . import linalg
 from .executor import _blocks, _collect, _for_blocks
-from .linalg import OPERATOR, NormKind, adj
+from .linalg import FROBENIUS_SLACK, OPERATOR, SINGLE_ROUNDOFF, UNIT_ROUNDOFF, NormKind, adj
 from .groups import FiniteGroup, FreeBall, n_elements, require_finite
 
 GRAM_HERMITIAN_TOL = 1e-8
@@ -41,7 +40,6 @@ _MIN_ROW = 1 << 10
 # again when at least `_MIN_FILTER_COUNT` of them remain.
 _MIN_FILTER = 1 << 10
 _MIN_FILTER_COUNT = 16
-_BOUND_SLACK = 1e-6  # relative, of a bound formed in double precision
 # Largest dimension whose first bound pass runs in single precision; its
 # slack (`_bound_slack`) is derived in `_op_argmax`.
 _SINGLE_MAX_DIM = 256
@@ -186,8 +184,8 @@ def batch_norms(mats: np.ndarray) -> np.ndarray:
 def _bound_slack(dim: int) -> float:
     """Relative slack of the first bound pass of `_op_argmax` at ``dim``."""
     if dim > _SINGLE_MAX_DIM:
-        return _BOUND_SLACK
-    return _BOUND_SLACK + 2.0 * dim * dim * 2.0**-24
+        return FROBENIUS_SLACK
+    return FROBENIUS_SLACK + 2.0 * dim * dim * SINGLE_ROUNDOFF
 
 
 def _op_bounds(mats: np.ndarray, squarings: int = 2, single: bool | None = None) -> np.ndarray:
@@ -256,24 +254,21 @@ def _op_argmax(
     best = linalg.singular_values(take(slice(top, top + 1)))[0, 0]
     if bounds[top] == 0.0:  # every matrix is zero, so is every norm
         return float(best), 0
-    # Rounding, to first order: each product of the single-precision pass
-    # errs by at most gamma_2d |A||B| <= 2 d^2 u ||A|| ||B|| in operator norm
-    # (a complex dot product is a real one of length 2d; u = 2^-24; Higham
-    # 2002, sec. 3.5), so (b* b)^4 errs by at most (1 + 2 + 4) 2 d^2 u
-    # sigma^8 and the bound, its 8th root, by 7/4 d^2 u sigma.  The sum of
-    # 2 d^2 squares adds d^2 u / 8 after its 16th root, rounding b to single
-    # precision sqrt(d) u, and the SVD of ``best`` about d 2^-52.  Their sum
-    # stays below `_bound_slack`, 2 d^2 u + 1e-6, and so does the remainder
-    # of higher order up to d = 256: no matrix whose computed norm could
-    # reach ``best``, ties included, has a bound below ``best / (1 + slack)``.
-    # The double pass, five products in 2^-53, errs by 31/32 2 d^2 2^-53
-    # after its 32nd root, below 1e-7 up to d = 2 10^4, within
-    # `_BOUND_SLACK`.  A NaN bound is never below ``best`` and stays.
+    # Rounding, to first order (`linalg`'s Rounding section, u = 2^-24): the
+    # products of the single-precision pass make (b* b)^4 err by at most
+    # (1 + 2 + 4) 2 d^2 u sigma^8, and the bound, its 8th root, by 7/4 d^2 u
+    # sigma.  The sum of 2 d^2 squares adds d^2 u / 8 after its 16th root,
+    # rounding b sqrt(d) u, and the SVD of ``best`` p(d) 2^-53.  Their sum stays
+    # below `_bound_slack`, 2 d^2 u + S, and so does the remainder of higher
+    # order up to d = 256: no matrix whose computed norm could reach ``best``,
+    # ties included, has a bound below ``best / (1 + slack)``.  The double
+    # pass, five products in 2^-53, errs by 31/32 2 d^2 2^-53 after its 32nd
+    # root, below 1e-7 up to d = 2 10^4, within S.  A NaN bound stays.
     index = np.flatnonzero(~(bounds < best / (1.0 + _bound_slack(dim))))
     index = index[index != top]
     if len(index) >= _MIN_FILTER_COUNT:
         fine = bound(len(index), lambda sl: _op_bounds(take(index[sl]), 4, single=False))
-        index = index[~(fine < best / (1.0 + _BOUND_SLACK))]
+        index = index[~(fine < best / (1.0 + FROBENIUS_SLACK))]
     # The norms go where the bounds were, the top's back in its place, and
     # every matrix left out ranks below them, so that argmax finds the first
     # max (or NaN).
@@ -353,15 +348,13 @@ def _unit_bounds(dim: int, sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bounds on the computed norm of either side (`_unit_sides`) of each value
     about ``max_i |1 - sigma_i^2|``, the exact norm of both, from ``sigma``."""
     estimate = np.abs(1.0 - sigma * sigma).max(axis=1)
-    # Rounding, to first order, with u = 2^-53 and s = sigma_max(v): a backward
-    # stable SVD gives the singular values of v + E, ||E|| <= p(d) u s with p(d)
-    # u about d 2^-52 as in `_op_argmax`, so (Weyl) each sigma_i^2 errs by 2 p(d)
-    # u s^2, and the estimate's arithmetic adds 2 u (1 + s^2).  The side formed,
-    # fl(1 - fl(v v*)), is within gamma_2d d s^2 + sqrt(d) u (1 + s^2) of 1 - v v*
-    # (Higham 2002, sec. 3.5, with || |A| || <= sqrt(d) ||A||), and its SVD errs
-    # by p(d) u (1 + s^2): in all (2 d^2 + 6 d + sqrt(d) + 2) u (1 + s^2), below
-    # ``slack``.  A NaN or inf estimate gives NaN or inf bounds.
-    slack = dim * dim * 2.0**-49 * (1.0 + sigma[:, 0] ** 2)
+    # Rounding, to first order (`linalg`'s Rounding section, u = 2^-53), with
+    # s = sigma_max(v): the SVD of v moves each sigma_i^2 by 2 p(d) u s^2 and
+    # the estimate's arithmetic adds 2 u (1 + s^2).  The side formed, fl(1 -
+    # fl(v v*)), is within 2 d^2 u s^2 + sqrt(d) u (1 + s^2) of 1 - v v*, and
+    # its SVD errs by p(d) u (1 + s^2): in all (2 d^2 + 6 d + sqrt(d) + 2) u
+    # (1 + s^2) <= 16 d^2 u (1 + s^2).  A NaN or inf estimate stays NaN or inf.
+    slack = 16.0 * UNIT_ROUNDOFF * dim * dim * (1.0 + sigma[:, 0] ** 2)
     return estimate - slack, estimate + slack
 
 
@@ -394,12 +387,8 @@ def _unit_sides(phi: GroupMap, at: slice | np.ndarray, out: np.ndarray | None = 
 def _largest_residual(phi: GroupMap, which: str) -> float:
     """The largest Frobenius norm of the residuals whose operator norms the
     ``"unit"`` or ``"mult"`` defect of ``phi`` maximizes, formed as that
-    defect forms them (`_unit_sides`, `_pair_defects`).
-
-    Rounding: the computed sum of the ``2 d^2`` squares of a residual errs by
-    at most ``2 d^2 u`` relative and its root by ``d^2 u`` (u = 2^-53), about
-    1e-8 at d = 10^4.  The norm is NaN if a residual has a NaN entry and inf
-    if a product overflows.
+    defect forms them (`_unit_sides`, `_pair_defects`).  The norm is NaN if a
+    residual has a NaN entry and inf if a product overflows.
     """
     d = phi.dim
     if which == "unit":
@@ -416,34 +405,16 @@ def _largest_residual(phi: GroupMap, which: str) -> float:
 
 def _defect_bound(phi: GroupMap, which: str, tol: float) -> float:
     """An upper bound on the ``"unit"`` or ``"mult"`` defect of ``phi``: the
-    largest Frobenius norm of the residuals that defect decomposes when it is
-    within ``tol``, else the exact defect, so ``bound > tol`` refuses exactly
-    what the exact test refuses, with the exact value."""
+    largest Frobenius norm of its residuals when `linalg._frobenius_within`
+    certifies it within ``tol``, else the exact defect, so ``bound > tol``
+    refuses exactly what the exact test refuses, with the exact value."""
     frobenius = _largest_residual(phi, which)
-    # Rounding: a backward stable SVD of a computed residual R errs by at most
-    # p(d) u sigma_max(R), so the exact test's value is at most (1 + p(d) u)
-    # sigma_max(R) <= (1 + p(d) u) ||R||_F.  With the rounding of the norm
-    # (`_largest_residual`) it stays below `_BOUND_SLACK` up to d = 10^4, so a
-    # norm within ``tol / (1 + _BOUND_SLACK)`` passes the exact test.  A NaN
-    # or inf norm is never within and falls back to the exact defect.
-    if frobenius <= tol / (1.0 + _BOUND_SLACK):
+    if linalg._frobenius_within(frobenius, tol):
         return frobenius
     return (unit_defect if which == "unit" else mult_defect)(phi)[0]
 
 
-def _mult_defect_at_least(phi: GroupMap, tol: float) -> bool:
-    """True only if the mult defect of ``phi`` is at least ``tol``, certified
-    by the largest Frobenius norm of its pair defects; False certifies
-    nothing, and only the exact defect then tells."""
-    frobenius = _largest_residual(phi, "mult")
-    # A d x d residual R has sigma_max(R) >= ||R||_F / sqrt(d), and the exact
-    # test's value, from a backward stable SVD of the same computed R, is at
-    # least (1 - p(d) u) sigma_max(R).  With the rounding of the norm
-    # (`_largest_residual`) and of ``sqrt(d) tol (1 + _BOUND_SLACK)`` that
-    # loses less than `_BOUND_SLACK` up to d = 10^4, so a norm of at least
-    # that product gives an exact value of at least ``tol``.  An inf norm (an
-    # overflowing product) and a NaN one never certify.
-    return math.isfinite(frobenius) and frobenius >= math.sqrt(phi.dim) * tol * (1.0 + _BOUND_SLACK)
+UNITARY_TOL = 1e-9  # the defect allowed to a map unitary, or exact, by construction
 
 
 def _require_defect(phi: GroupMap, which: str, tol: float, what: str) -> None:
@@ -483,9 +454,9 @@ def pd_min_eig(phi: GroupMap) -> float:
     sum_x ||s(x)||_F^2``.  A Gram that is not Hermitian within
     ``GRAM_HERMITIAN_TOL`` in operator norm is definitely not PSD and is
     reported as ``-inf``; the exact norm, of the Gram of ``s``, is taken only
-    when that Frobenius norm exceeds the tolerance.  Each Gram is gathered
-    into one ``(n d)^2`` array, a few block rows (``executor._BLOCK``
-    entries) at a time.
+    when that Frobenius norm does not certify it (`linalg._frobenius_within`).
+    Each Gram is gathered into one ``(n d)^2`` array, a few block rows
+    (``executor._BLOCK`` entries) at a time.
     """
     g = require_finite(phi.domain, "the full-group Gram")
     n, d = g.order, phi.dim
@@ -502,7 +473,7 @@ def pd_min_eig(phi: GroupMap) -> float:
         return gram.reshape(n * d, n * d)
 
     s = v - mirror
-    if not np.sqrt(n) * np.linalg.norm(s) <= GRAM_HERMITIAN_TOL:
+    if not linalg._frobenius_within(np.sqrt(n) * np.linalg.norm(s), GRAM_HERMITIAN_TOL):
         if linalg.singular_values(fill(s))[0] > GRAM_HERMITIAN_TOL:
             return float("-inf")
     return float(np.linalg.eigvalsh(fill((v + mirror) / 2.0))[0])

@@ -17,6 +17,7 @@ from . import linalg, maps
 from .executor import _for_blocks
 from .groups import require_finite
 from .maps import (
+    UNITARY_TOL,
     Bound,
     Certificate,
     GroupMap,
@@ -28,7 +29,6 @@ from .maps import (
 )
 from .averaging import average_pd, form
 
-UNITARY_TOL = 1e-9
 CERTIFIED_EPSILON = 0.1
 EPSILON_CONTRACTION = 5.0  # measured quadratic-contraction factor of one round
 
@@ -203,13 +203,13 @@ def stabilize(
 
     With ``measure=False`` a round measures only what decides the loop, and
     its record holds ``None`` for the rest: the snap's precondition is
-    settled by ``maps._defect_bound``, no step distance is taken, and
-    between rounds a Frobenius certificate that the mult defect is at least
-    ``tol`` (``maps._mult_defect_at_least``) stands for the exact scan.  The
-    scan still runs when the certificate fails and after the last round
-    allowed, so the last map, ``epsilon_0``, the round count,
-    ``final_defect``, ``total_distance`` and every refusal are those of the
-    measured run.
+    settled by its singular values (``maps._unit_bounds``), no step distance
+    is taken, and between rounds a Frobenius certificate that the mult defect
+    is at least ``tol`` (``linalg._frobenius_at_least`` of
+    ``maps._largest_residual``) stands for the exact scan.  The scan still
+    runs when the certificate fails and after the last round allowed, so the
+    last map, ``epsilon_0``, the round count, ``final_defect``,
+    ``total_distance`` and every refusal are those of the measured run.
     """
     require_finite(phi.domain, "stabilization")
     if tol <= 0:
@@ -231,10 +231,10 @@ def stabilize(
         else:
             trace.iterations.append(IterationRecord(eps_n, None, None))
         current = repaired
-        if measure or n == max_iter or not maps._mult_defect_at_least(current, tol):
-            eps_n, _ = mult_defect(current)
-        else:
-            eps_n = None
+        certified = not measure and n < max_iter and linalg._frobenius_at_least(
+            maps._largest_residual(current, "mult"), current.dim, tol
+        )
+        eps_n = None if certified else mult_defect(current)[0]
     trace.converged = eps_n < tol
     trace.final_defect = eps_n
     trace.total_distance = distance(phi, current)
@@ -280,7 +280,7 @@ def dixmier_unitarize(psi: GroupMap) -> tuple[GroupMap, DixmierReport]:
     maps._require_defect(psi, "mult", UNITARY_TOL, "unitarization needs an exact representation")
     sigma = linalg.singular_values(psi.values)
     smallest = float(sigma[:, -1].min())
-    if smallest < 1e-8:
+    if smallest < linalg.SIGMA_MIN_TOL:
         raise PreconditionError(
             f"unitarization needs invertible values; smallest singular value is {smallest:.3e}"
         )

@@ -36,6 +36,49 @@ def uinorm(a, kind: NormKind = OPERATOR) -> float:
     return float(gauge(singular_values(as_matrix(a)), kind))
 
 
+def frobenius_skewed(tol: float) -> np.ndarray:
+    """A 2 x 2 ``h`` whose asymmetry ``h - h*`` has computed Frobenius norm at
+    most ``tol`` (of the whole matrix and of a one-matrix stack) and computed
+    operator norm above it, so only the Frobenius rule's slack sends it to
+    the exact test.
+
+    ``h = diag(r) + (0.5j tol / ||a||_F) a`` with ``a = w w*`` of rank one,
+    whose operator and Frobenius norms agree; the draws of ``default_rng(1)``
+    are searched for one whose rounding puts the Frobenius norm below.
+    """
+    rng = np.random.default_rng(1)
+    for _ in range(100):
+        r = rng.standard_normal(2)
+        w = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        a = np.outer(w, w.conj())
+        h = np.diag(r) + (0.5j * tol / np.linalg.norm(a)) * a
+        diff = (h - h.conj().T)[None]
+        frobenius = max(np.linalg.norm(diff), np.linalg.norm(diff, axis=(-2, -1))[0])
+        if frobenius <= tol < singular_values(diff)[0, 0]:
+            return h
+    raise AssertionError(f"no draw skews the Frobenius norm at tol {tol}")
+
+
+def spectral_stack(seed: int, count: int, dim: int, kind: str, top: float) -> np.ndarray:
+    """``count`` matrices ``U diag(sigma) V*`` with random unitaries ``U``, ``V``.
+
+    ``sigma`` is ``top`` times: ``"rank_one"``, 1 and the rest below 1e-3;
+    ``"tied"``, 1 twice and the rest below 1; ``"flat"``, all 1 (a multiple
+    of a unitary); ``"near_unitary"``, all within 1e-6 of 1.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (2, count, dim, dim)
+    q = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
+    sigma = rng.random((count, dim))
+    if kind == "rank_one":
+        sigma *= 1e-3
+    elif kind == "near_unitary":
+        sigma = 1.0 + 1e-6 * (2.0 * sigma - 1.0)
+    if kind != "near_unitary":
+        sigma[:, : {"rank_one": 1, "tied": 2, "flat": dim}[kind]] = 1.0
+    return (q[0] * (top * sigma)[:, None, :]) @ np.conj(np.swapaxes(q[1], -1, -2))
+
+
 def product_constant(c: float, p: float, delta: float) -> float:
     """Evaluate ``prod_{n>=0} (1 + c * delta^(p^n))`` to machine accuracy."""
     if c < 0:

@@ -67,7 +67,7 @@ from ulamlab.executor import _parallel
 from ulamlab.generators import character_rep
 from ulamlab.stabilize import _unitary_part
 
-from oracles import reduce_word, uinorm
+from oracles import reduce_word, spectral_stack, uinorm
 
 GROUPS = [
     cyclic(1),
@@ -634,7 +634,7 @@ def test_single_precision_bounds_hold_on_fixed_spectra(dim):
         assert np.all(bounds[finite] >= sigma[finite] / (1.0 + slack)), (scale, bounds / sigma)
         assert finite[-1] == (dim < 150), bounds[-1]  # the overflow stays a candidate
         fine = ulamlab.maps._op_bounds(stack, 4, single=False)
-        assert np.all(fine >= sigma / (1.0 + ulamlab.maps._BOUND_SLACK)), (scale, fine / sigma)
+        assert np.all(fine >= sigma / (1.0 + linalg.FROBENIUS_SLACK)), (scale, fine / sigma)
         w = int(np.argmax(sigma))
         value, got_w = ulamlab.maps._op_argmax(len(stack), dim, stack.__getitem__)
         assert (value, got_w) == (sigma[w], w), scale
@@ -724,6 +724,23 @@ def test_one_block_stack_is_taken_once():
                 got = ulamlab.maps._op_argmax(count, dim, counted(stack, calls))
             assert got == op_reference(stack), (kind, count, dim)
             assert len(calls) == (takes or 1), (kind, count, dim, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["rank_one", "tied", "flat", "near_unitary"]),
+    dim=st.sampled_from([1, 2, 3, 24, 257]),
+    count=st.integers(1, 3),
+    scale=st.sampled_from([2.0**-500, 1.0, 2.0**500]),
+    seed=st.integers(0, 2**16),
+)
+def test_unit_bounds_bracket_every_computed_side(kind, dim, count, scale, seed):
+    values = spectral_stack(seed, count, dim, kind, scale)
+    lower, upper = ulamlab.maps._unit_bounds(dim, linalg.singular_values(values))
+    sides = ulamlab.maps._unit_sides(GroupMap(cyclic(count), dim, values), slice(None))
+    norms = linalg.singular_values(sides)[..., 0]
+    assert np.all(lower[:, None] <= norms), (lower, norms)
+    assert np.all(norms <= upper[:, None]), (norms, upper)
 
 
 LIMIT = 1.0 - 1e-9  # the snap refuses a unit defect from here

@@ -5,18 +5,22 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from ulamlab.linalg import (
+    HERMITIAN_TOL,
     NormKind,
     OPERATOR,
     SingularInputError,
+    _frobenius_at_least,
+    _frobenius_within,
     ky_fan,
     op_norm,
     parse_norm,
     polar,
     schatten,
+    singular_values,
     unitary_exp,
 )
 
-from oracles import uinorm
+from oracles import frobenius_skewed, spectral_stack, uinorm
 
 
 def test_op_norm_diagonal():
@@ -81,6 +85,55 @@ def test_unitary_exp_rejects_nonhermitian():
         unitary_exp(jordan)
     with pytest.raises(ValueError, match="Hermitian"):
         unitary_exp(np.stack([np.eye(2), jordan]))  # one bad matrix fails the stack
+
+
+def test_unitary_exp_refuses_an_asymmetry_its_frobenius_norm_hides():
+    with pytest.raises(ValueError, match="needs a Hermitian matrix"):
+        unitary_exp(frobenius_skewed(HERMITIAN_TOL))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["rank_one", "tied", "flat"]),
+    dim=st.sampled_from([1, 2, 3, 24, 257]),
+    count=st.integers(1, 3),
+    scale=st.sampled_from([2.0**-500, 1.0, 2.0**500]),
+    rel=st.one_of(st.just(0.0), st.floats(-2e-6, 2e-6)),
+    ulps=st.integers(-4, 4),
+    bad=st.sampled_from([np.nan, np.inf]),
+    seed=st.integers(0, 2**16),
+)
+def test_frobenius_rule_certifies_only_what_the_operator_norm_shows(
+    kind, dim, count, scale, rel, ulps, bad, seed
+):
+    # tol lies within 2e-6 relative of the computed max, past the rule's
+    # slack on either side, and a few ulps from it.  Near rank one, the
+    # Frobenius norm is the operator norm; with every singular value tied it
+    # is sqrt(d) times it: there each predicate is tight.
+    stack = spectral_stack(seed, count, dim, kind, scale)
+    sigma = singular_values(stack)[:, 0].max()
+    tol = sigma * (1.0 + rel) + ulps * np.spacing(sigma)
+
+    def largest_frobenius(mats):
+        """As the callers compute it: whole, per matrix, and from the sum of squares."""
+        flat = mats.reshape(len(mats), -1).view(np.float64)
+        return (
+            max(np.linalg.norm(m) for m in mats),
+            np.max(np.linalg.norm(mats, axis=(-2, -1))),
+            np.sqrt(np.einsum("ij,ij->i", flat, flat).max()),
+        )
+
+    for frobenius in largest_frobenius(stack):
+        if _frobenius_within(frobenius, tol):
+            assert sigma <= tol, (frobenius, sigma, tol)
+        if _frobenius_at_least(frobenius, dim, tol):
+            assert sigma >= tol, (frobenius, sigma, tol)
+    stack[-1, 0, -1] = bad
+    with np.errstate(invalid="ignore"):  # inf times its conjugate has a NaN imaginary part
+        broken = largest_frobenius(stack)
+    for frobenius in broken:
+        assert not _frobenius_within(frobenius, tol)
+        assert not _frobenius_at_least(frobenius, dim, tol)
 
 
 def test_unitary_exp_pauli_x():

@@ -36,7 +36,7 @@ from ulamlab import (
 )
 from ulamlab.cli import jsonify
 
-from oracles import reversed_labels
+from oracles import frobenius_skewed, reversed_labels
 
 TWO_SIN_TENTH = 0.1996668332936563  # |1 - exp(0.2i)|
 
@@ -173,6 +173,11 @@ def test_pd_min_eig_checks_symmetry_by_frobenius_first(monkeypatch):
     # a non-Hermitian Gram is still refused
     assert pd_min_eig(non_hermitian) == -np.inf
     assert len(sv_calls) == 2
+
+
+def test_pd_min_eig_refuses_an_asymmetry_its_frobenius_norm_hides():
+    h = frobenius_skewed(ulamlab.maps.GRAM_HERMITIAN_TOL)
+    assert pd_min_eig(GroupMap(cyclic(1), 2, h[None])) == -np.inf
 
 
 def dense_pd_min_eig(phi):

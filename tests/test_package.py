@@ -127,3 +127,46 @@ def test_only_the_executor_module_knows_about_threads():
                 if not (isinstance(node.value, ast.Name) and node.value.id == "executor"):
                     found.append((path.stem, node.attr))
     assert found == []
+
+
+ROUNDING_LITERALS = {2.0**-53, 2.0**-49, 2.0**-24, 1e-6}
+
+
+def _literal(node: ast.AST) -> float | None:
+    """The value of a numeric literal, or of a power or product of them."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return node.value
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _literal(node.operand)
+        return None if value is None else -value
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Pow, ast.Mult)):
+        left, right = _literal(node.left), _literal(node.right)
+        if left is not None and right is not None:
+            return float(left) ** right if isinstance(node.op, ast.Pow) else left * right
+    return None
+
+
+def test_rounding_literals_live_in_the_rounding_section():
+    # One rounding model: u = 2^-53, 2^-24 and the Frobenius slack 1e-6 are
+    # spelled only in `linalg`'s Rounding section (from its header comment to
+    # the last of its two predicates), and nothing spells 16 u = 2^-49 or any
+    # of them elsewhere: every other module reads the section's names.
+    text = (SRC / "linalg.py").read_text()
+    tree = ast.parse(text)
+    start = text.splitlines().index("# Rounding") + 1
+    end = next(
+        stmt.end_lineno
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == "_frobenius_at_least"
+    )
+    found, inside = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if _literal(node) not in ROUNDING_LITERALS:
+                continue
+            if path.stem == "linalg" and start <= node.lineno <= end:
+                inside += 1
+            else:
+                found.append((path.stem, node.lineno))
+    assert found == []
+    assert inside == 3  # 2^-53, 2^-24 and 1e-6

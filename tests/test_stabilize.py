@@ -20,6 +20,7 @@ from ulamlab import (
     dixmier_unitarize,
     free_ball,
     kazhdan_step,
+    linalg,
     mult_defect,
     perturb_unitary,
     polar_repair,
@@ -312,6 +313,11 @@ class TestStabilize:
                 trace.epsilon_0, trace.final_defect, trace.rounds, trace.total_distance
             )
 
+def mult_defect_at_least(phi, tol):
+    """The certificate between the rounds of ``stabilize(..., measure=False)``."""
+    return linalg._frobenius_at_least(maps_module._largest_residual(phi, "mult"), phi.dim, tol)
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     group=st.sampled_from([cyclic(2), cyclic(5), dihedral(3), dihedral(4)]),
@@ -337,7 +343,7 @@ def test_mult_certificate_never_claims_a_defect_below_tol(group, kind, angle, se
     exact, _ = mult_defect(phi)
     assume(exact > 0)
     tol = exact * (1.0 + rel)
-    if maps_module._mult_defect_at_least(phi, tol):
+    if mult_defect_at_least(phi, tol):
         assert exact >= tol
 
 
@@ -346,7 +352,7 @@ def test_mult_certificate_refuses_nonfinite_norms():
     with np.errstate(over="ignore", invalid="ignore"):  # the product overflows
         assert not np.isfinite(maps_module._largest_residual(big, "mult"))
         assert not np.isfinite(mult_defect(big)[0])
-        assert not maps_module._mult_defect_at_least(big, 1.0)
+        assert not mult_defect_at_least(big, 1.0)
 
 
 class TestDixmier:

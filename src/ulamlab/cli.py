@@ -205,12 +205,37 @@ def _build(config: ExperimentConfig, spec: GenSpec, domains: dict, build):
         return build(dataclasses.replace(spec, group=None), domains[group])
 
 
-def _rows(config: ExperimentConfig, row, keys=(None,)) -> Iterator:
-    """``row(key, seed)`` for every key, then every seed of the run, on up to
-    ``config.workers`` threads; the results come in that order."""
+def _rows(config: ExperimentConfig, job) -> Iterator[tuple[int, object]]:
+    """``(point, result)`` for the results of ``job(seed)``, a generator of
+    the seed's results at its points in order, seed by seed, each seed's job
+    run on one of up to ``config.workers`` threads.
+
+    An exception ends its seed's results.  The first one in point-major
+    order (by point, then seed) raises, whatever order the jobs ran in, once
+    no earlier one can follow: after the last seed, or after a seed that
+    failed at its first point.
+    """
+
+    def results(seed: int) -> list:
+        out: list = []
+        try:
+            out.extend(job(seed))
+        except Exception as err:  # raised in its place below
+            out.append(err)
+        return out
+
     seeds = config.effective_seeds()
-    jobs = (partial(row, key, seed) for key in keys for seed in seeds)
-    return _parallel(jobs, len(keys) * len(seeds), config.workers)
+    first = None  # (point, error) of the first failure so far
+    for out in _parallel((partial(results, seed) for seed in seeds), len(seeds), config.workers):
+        if out and isinstance(out[-1], Exception):
+            err = out.pop()
+            if first is None or len(out) < first[0]:
+                first = (len(out), err)
+        yield from enumerate(out)
+        if first is not None and first[0] == 0:
+            break
+    if first is not None:
+        raise first[1]
 
 
 def _opening(seed: int, phi) -> dict:
@@ -225,7 +250,7 @@ def _seeded_map(config: ExperimentConfig, domains: dict, seed: int):
     return spec, phi, _opening(seed, phi)
 
 
-def _defects_row(config: ExperimentConfig, domains: dict, _, seed: int) -> dict:
+def _defects_row(config: ExperimentConfig, domains: dict, seed: int) -> Iterator[dict]:
     spec, phi, row = _seeded_map(config, domains, seed)
     row["defects"] = defect_report(phi, parse_norm(config.norm))
     if config.command == "gen":
@@ -234,25 +259,32 @@ def _defects_row(config: ExperimentConfig, domains: dict, _, seed: int) -> dict:
             row["map"] = map_to_dict(phi)
     elif isinstance(phi.domain, FiniteGroup) and phi.domain.order * phi.dim <= MAX_DEFECTS_GRAM:
         row["pd_min_eig"] = pd_min_eig(phi)
-    return row
+    yield row
 
 
 def _cmd_defects(config: ExperimentConfig, domains: dict) -> Report:
     """``gen`` and ``defects``: each map passes when ``iso_delta <= delta``."""
-    records = list(_rows(config, partial(_defects_row, config, domains)))
+    records = [row for _, row in _rows(config, partial(_defects_row, config, domains))]
     passed = all(r["defects"].iso_delta <= r["defects"].delta + 1e-12 for r in records)
     return Report(config, {"maps": len(records)}, records, passed=passed)
 
 
-def _stabilized(config: ExperimentConfig, phi, row: dict) -> dict:
-    """``row`` with the results of stabilizing ``phi``."""
-    # a sweep row reports no round: its loop measures only what decides it
-    measure = config.command == "stabilize"
-    _, trace = stabilize(phi, tol=config.tol, max_iter=config.max_iter, measure=measure)
-    eps0 = trace.epsilon_0
-    certified = eps0 <= CERTIFIED_EPSILON
-    row.update(
-        {
+def _stabilize_rows(config: ExperimentConfig, domains: dict, seed: int) -> Iterator[dict]:
+    """The rows of ``seed``: a sweep's at each theta of its grid, in grid
+    order, and stabilize's one at its spec's theta, on one spec, one base and
+    one draw of directions (`build_grid`)."""
+    sweep = config.command == "sweep"
+    spec = _spec_for_seed(config, seed)
+    at = _build(config, spec, domains, build_grid)
+    for theta in config.theta if sweep else (spec.theta,):
+        with _config_errors():
+            phi = at(theta)
+        # a sweep row reports no round: its loop measures only what decides it
+        trace = stabilize(phi, tol=config.tol, max_iter=config.max_iter, measure=not sweep)[1]
+        eps0 = trace.epsilon_0
+        certified = eps0 <= CERTIFIED_EPSILON
+        row = {
+            **_opening(seed, phi),
             "epsilon_0": eps0,
             "iterations": trace.rounds,
             "converged": trace.converged,
@@ -262,74 +294,31 @@ def _stabilized(config: ExperimentConfig, phi, row: dict) -> dict:
             "diverged_certified": certified and not trace.converged,
             "theory": trace.theory,
         }
-    )
-    if measure:
-        row["iteration_records"] = [
-            {"record": "iteration", "seed": row["seed"], "iteration": i, **dataclasses.asdict(rec)}
-            for i, rec in enumerate(trace.iterations)
-        ]
-    if certified:
-        moved = Bound(trace.total_distance, 2.0 * eps0, tol=1e-9).strict()
-        row["distance_bound"] = moved.bound
-        row["distance_ok"] = moved.passed
-        row["ok"] = trace.converged and row["distance_ok"]
-    else:
-        row["ok"] = True  # outside the certified regime nothing is promised
-    return row
-
-
-def _stabilize_row(config: ExperimentConfig, domains: dict, _, seed: int) -> dict:
-    _, phi, row = _seeded_map(config, domains, seed)
-    return _stabilized(config, phi, row)
-
-
-def _sweep_rows(config: ExperimentConfig, domains: dict, _, seed: int) -> list:
-    """The rows of ``seed`` at each theta of the grid, in grid order, on one
-    spec, one base and one draw of directions (`build_grid`).  An error
-    takes the place of its row and ends the list: no later row of the seed
-    can come first in theta-major order."""
-    rows: list = []
-    try:
-        at = _build(config, _spec_for_seed(config, seed), domains, build_grid)
-        for theta in config.theta:
-            with _config_errors():
-                phi = at(theta)
-            rows.append(_stabilized(config, phi, {**_opening(seed, phi), "theta": theta}))
-    except Exception as err:  # raised in its place by _theta_major
-        rows.append(err)
-    return rows
-
-
-def _theta_major(per_seed: Iterator[list], points: int) -> list[dict]:
-    """The rows of every seed at each grid point in turn.  The first error in
-    that order raises, whatever order the seeds' jobs ran in; a seed whose
-    first row failed holds it, so no later seed is waited for."""
-    seeds = []
-    for rows in per_seed:
-        seeds.append(rows)
-        if isinstance(rows[0], Exception):
-            break
-    out = []
-    for k in range(points):
-        for rows in seeds:
-            if isinstance(rows[k], Exception):
-                raise rows[k]
-            out.append(rows[k])
-    return out
+        if sweep:
+            row["theta"] = theta
+        else:
+            row["iteration_records"] = [
+                {"record": "iteration", "seed": seed, "iteration": i, **dataclasses.asdict(rec)}
+                for i, rec in enumerate(trace.iterations)
+            ]
+        if certified:
+            moved = Bound(trace.total_distance, 2.0 * eps0, tol=1e-9).strict()
+            row["distance_bound"] = moved.bound
+            row["distance_ok"] = moved.passed
+            row["ok"] = trace.converged and row["distance_ok"]
+        else:
+            row["ok"] = True  # outside the certified regime nothing is promised
+        yield row
 
 
 def _cmd_stabilize(config: ExperimentConfig, domains: dict) -> Report:
-    """``stabilize``, and ``sweep``, which runs each seed's grid as one job
-    and reports the rows theta-major, without their iterations."""
-    sweep = config.command == "sweep"
-    if sweep:
-        per_seed = _rows(config, partial(_sweep_rows, config, domains))
-        rows = _theta_major(per_seed, len(config.theta))
-    else:
-        rows = list(_rows(config, partial(_stabilize_row, config, domains)))
+    """``stabilize``, and ``sweep``, which reports its rows theta-major,
+    without their iterations."""
+    per_seed = _rows(config, partial(_stabilize_rows, config, domains))
+    rows = [row for _, row in sorted(per_seed, key=lambda pair: pair[0])]
     diverged = any(row["diverged_certified"] for row in rows)
     passed = all(row["ok"] for row in rows) and not diverged
-    if sweep:
+    if config.command == "sweep":
         summary, records = {"grid": list(config.theta), "seeds_per_point": len(config.seeds)}, rows
     else:
         records = [rec for row in rows for rec in row.pop("iteration_records")]
@@ -337,45 +326,41 @@ def _cmd_stabilize(config: ExperimentConfig, domains: dict) -> Report:
     return Report(config, summary, records, passed=passed, diverged_certified=diverged)
 
 
-def _dixmier_row(config: ExperimentConfig, domains: dict, _, seed: int) -> dict:
+def _dixmier_row(config: ExperimentConfig, domains: dict, seed: int) -> Iterator[dict]:
     _, psi, row = _seeded_map(config, domains, seed)
     row["report"] = dixmier_unitarize(psi)[1]
-    return row
+    yield row
 
 
 def _cmd_dixmier(config: ExperimentConfig, domains: dict) -> Report:
-    records = list(_rows(config, partial(_dixmier_row, config, domains)))
+    records = [row for _, row in _rows(config, partial(_dixmier_row, config, domains))]
     passed = all(r["report"].passed for r in records)
     return Report(config, {"runs": len(records)}, records, passed=passed)
 
 
+def _suite_results(seed: int) -> Iterator[SuiteResult]:
+    """Every suite's one-seed result at ``seed``, in report order."""
+    for name in SUITES:
+        yield run_suite(name, [seed])
+
+
 def _cmd_verify(config: ExperimentConfig, domains: dict) -> Report:
-    # one job per (suite, seed), each folded into its suite as it arrives; in
-    # seed order, which is SuiteResult.merge's, so each suite keeps the bound
-    # the serial run keeps, whatever the workers
-    n = len(config.seeds)
-    results: list[SuiteResult] = []
-    for k, part in enumerate(_rows(config, lambda name, seed: run_suite(name, [seed]), SUITES)):
-        results.append(part if k % n == 0 else SuiteResult.merge([results.pop(), part]))
+    # each one-seed result is folded into its suite as it arrives, in seed
+    # order, which is SuiteResult.merge's, so each suite keeps the bound the
+    # serial run keeps, whatever the workers
+    folded: dict[int, SuiteResult] = {}
+    for k, part in _rows(config, _suite_results):
+        folded[k] = SuiteResult.merge([folded[k], part]) if k in folded else part
+    results = list(folded.values())
     passed = all(r.passed for r in results)
     summary = {
         "suites": list(SUITES),
-        "seed_count": n,
+        "seed_count": len(config.seeds),
         "worst": {
             key: value for r in results for key, value in sorted(r.notes.items())
         },
     }
     return Report(config, summary, [r.to_dict() for r in results], passed=passed)
-
-
-_COMMANDS = {
-    "gen": _cmd_defects,
-    "defects": _cmd_defects,
-    "stabilize": _cmd_stabilize,
-    "dixmier": _cmd_dixmier,
-    "verify": _cmd_verify,
-    "sweep": _cmd_stabilize,
-}
 
 
 def run(config: ExperimentConfig, domains: dict | None = None) -> Report:
@@ -384,7 +369,7 @@ def run(config: ExperimentConfig, domains: dict | None = None) -> Report:
     ``domains`` maps group specs to domains already parsed.
     """
     start = time.perf_counter()
-    report = _COMMANDS[config.command](config, {} if domains is None else domains)
+    report = _CLI[config.command][0](config, {} if domains is None else domains)
     report.timings = {"run_ms": (time.perf_counter() - start) * 1000.0}
     return report
 
@@ -453,19 +438,20 @@ _OPTIONS = {
                    help="Line-delimited output: header line, then one record per line."),
 }
 
-# Each command: its help and the options it reads.  Click refuses any other.
+# Each command: the function it runs, its help and the options it reads.
+# Click refuses any other.
 _CLI = {
-    "gen": ("Generate a map from a recipe and report its defects.",
+    "gen": (_cmd_defects, "Generate a map from a recipe and report its defects.",
             "group genspec theta norm seeds out ndjson"),
-    "defects": ("Measure defect and positivity diagnostics of a map.",
+    "defects": (_cmd_defects, "Measure defect and positivity diagnostics of a map.",
                 "group genspec theta norm seeds out ndjson"),
-    "stabilize": ("Run the averaging/repair iteration on seeded maps.",
+    "stabilize": (_cmd_stabilize, "Run the averaging/repair iteration on seeded maps.",
                   "group genspec theta tol max_iter seeds workers out ndjson"),
-    "dixmier": ("Unitarize seeded similarity twists and certify distances.",
+    "dixmier": (_cmd_dixmier, "Unitarize seeded similarity twists and certify distances.",
                 "group genspec seeds out ndjson"),
-    "verify": ("Run every verification suite over the seed range.",
+    "verify": (_cmd_verify, "Run every verification suite over the seed range.",
                "seeds workers out ndjson"),
-    "sweep": ("Sweep perturbation sizes, stabilizing at every grid point.",
+    "sweep": (_cmd_stabilize, "Sweep perturbation sizes, stabilizing at every grid point.",
               "group genspec theta tol max_iter seeds workers out ndjson"),
 }
 
@@ -548,7 +534,7 @@ def main() -> None:
     """Deterministic experiments with almost-multiplicative matrix maps."""
 
 
-for _name, (_help, _fields) in _CLI.items():
+for _name, (_, _help, _fields) in _CLI.items():
     _params = [_option(f) for f in _fields.split()]
     main.add_command(click.Command(_name, help=_help, params=_params, callback=partial(_finish, _name)))
 

@@ -442,7 +442,7 @@ class TestExitCodes:
         def failing(config, domains):
             return Report(config, {"note": "forced"}, [], passed=False)
 
-        monkeypatch.setitem(cli_mod._COMMANDS, "gen", failing)
+        monkeypatch.setitem(cli_mod._CLI, "gen", (failing, *cli_mod._CLI["gen"][1:]))
         result = runner.invoke(main, ["gen", "--group", "cyclic:2"])
         assert result.exit_code == EXIT_FAIL
 
@@ -709,6 +709,60 @@ class TestSweepJobs:
             peaks[points] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert peaks[8] - peaks[1] < 24**3 * 16 // 4, peaks
+
+
+class TestErrorOrder:
+    """Every command raises the first error in point-major order (by point,
+    then seed), and a seed's job ends at its first error."""
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_verify_raises_the_first_suites_error(self, runner, monkeypatch, workers):
+        # The second suite fails at seed 0 and the first at seed 2; point-major,
+        # (first suite, seed 2) comes before (second suite, seed 0).
+        ran = []
+
+        def suite(name, failing_seed, err):
+            def run_seeds(seeds):
+                ran.append((name, seeds[0]))
+                if seeds[0] == failing_seed:
+                    raise err
+                return SuiteResult(name, len(seeds))
+
+            return run_seeds
+
+        table = {
+            "first": suite("first", 2, ulamlab.PreconditionError("first suite, seed 2")),
+            "second": suite("second", 0, ulamlab.SizeLimitError("second suite, seed 0")),
+        }
+        monkeypatch.setattr("ulamlab.cli.SUITES", table)
+        monkeypatch.setattr("ulamlab.verify.SUITES", table)
+        result = runner.invoke(main, ["verify", "--seeds", "0..3", "--workers", workers])
+        assert result.exit_code == EXIT_PRECONDITION, result.output
+        assert result.stdout == ""
+        assert result.stderr == "precondition error: first suite, seed 2\n"
+        assert ("first", 2) in ran and ("second", 2) not in ran
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_stabilize_raises_the_first_failing_seeds_error(self, runner, monkeypatch, workers):
+        # seed 1 fails last, so a later seed's error is the first to arrive
+        rep = ulamlab.regular_rep(ulamlab.cyclic(3))
+        failures = {1: ulamlab.PreconditionError("seed 1"), 3: ulamlab.SizeLimitError("seed 3")}
+        values = {seed: ulamlab.perturb_unitary(rep, 0.03, seed).values for seed in failures}
+        real = ulamlab.cli.stabilize
+
+        def failing(phi, **kwargs):
+            for seed, err in failures.items():
+                if np.array_equal(phi.values, values[seed]):
+                    time.sleep(0.05 if seed == 1 else 0.0)
+                    raise err
+            return real(phi, **kwargs)
+
+        monkeypatch.setattr("ulamlab.cli.stabilize", failing)
+        args = ["stabilize", "--group", "cyclic:3", "--theta", "0.03", "--seeds", "0..3"]
+        result = runner.invoke(main, args + ["--workers", workers])
+        assert result.exit_code == EXIT_PRECONDITION, result.output
+        assert result.stdout == ""
+        assert result.stderr == "precondition error: seed 1\n"
 
 
 class TestHelpers:

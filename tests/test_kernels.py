@@ -640,6 +640,34 @@ def test_single_precision_bounds_hold_on_fixed_spectra(dim):
         assert (value, got_w) == (sigma[w], w), scale
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["rank_one", "tied", "flat", "near_unitary"]),
+    dim=st.sampled_from([1, 2, 3, 4, 24, 255, 256, 257]),
+    count=st.integers(1, 3),
+    scale=st.sampled_from([2.0**-500, 1.0, 2.0**500]),
+    bad=st.sampled_from([np.nan, np.inf]),
+    seed=st.integers(0, 2**16),
+)
+def test_op_bounds_hold_across_the_single_precision_limit(kind, dim, count, scale, bad, seed):
+    # Up to d = 4 the first-order shortfall exceeds 2 d^2 u; from d = 257 the
+    # first pass runs in double precision.
+    stack = spectral_stack(seed, count, dim, kind, scale)
+    sigma = linalg.singular_values(stack)[:, 0]
+    bounds = ulamlab.maps._op_bounds(stack)
+    finite = np.isfinite(bounds)
+    slack = ulamlab.maps._bound_slack(dim)
+    assert np.all(bounds[finite] >= sigma[finite] / (1.0 + slack)), bounds / sigma
+    fine = ulamlab.maps._op_bounds(stack, 4, single=False)
+    assert np.all(fine >= sigma / (1.0 + linalg.FROBENIUS_SLACK)), fine / sigma
+    odd = np.concatenate([np.zeros_like(stack[:1]), stack])
+    odd[-1, 0, -1] = bad
+    # a NaN entry leaves its matrix unscaled, so at 2^500 its products overflow
+    with np.errstate(invalid="ignore", over="ignore"):
+        for got in (ulamlab.maps._op_bounds(odd), ulamlab.maps._op_bounds(odd, 4, single=False)):
+            assert got[0] == 0.0 and np.isnan(got[-1]), got
+
+
 def test_first_nan_wins_when_a_later_nan_has_the_top_bound(monkeypatch):
     # An inf entry gives a matrix NaN singular values and a NaN bound, which
     # would make the first such matrix the top.  Bounds that rank a later

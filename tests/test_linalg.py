@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -103,6 +103,8 @@ def test_unitary_exp_refuses_an_asymmetry_its_frobenius_norm_hides():
     bad=st.sampled_from([np.nan, np.inf]),
     seed=st.integers(0, 2**16),
 )
+# builtin max drops a NaN that follows a number: max([1.0, nan]) == 1.0
+@example(kind="rank_one", dim=1, count=2, scale=1.0, rel=1.5e-6, ulps=0, bad=np.nan, seed=0)
 def test_frobenius_rule_certifies_only_what_the_operator_norm_shows(
     kind, dim, count, scale, rel, ulps, bad, seed
 ):
@@ -118,7 +120,7 @@ def test_frobenius_rule_certifies_only_what_the_operator_norm_shows(
         """As the callers compute it: whole, per matrix, and from the sum of squares."""
         flat = mats.reshape(len(mats), -1).view(np.float64)
         return (
-            max(np.linalg.norm(m) for m in mats),
+            np.max([np.linalg.norm(m) for m in mats]),
             np.max(np.linalg.norm(mats, axis=(-2, -1))),
             np.sqrt(np.einsum("ij,ij->i", flat, flat).max()),
         )

@@ -4,7 +4,8 @@ across threads.
 ``_parallel`` runs a command's jobs on up to ``--workers`` threads and gives
 each worker its share of the cores; ``_for_blocks`` cuts a kernel's items into
 blocks and splits them across the kernel threads of the calling thread's
-share.  No other module starts a thread.
+share, and ``_alongside`` runs one computation on a spare kernel thread
+beside the caller's others.  No other module starts a thread.
 """
 
 from __future__ import annotations
@@ -90,9 +91,13 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _one_thread(job: Callable[[], object]):
+    with _kernel_threads(1):  # work on a pool thread never splits again
+        return job()
+
+
 def _run_share(fn: Callable[[slice], object], share: list[slice]) -> list:
-    with _kernel_threads(1):  # a share never splits again
-        return [fn(sl) for sl in share]
+    return _one_thread(lambda: [fn(sl) for sl in share])
 
 
 def _for_blocks(
@@ -124,6 +129,31 @@ def _for_blocks(
     finally:
         wait(futures)
     return out + [part for future in futures for part in future.result()]
+
+
+def _alongside(*jobs: Callable[[], object]) -> list:
+    """The results of ``jobs``, in order, the last one run on the spare core.
+
+    When the calling thread's budget allows a second thread, the last job
+    runs on a thread of the kernel pool at one kernel thread, while the
+    caller runs the others in order at its budget less one, so none of their
+    `_for_blocks` shares waits in the pool behind it.  At a budget of one,
+    or for a single job, every job runs inline, in order.  The first error in program order is
+    raised, once the last job has finished.  Like `_for_blocks`' ``fn``, the
+    jobs must be independent of each other for the results to be the same
+    at every budget.
+    """
+    *first, last = jobs
+    threads = getattr(_budget, "threads", None) or _cores()
+    if threads <= 1 or not first:
+        return [job() for job in jobs]
+    future = _executor().submit(_one_thread, last)
+    try:
+        with _kernel_threads(threads - 1):
+            out = [job() for job in first]
+    finally:
+        wait([future])
+    return out + [future.result()]
 
 
 def _collect(out, entries: int, fn: Callable[[slice], object], block: int | None = None):

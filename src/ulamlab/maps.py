@@ -13,12 +13,22 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .executor import _blocks, _collect, _for_blocks
+from .executor import _alongside, _blocks, _collect, _for_blocks
 from .linalg import FROBENIUS_SLACK, OPERATOR, SINGLE_ROUNDOFF, UNIT_ROUNDOFF, NormKind, adj
 from .groups import FiniteGroup, FreeBall, n_elements, require_finite
 
 GRAM_HERMITIAN_TOL = 1e-8
 MAX_GRAM_DIM = 8192
+# Smallest Gram dimension whose eigensolve runs on the spare core beside
+# other work (`_pd_min_eig_alongside`).  numpy (2.4.6) lets go of the GIL in
+# a linalg call only when its loop is longer than 500 (`eigvalsh`: the Gram
+# dimension), so a smaller eigensolve stalls the caller's checks instead.
+# Measured on a 2-core VM at one BLAS thread, the eigensolve beside the
+# checks against inline: `kazhdan_step` with the estimate checks took
+# 11.7 / 10.1 ms on cyclic:12 (144), 30.4 / 24.8 ms on cyclic:16 (256) and
+# 76 / 61 ms on cyclic:20 (400); the averaging suite took 93 / 139 ms a
+# symmetric:4 seed (576).
+_MIN_GRAM_ALONGSIDE = 501
 # Complex entries the bound passes of `_op_argmax` take at a time, serial or
 # split.  The single-precision temporaries of a block (128 KiB each) stay
 # below glibc's default mmap threshold and reuse heap pages, and a block of
@@ -199,13 +209,14 @@ def _op_bounds(mats: np.ndarray, squarings: int = 2, single: bool | None = None)
     products neither underflow nor overflow at any scale of ``a``; only the
     single-precision sum of squares of a stack near rank one overflows (from
     ``d`` about 150), and its bound is inf.  A zero matrix gets 0, and a
-    matrix with a non-finite entry gets NaN.
+    matrix with a non-finite entry gets NaN: ``s`` is taken over the entries
+    that are not NaN, so a NaN entry does not leave its matrix unscaled.
     """
     if single is None:
         single = mats.shape[-1] <= _SINGLE_MAX_DIM
     real = np.float32 if single else np.float64
     parts = np.ascontiguousarray(mats).reshape(len(mats), -1).view(np.float64)
-    s = np.maximum(parts.max(axis=1), -parts.min(axis=1))
+    s = np.fmax(np.fmax.reduce(parts, axis=1), -np.fmin.reduce(parts, axis=1))
     scaled = np.empty(parts.shape, real)  # b, written without a double copy
     with np.errstate(invalid="ignore"):  # an inf entry over s = inf gives NaN
         np.divide(parts, np.where(s > 0.0, s, 1.0)[:, None], out=scaled, casting="same_kind")
@@ -456,7 +467,20 @@ def pd_min_eig(phi: GroupMap) -> float:
     reported as ``-inf``; the exact norm, of the Gram of ``s``, is taken only
     when that Frobenius norm does not certify it (`linalg._frobenius_within`).
     Each Gram is gathered into one ``(n d)^2`` array, a few block rows
-    (``executor._BLOCK`` entries) at a time.
+    (``executor._BLOCK`` entries) at a time.  The eigensolve is one LAPACK
+    call on one BLAS thread; `_pd_min_eig_alongside` runs it on the spare
+    core while other work runs.
+    """
+    return _pd_min_eig_alongside(phi)[-1]
+
+
+def _pd_min_eig_alongside(phi: GroupMap, *jobs: Callable[[], object]) -> list:
+    """The results of ``jobs``, in order, then ``pd_min_eig(phi)``.
+
+    The refusals and the Hermitian gate are decided first, here.  The
+    eigensolve of a Gram of dimension `_MIN_GRAM_ALONGSIDE` or more then runs
+    beside ``jobs`` (`executor._alongside`); a smaller one runs inline after
+    them.
     """
     g = require_finite(phi.domain, "the full-group Gram")
     n, d = g.order, phi.dim
@@ -472,11 +496,16 @@ def pd_min_eig(phi: GroupMap) -> float:
             gram[sl] = blocks[g.mul[g.inv[sl, None], cols]].transpose(0, 2, 1, 3)
         return gram.reshape(n * d, n * d)
 
+    def eigensolve() -> float:
+        return float(np.linalg.eigvalsh(fill((v + mirror) / 2.0))[0])
+
     s = v - mirror
     if not linalg._frobenius_within(np.sqrt(n) * np.linalg.norm(s), GRAM_HERMITIAN_TOL):
         if linalg.singular_values(fill(s))[0] > GRAM_HERMITIAN_TOL:
-            return float("-inf")
-    return float(np.linalg.eigvalsh(fill((v + mirror) / 2.0))[0])
+            return [job() for job in jobs] + [float("-inf")]
+    if n * d < _MIN_GRAM_ALONGSIDE:
+        return [job() for job in (*jobs, eigensolve)]
+    return _alongside(*jobs, eigensolve)
 
 
 @dataclass

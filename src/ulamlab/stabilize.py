@@ -10,6 +10,8 @@ the order of its initial defect.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from .maps import (
     PreconditionError,
     distance,
     mult_defect,
-    pd_min_eig,
     unit_defect,
 )
 from .averaging import average_pd, form
@@ -138,21 +139,36 @@ def kazhdan_step(phi: GroupMap) -> tuple[GroupMap, Certificate]:
     The averaged map is unital (``unital``) and positive definite (``pd``),
     sits within the multiplicative defect of the input (``distance``), and
     its unit defect drops to the square of that defect (``sharp``; ``crude``
-    is twice the square).
+    is twice the square).  The Gram eigensolve of ``pd`` runs on the spare
+    core while the other checks run (`maps._pd_min_eig_alongside`).
     """
+    psi, certificate, _ = _kazhdan_step(phi)
+    return psi, certificate
+
+
+def _kazhdan_step(
+    phi: GroupMap, *also: Callable[[GroupMap], object]
+) -> tuple[GroupMap, Certificate, list]:
+    """`kazhdan_step`, and the results of ``also`` on its averaged map, which
+    run with its checks beside the Gram eigensolve."""
     maps._require_defect(phi, "unit", UNITARY_TOL, "averaging step needs unitary values")
-    eps, _ = mult_defect(phi)
     psi = average_pd(phi)
     eye = np.eye(phi.dim, dtype=np.complex128)
-    out_delta, _ = unit_defect(psi)
-    unital_residual = float(linalg.op_norm(psi.values[psi.domain.identity] - eye))
+    eps, out_delta, unital_residual, moved, *rest, pd = maps._pd_min_eig_alongside(
+        psi,
+        lambda: mult_defect(phi)[0],
+        lambda: unit_defect(psi)[0],
+        lambda: float(linalg.op_norm(psi.values[psi.domain.identity] - eye)),
+        lambda: distance(phi, psi),
+        *(partial(job, psi) for job in also),
+    )
     return psi, Certificate(
         unital=Bound(unital_residual, 0.0, tol=1e-11),
-        pd=Bound(0.0, pd_min_eig(psi), tol=1e-9),
-        distance=Bound(distance(phi, psi), eps, tol=1e-10),
+        pd=Bound(0.0, pd, tol=1e-9),
+        distance=Bound(moved, eps, tol=1e-10),
         sharp=Bound(out_delta, eps**2, tol=1e-10),
         crude=Bound(out_delta, 2.0 * eps**2, tol=1e-10),
-    )
+    ), rest
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -39,7 +39,7 @@ from .maps import (
     perturbation_bound_report,
     unit_defect,
 )
-from .stabilize import dixmier_unitarize, kazhdan_step, polar_repair
+from .stabilize import _kazhdan_step, dixmier_unitarize, kazhdan_step, polar_repair
 
 POOL_SPECS = (
     "cyclic:2",
@@ -268,8 +268,8 @@ def averaging_suite(seed: int, rng: np.random.Generator):
     g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
     theta = float(rng.uniform(0.0, AVERAGING_THETA_MAX))
     phi = perturb_unitary(regular_rep(g), theta, seed)
-    psi, step = kazhdan_step(phi)
-    checks, _, residual = estimate_checks(phi, psi, list(_ESTIMATED.values()))
+    estimates = partial(estimate_checks, phi, kinds=list(_ESTIMATED.values()))
+    _, step, [(checks, _, residual)] = _kazhdan_step(phi, estimates)
     yield "condition_c_margin", Bound(residual, 0.0, tol=1e-10).strict()
     for key, name in _CHECKED.items():
         yield key, checks.get(name, _SKIPPED)

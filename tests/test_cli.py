@@ -168,6 +168,17 @@ class TestDeterminism:
         payloads = [strip_timings(json.loads(proc.stdout)) for proc in reports]
         assert payloads[0] == payloads[1]
 
+    def test_gram_beside_the_defects_does_not_change_the_report(self, runner):
+        # At two kernel threads the 576 x 576 Gram eigensolve runs on the spare
+        # core while defect_report runs; at one, after it on the same thread.
+        args = ["defects", "--group", "symmetric:4", "--genspec", '{"kind":"regular"}']
+        reports = []
+        for budget in (1, 2):
+            with ulamlab.executor._kernel_threads(budget):
+                reports.append(json.dumps(strip_timings(invoke_json(runner, args))))
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["results"]["records"][0]["pd_min_eig"] > -1e-9
+
     def test_group_is_parsed_once_per_run(self, runner, monkeypatch, tmp_path):
         table = tmp_path / "cyclic6.json"
         table.write_text(json.dumps({"mul": ulamlab.cyclic(6).mul.tolist()}))

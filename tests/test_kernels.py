@@ -19,9 +19,12 @@ first argmax of every matrix's largest singular value bit for bit.
 """
 
 import contextlib
+import dataclasses
 import multiprocessing
 import os
 import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -47,6 +50,7 @@ from ulamlab import (
     estimate_checks,
     free_ball,
     iso_defect,
+    kazhdan_step,
     ky_fan,
     linalg,
     mult_defect,
@@ -454,6 +458,156 @@ def test_forked_child_makes_its_own_kernel_pool():
         assert pool.apply_async(split_scan, (phi,)).get(timeout=60) == expected
 
 
+def budget_now():
+    return getattr(ulamlab.executor._budget, "threads", None)
+
+
+def test_alongside_results_come_in_program_order(kernel_pool):
+    phi = SPLIT_MAPS["dihedral:4"]
+    h = phi.values.reshape(-1, phi.dim)
+    h = h.conj().T @ h
+    jobs = (
+        lambda: average_pd(phi).values,
+        lambda: pair_defect_norms(phi, KINDS),
+        lambda: np.linalg.eigvalsh(h),
+    )
+    with kernel_threads(1):
+        expected = [job() for job in jobs]
+    for budget in (1, 2):
+        with kernel_threads(budget):
+            got = ulamlab.executor._alongside(*jobs)
+        assert len(got) == len(expected)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected)), budget
+    assert kernel_pool.submits == 1  # only the last job at budget 2: the others ran at 1
+
+
+def test_alongside_runs_the_others_at_the_budget_less_one():
+    seen = []
+    record = lambda: seen.append((threading.current_thread().name, budget_now()))
+    with ulamlab.executor._kernel_threads(3):
+        ulamlab.executor._alongside(record, record, record)
+        assert budget_now() == 3
+        with pytest.raises(ZeroDivisionError):
+            ulamlab.executor._alongside(record, lambda: 1 / 0, record)
+        assert budget_now() == 3
+    assert budget_now() is None
+    # the caller ran two jobs, then one and the error; the pool thread a last job each time
+    main = threading.current_thread().name
+    assert sorted((name == main, budget) for name, budget in seen) == [(False, 1)] * 2 + [(True, 2)] * 3
+    assert all(name.startswith("ulamlab-kernel") for name, _ in seen if name != main)
+
+
+def test_alongside_at_budget_one_runs_inline_in_order(kernel_pool):
+    seen = []
+    jobs = [lambda i=i: seen.append((i, threading.current_thread().name, budget_now())) or i for i in range(3)]
+    with ulamlab.executor._kernel_threads(1):
+        assert ulamlab.executor._alongside(*jobs) == [0, 1, 2]
+    main = threading.current_thread().name
+    assert seen == [(0, main, 1), (1, main, 1), (2, main, 1)]
+    assert kernel_pool.submits == 0
+
+
+class First(Exception):
+    pass
+
+
+class Second(Exception):
+    pass
+
+
+@pytest.mark.parametrize("budget", [1, 2])
+def test_alongside_raises_the_first_error_in_program_order(budget):
+    finished = []
+
+    def fail(error, after=0.0):
+        def job():
+            time.sleep(after)
+            finished.append(error)
+            raise error
+        return job
+
+    ok = lambda: None
+    with ulamlab.executor._kernel_threads(budget):
+        with pytest.raises(First):
+            ulamlab.executor._alongside(fail(First), ok, fail(Second, after=0.05))
+        # inline the first error ends the run; beside it the last job finishes first
+        assert finished == ([First] if budget == 1 else [First, Second])
+        with pytest.raises(Second):
+            ulamlab.executor._alongside(ok, fail(Second))
+        with pytest.raises(First):
+            ulamlab.executor._alongside(ok, fail(First))
+
+
+def test_blocks_inside_the_window_do_not_wait_on_the_busy_pool_thread(kernel_pool):
+    # The last job holds a pool thread until the caller's split kernel ends:
+    # a share of it queued behind that job would never run.
+    release = threading.Event()
+    phi = SPLIT_MAPS["dihedral:4"]
+
+    def scan():
+        try:
+            return pair_defect_norms(phi, KINDS)
+        finally:
+            release.set()
+
+    with kernel_threads(1):
+        expected = pair_defect_norms(phi, KINDS)
+    with kernel_threads(2):
+        got, held = ulamlab.executor._alongside(scan, lambda: release.wait(timeout=30))
+    assert held and np.array_equal(got, expected)
+    assert kernel_pool.submits == 1
+
+
+def test_workers_put_their_last_jobs_on_the_one_kernel_pool(monkeypatch, kernel_pool):
+    # Three workers on six cores: each puts its last job on the kernel pool and
+    # runs its scan at one kernel thread, with thread switches forced as often
+    # as possible.
+    phi = perturb_unitary(regular_rep(cyclic(14)), 0.05, seed=0)
+    h = phi.values.reshape(-1, phi.dim)
+    h = h.conj().T @ h
+    job = lambda: ulamlab.executor._alongside(lambda: mult_defect(phi), lambda: np.linalg.eigvalsh(h))
+    with ulamlab.executor._kernel_threads(1):
+        expected = job()
+    monkeypatch.setattr(ulamlab.executor, "_cores", lambda: 6)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = list(_parallel([job] * 6, 6, 3))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(scan == expected[0] and np.array_equal(eigs, expected[1]) for scan, eigs in got)
+    assert kernel_pool.submits == 6
+
+
+def test_gram_eigensolve_runs_beside_the_checks_only_above_its_floor(monkeypatch):
+    threads = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a):
+        threads.append((len(a), threading.current_thread().name))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    small = perturb_unitary(regular_rep(dihedral(4)), 0.03, seed=0)
+    large = perturb_unitary(regular_rep(symmetric(4)), 0.03, seed=0)
+    main = threading.current_thread().name
+    steps = {}
+    for budget in (1, 2):
+        with ulamlab.executor._kernel_threads(budget):
+            steps[budget] = [kazhdan_step(phi) for phi in (small, large)]
+    pool = [name for _, name in threads if name != main]
+    assert [n for n, _ in threads] == [64, 576] * 2
+    assert len(pool) == 1 and threads[-1][1] == pool[0] and pool[0].startswith("ulamlab-kernel")
+    # the certificates and averaged maps are the same bit for bit
+    for (psi, cert), (psi2, cert2) in zip(steps[1], steps[2]):
+        assert np.array_equal(psi.values, psi2.values)
+        assert cert.keys() == cert2.keys()
+        for key in cert:
+            assert [x.hex() for x in dataclasses.astuple(cert[key])] == [
+                x.hex() for x in dataclasses.astuple(cert2[key])
+            ], key
+
+
 # Stacks for the filtered operator-norm max: the gate lets through at least
 # ``_MIN_FILTER_COUNT`` matrices of ``_MIN_FILTER`` entries in all, so 1..64
 # matrices of dimension 1..8 fall on both sides of it.  The second bound pass
@@ -662,8 +816,8 @@ def test_op_bounds_hold_across_the_single_precision_limit(kind, dim, count, scal
     assert np.all(fine >= sigma / (1.0 + linalg.FROBENIUS_SLACK)), fine / sigma
     odd = np.concatenate([np.zeros_like(stack[:1]), stack])
     odd[-1, 0, -1] = bad
-    # a NaN entry leaves its matrix unscaled, so at 2^500 its products overflow
-    with np.errstate(invalid="ignore", over="ignore"):
+    # a NaN entry leaves the other entries scaled: no product overflows at 2^500
+    with np.errstate(invalid="ignore", over="raise"):
         for got in (ulamlab.maps._op_bounds(odd), ulamlab.maps._op_bounds(odd, 4, single=False)):
             assert got[0] == 0.0 and np.isnan(got[-1]), got
 

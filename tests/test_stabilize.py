@@ -261,10 +261,11 @@ class TestStabilize:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("mult_defect", "unit_defect", "distance", "average_pd", "pd_min_eig",
-                     "kazhdan_step", "polar_repair"):
+        for name in ("mult_defect", "unit_defect", "distance", "average_pd", "kazhdan_step",
+                     "polar_repair"):
             counted(stabilize_module, name)
-        for name in ("mult_defect", "unit_defect"):  # the scans maps._defect_bound falls back to
+        # the scans maps._defect_bound falls back to, and the Gram kazhdan_step checks
+        for name in ("mult_defect", "unit_defect", "_pd_min_eig_alongside"):
             counted(maps_module, name)
         phi = perturb_unitary(regular_rep(dihedral(4)), 0.03, seed=0)
         _, trace = stabilize_module.stabilize(phi, measure=measure)
@@ -272,7 +273,7 @@ class TestStabilize:
         assert rounds >= 2 and trace.converged
         assert len(trace.iterations) == rounds
         assert calls["average_pd"] == rounds
-        assert calls["pd_min_eig"] == calls["kazhdan_step"] == calls["polar_repair"] == 0
+        assert calls["_pd_min_eig_alongside"] == calls["kazhdan_step"] == calls["polar_repair"] == 0
         if measure:  # each round's epsilon, delta and step, then the total distance
             assert calls["mult_defect"] == rounds + 1
             assert calls["unit_defect"] == rounds

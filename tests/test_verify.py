@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 from collections import Counter
@@ -10,6 +11,7 @@ from ulamlab.generators import perturb_unitary, regular_rep
 from ulamlab.groups import parse_group_spec
 from ulamlab.stabilize import stabilize
 from ulamlab.verify import (
+    POOL_SPECS,
     averaging_suite,
     condition_b_suite,
     dixmier_contract_suite,
@@ -189,6 +191,20 @@ def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
         "_op_argmax[8]": 1,
         "_op_bounds": 2,
     }
+
+
+@pytest.mark.parametrize("seed", [2, 8])
+def test_heavy_averaging_seed_is_the_same_at_every_budget(seed):
+    # At two kernel threads the 576 x 576 Gram eigensolve of the averaging
+    # step runs on the spare core while the step's checks and the estimate
+    # checks run; at one, after them on the same thread.
+    rng = ulamlab.verify._suite_rng(seed, "averaging")
+    assert POOL_SPECS[int(rng.integers(len(POOL_SPECS)))] == "symmetric:4"
+    reports = []
+    for budget in (1, 2):
+        with ulamlab.executor._kernel_threads(budget):
+            reports.append(json.dumps(averaging_suite([seed]).to_dict()))
+    assert reports[0] == reports[1]
 
 
 def test_stabilize_seed_takes_operator_maxima_only_for_reported_values(monkeypatch):

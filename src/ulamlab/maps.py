@@ -465,7 +465,7 @@ def pd_min_eig(phi: GroupMap) -> float:
     sum_x ||s(x)||_F^2``.  A Gram that is not Hermitian within
     ``GRAM_HERMITIAN_TOL`` in operator norm is definitely not PSD and is
     reported as ``-inf``; the exact norm, of the Gram of ``s``, is taken only
-    when that Frobenius norm does not certify it (`linalg._frobenius_within`).
+    when neither half of the Frobenius rule settles it from that norm.
     Each Gram is gathered into one ``(n d)^2`` array, a few block rows
     (``executor._BLOCK`` entries) at a time.  The eigensolve is one LAPACK
     call on one BLAS thread; `_pd_min_eig_alongside` runs it on the spare
@@ -500,9 +500,14 @@ def _pd_min_eig_alongside(phi: GroupMap, *jobs: Callable[[], object]) -> list:
         return float(np.linalg.eigvalsh(fill((v + mirror) / 2.0))[0])
 
     s = v - mirror
-    if not linalg._frobenius_within(np.sqrt(n) * np.linalg.norm(s), GRAM_HERMITIAN_TOL):
-        if linalg.singular_values(fill(s))[0] > GRAM_HERMITIAN_TOL:
-            return [job() for job in jobs] + [float("-inf")]
+    frobenius = np.sqrt(n) * np.linalg.norm(s)
+    # ||G - G*|| >= F / sqrt(n d) >= tol (1 + S), and S exceeds the rounding of F and
+    # of the SVD for n d <= MAX_GRAM_DIM (`linalg`'s Rounding section): strictly above tol.
+    if linalg._frobenius_at_least(frobenius, n * d, GRAM_HERMITIAN_TOL) or (
+        not linalg._frobenius_within(frobenius, GRAM_HERMITIAN_TOL)
+        and linalg.singular_values(fill(s))[0] > GRAM_HERMITIAN_TOL
+    ):
+        return [job() for job in jobs] + [float("-inf")]
     if n * d < _MIN_GRAM_ALONGSIDE:
         return [job() for job in (*jobs, eigensolve)]
     return _alongside(*jobs, eigensolve)

@@ -203,6 +203,13 @@ def _theory_series(eps0: float) -> ContractionSeries:
     return contraction_series(EPSILON_CONTRACTION, 1.0 + eps0, 2.0, delta)
 
 
+def _witness_at_least(phi: GroupMap, pair: tuple[int, int], tol: float) -> bool:
+    """Whether the residual of ``pair`` alone, formed as the mult-defect scan
+    forms it, certifies the mult defect of ``phi`` at least ``tol``."""
+    residual = maps._pair_defects(phi, np.array([pair[0] * phi.domain.order + pair[1]]))
+    return linalg._frobenius_at_least(float(np.linalg.norm(residual)), phi.dim, tol)
+
+
 def stabilize(
     phi: GroupMap, tol: float = 1e-12, max_iter: int = 50, measure: bool = True
 ) -> tuple[GroupMap, StabilizationTrace]:
@@ -220,12 +227,12 @@ def stabilize(
     With ``measure=False`` a round measures only what decides the loop, and
     its record holds ``None`` for the rest: the snap's precondition is
     settled by its singular values (``maps._unit_bounds``), no step distance
-    is taken, and between rounds a Frobenius certificate that the mult defect
-    is at least ``tol`` (``linalg._frobenius_at_least`` of
-    ``maps._largest_residual``) stands for the exact scan.  The scan still
-    runs when the certificate fails and after the last round allowed, so the
-    last map, ``epsilon_0``, the round count, ``final_defect``,
-    ``total_distance`` and every refusal are those of the measured run.
+    is taken, and between rounds one witness pair, the last scan's, stands for
+    the exact scan when its residual certifies the defect at least ``tol``
+    (`_witness_at_least`).  The scan runs, and its pair becomes the witness,
+    when that fails and after the last round allowed, so the last map,
+    ``epsilon_0``, the round count, ``final_defect``, ``total_distance`` and
+    every refusal are those of the measured run.
     """
     require_finite(phi.domain, "stabilization")
     if tol <= 0:
@@ -233,7 +240,7 @@ def stabilize(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     maps._require_defect(phi, "unit", UNITARY_TOL, "stabilization needs unitary values")
-    eps0, _ = mult_defect(phi)
+    eps0, pair = mult_defect(phi)
     current = phi
     eps_n: float | None = eps0  # None: certified to be at least tol, not measured
     trace = StabilizationTrace(epsilon_0=eps0, theory=_theory_series(eps0))
@@ -242,15 +249,11 @@ def stabilize(
             break
         # averaging needs unitary input: the precondition checks round 1, the snap the rest
         repaired, delta_n = _unitary_part(average_pd(current), measure)
-        if measure:
-            trace.iterations.append(IterationRecord(eps_n, delta_n, distance(current, repaired)))
-        else:
-            trace.iterations.append(IterationRecord(eps_n, None, None))
+        moved = distance(current, repaired) if measure else None
+        trace.iterations.append(IterationRecord(eps_n, delta_n if measure else None, moved))
         current = repaired
-        certified = not measure and n < max_iter and linalg._frobenius_at_least(
-            maps._largest_residual(current, "mult"), current.dim, tol
-        )
-        eps_n = None if certified else mult_defect(current)[0]
+        certified = not measure and n < max_iter and _witness_at_least(current, pair, tol)
+        eps_n, pair = (None, pair) if certified else mult_defect(current)
     trace.converged = eps_n < tol
     trace.final_defect = eps_n
     trace.total_distance = distance(phi, current)

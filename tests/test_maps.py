@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ulamlab.executor
 import ulamlab.linalg
@@ -170,9 +172,9 @@ def test_pd_min_eig_checks_symmetry_by_frobenius_first(monkeypatch):
     skewed[g_index] += 4e-9 * np.eye(averaged.dim)
     assert np.isfinite(pd_min_eig(GroupMap(g, averaged.dim, skewed)))
     assert len(sv_calls) == 1
-    # a non-Hermitian Gram is still refused
+    # a non-Hermitian Gram is still refused, by the Frobenius norm alone
     assert pd_min_eig(non_hermitian) == -np.inf
-    assert len(sv_calls) == 2
+    assert len(sv_calls) == 1
 
 
 def test_pd_min_eig_refuses_an_asymmetry_its_frobenius_norm_hides():
@@ -180,11 +182,76 @@ def test_pd_min_eig_refuses_an_asymmetry_its_frobenius_norm_hides():
     assert pd_min_eig(GroupMap(cyclic(1), 2, h[None])) == -np.inf
 
 
+def test_pd_min_eig_refuses_a_far_asymmetry_without_a_gram(monkeypatch):
+    # A perturbed symmetric:4 map (the default map of `defects`) is far from
+    # adjoint-symmetric: the Frobenius norm of G - G* alone refuses it.
+    phi = perturb_unitary(regular_rep(symmetric(4)), 0.03, seed=0)
+    original, shapes = ulamlab.linalg.singular_values, []
+
+    def counted(a):
+        shapes.append(np.shape(a))
+        return original(a)
+
+    monkeypatch.setattr(ulamlab.linalg, "singular_values", counted)
+    assert pd_min_eig(phi) == -np.inf
+    assert shapes == []
+
+
+def dense_gram(phi, values):
+    """The whole ``(n d) x (n d)`` Gram of a per-element map: block ``(i, j)``
+    is ``values[inv(x_i) * x_j]``."""
+    g, d = phi.domain, phi.dim
+    blocks = values[g.mul[g.inv[:, None], np.arange(g.order)[None, :]]]
+    return blocks.transpose(0, 2, 1, 3).reshape(g.order * d, g.order * d)
+
+
+def exact_gram_verdict(phi):
+    """Whether the exact test refuses: the computed operator norm of the Gram
+    of ``s = phi - mirror`` exceeds the tolerance, or the SVD fails."""
+    mirror = np.conj(np.swapaxes(phi.values[phi.domain.inv], -1, -2))
+    try:
+        sigma = np.linalg.svd(dense_gram(phi, phi.values - mirror), compute_uv=False)
+    except np.linalg.LinAlgError:
+        return "LinAlgError"
+    return bool(sigma[0] > ulamlab.maps.GRAM_HERMITIAN_TOL)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    group=st.sampled_from([cyclic(1), cyclic(3), dihedral(3)]),
+    kind=st.sampled_from(["skewed", "flat", "nan"]),
+    at=st.integers(0, 5),
+    rel=st.floats(-4e-6, 4e-6),
+)
+def test_gram_gate_takes_the_exact_verdict(group, kind, at, rel):
+    # One value of the identity map is moved so that the asymmetry sits
+    # within a few 1e-6 of a threshold of the gate.  "skewed": the rank-one
+    # asymmetry of `frobenius_skewed`, scaled about the tolerance, straddles
+    # the *within* half on cyclic:1; "flat": i c times the identity at the
+    # identity element, whose Gram of s has all its singular values equal,
+    # straddles the *at least* half; "nan" certifies neither, and the exact
+    # test's SVD fails as the gate's does.
+    tol = ulamlab.maps.GRAM_HERMITIAN_TOL
+    h = frobenius_skewed(tol)
+    hermitian, skew = (h + h.conj().T) / 2, (h - h.conj().T) / 2
+    value = {
+        "skewed": hermitian + (1.0 + rel) * skew,
+        "flat": hermitian + 0.5j * tol * (1.0 + rel) * np.eye(2),
+        "nan": hermitian + np.nan,
+    }[kind]
+    phi = constant_identity(group, 2)
+    phi.values[at % group.order] = value  # set after the finite-value check
+    expected = exact_gram_verdict(phi)
+    try:
+        refused = pd_min_eig(phi) == -np.inf
+    except np.linalg.LinAlgError:
+        refused = "LinAlgError"
+    assert refused == expected
+
+
 def dense_pd_min_eig(phi):
     """The Gram's smallest eigenvalue from the whole block matrix and its adjoint."""
-    g, d = phi.domain, phi.dim
-    blocks = phi.values[g.mul[g.inv[:, None], np.arange(g.order)[None, :]]]
-    big = blocks.transpose(0, 2, 1, 3).reshape(g.order * d, g.order * d)
+    big = dense_gram(phi, phi.values)
     return np.linalg.eigvalsh((big + big.conj().T) / 2)[0]
 
 

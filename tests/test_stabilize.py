@@ -314,9 +314,46 @@ class TestStabilize:
                 trace.epsilon_0, trace.final_defect, trace.rounds, trace.total_distance
             )
 
-def mult_defect_at_least(phi, tol):
-    """The certificate between the rounds of ``stabilize(..., measure=False)``."""
-    return linalg._frobenius_at_least(maps_module._largest_residual(phi, "mult"), phi.dim, tol)
+    def test_a_failing_witness_falls_back_to_the_exact_scan(self, monkeypatch):
+        # Every scan names the identity pair, whose residual is at most rounding
+        # once the map is unital: the witness never certifies, so every round
+        # scans, and the unmeasured run still takes the measured run's steps.
+        phi = perturb_unitary(regular_rep(dihedral(4)), 0.03, seed=0)
+        result, trace = stabilize(phi)
+        e, calls = phi.domain.identity, Counter()
+        scan = stabilize_module.mult_defect
+
+        def identity_pair(psi):
+            calls["mult_defect"] += 1
+            return scan(psi)[0], (e, e)
+
+        monkeypatch.setattr(stabilize_module, "mult_defect", identity_pair)
+        lean_result, lean = stabilize(phi, measure=False)
+        assert trace.rounds >= 2 and calls["mult_defect"] == trace.rounds + 1
+        assert np.array_equal(lean_result.values, result.values)
+        assert (lean.epsilon_0, lean.final_defect, lean.rounds, lean.total_distance) == (
+            trace.epsilon_0, trace.final_defect, trace.rounds, trace.total_distance
+        )
+
+    @pytest.mark.parametrize("group", [cyclic(6), dihedral(4), symmetric(3)], ids=lambda g: g.label)
+    def test_unmeasured_rounds_make_no_full_pair_pass(self, monkeypatch, group):
+        passes = []
+        largest = maps_module._largest_residual
+
+        def counted(phi, which):
+            passes.append(which)
+            return largest(phi, which)
+
+        monkeypatch.setattr(maps_module, "_largest_residual", counted)
+        _, trace = stabilize(perturb_unitary(regular_rep(group), 0.03, seed=0), measure=False)
+        assert trace.rounds >= 2 and trace.converged
+        assert "unit" in passes and "mult" not in passes  # the precondition's pass only
+
+
+def witness_residual(phi, pair):
+    """The residual ``phi(x)phi(y) - phi(xy)`` of one pair, as a one-matrix stack."""
+    x, y = pair
+    return maps_module._pair_defects(phi, np.array([x * phi.domain.order + y]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -326,13 +363,15 @@ def mult_defect_at_least(phi, tol):
     angle=st.floats(1e-9, 0.5),
     seed=st.integers(0, 2**16),
     rel=st.floats(-2e-6, 1e-6),
+    drawn=st.none() | st.integers(0, 2**16),
 )
-def test_mult_certificate_never_claims_a_defect_below_tol(group, kind, angle, seed, rel):
-    # tol lies within 1e-6 relative of the exact defect, on either side, and
-    # reaches past the certificate's own slack of 1e-6.  A phase, and a phase
-    # times the regular representation, have pair defects that are a scalar
-    # times a unitary, whose Frobenius norm is sqrt(d) times the operator
-    # norm: there the certificate is tight.
+def test_mult_certificate_never_claims_a_defect_below_tol(group, kind, angle, seed, rel, drawn):
+    # tol lies within 1e-6 relative of the witness pair's exact defect, on
+    # either side, and reaches past the certificate's own slack of 1e-6.  The
+    # witness is the scan's pair, as in the loop, or a drawn one.  A phase,
+    # and a phase times the regular representation, have pair defects that
+    # are a scalar times a unitary, whose Frobenius norm is sqrt(d) times the
+    # operator norm: there the certificate is tight.
     phases = np.exp(1j * angle * np.arange(group.order) ** 2 * (seed % 7 + 1))[:, None, None]
     if kind == "phase":
         phi = GroupMap(group, 1, phases)
@@ -341,19 +380,26 @@ def test_mult_certificate_never_claims_a_defect_below_tol(group, kind, angle, se
         phi = GroupMap(group, rho.dim, phases * rho.values)
     else:
         phi = perturb_unitary(regular_rep(group), angle, seed=seed)
-    exact, _ = mult_defect(phi)
-    assume(exact > 0)
-    tol = exact * (1.0 + rel)
-    if mult_defect_at_least(phi, tol):
+    exact, pair = mult_defect(phi)
+    if drawn is not None:
+        pair = divmod(drawn % group.order**2, group.order)
+    witness = linalg.singular_values(witness_residual(phi, pair))[0, 0]
+    assume(witness > 0)
+    tol = witness * (1.0 + rel)
+    if stabilize_module._witness_at_least(phi, pair, tol):
         assert exact >= tol
+        assert witness >= tol
 
 
 def test_mult_certificate_refuses_nonfinite_norms():
-    big = GroupMap(cyclic(2), 1, np.array([[[1.0]], [[1e200]]], dtype=complex))
-    with np.errstate(over="ignore", invalid="ignore"):  # the product overflows
-        assert not np.isfinite(maps_module._largest_residual(big, "mult"))
-        assert not np.isfinite(mult_defect(big)[0])
-        assert not mult_defect_at_least(big, 1.0)
+    # The product at (1, 1) overflows: to inf, and with a complex value to
+    # inf - inf = NaN in its real part.
+    for big, norm in ((1e200, np.inf), (1e200 + 1e200j, np.nan)):
+        phi = GroupMap(cyclic(2), 1, np.array([[[1.0]], [[big]]], dtype=complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(mult_defect(phi)[0])
+            np.testing.assert_equal(np.linalg.norm(witness_residual(phi, (1, 1))), norm)
+            assert not stabilize_module._witness_at_least(phi, (1, 1), 1.0)
 
 
 class TestDixmier:

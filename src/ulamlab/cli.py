@@ -34,7 +34,7 @@ import numpy as np
 from .executor import _parallel
 from .linalg import SingularInputError, parse_norm
 from .groups import FiniteGroup, UnsupportedDomainError, parse_group_spec
-from .maps import Bound, PreconditionError, SizeLimitError, _pd_min_eig_alongside, defect_report, map_to_dict
+from .maps import Bound, PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
 from .generators import RECIPES, GenSpec, build_grid, build_map, derive_seed, parse_genspec
 from .stabilize import CERTIFIED_EPSILON, NotRepairableError, dixmier_unitarize, stabilize
 from .verify import SUITES, SuiteResult, run_suite
@@ -252,13 +252,10 @@ def _seeded_map(config: ExperimentConfig, domains: dict, seed: int):
 
 def _defects_row(config: ExperimentConfig, domains: dict, seed: int) -> Iterator[dict]:
     spec, phi, row = _seeded_map(config, domains, seed)
-    report = partial(defect_report, phi, parse_norm(config.norm))
+    row["defects"] = defect_report(phi, parse_norm(config.norm))
     gen = config.command == "gen"
     if not gen and isinstance(phi.domain, FiniteGroup) and phi.domain.order * phi.dim <= MAX_DEFECTS_GRAM:
-        # the Gram eigensolve runs on the spare core while the defects are measured
-        row["defects"], row["pd_min_eig"] = _pd_min_eig_alongside(phi, report)
-    else:
-        row["defects"] = report()
+        row["pd_min_eig"] = pd_min_eig(phi)
     if gen:
         row["genspec"] = spec.to_dict()
         if len(phi.values) * phi.dim * phi.dim <= MAX_EMBEDDED_MAP:

@@ -13,16 +13,17 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg
-from .executor import _alongside, _blocks, _collect, _for_blocks
+from .executor import _blocks, _collect, _for_blocks
 from .linalg import FROBENIUS_SLACK, OPERATOR, SINGLE_ROUNDOFF, UNIT_ROUNDOFF, NormKind, adj
 from .groups import FiniteGroup, FreeBall, n_elements, require_finite
 
 GRAM_HERMITIAN_TOL = 1e-8
 MAX_GRAM_DIM = 8192
 # Smallest Gram dimension whose eigensolve runs on the spare core beside
-# other work (`_pd_min_eig_alongside`).  numpy (2.4.6) lets go of the GIL in
-# a linalg call only when its loop is longer than 500 (`eigvalsh`: the Gram
-# dimension), so a smaller eigensolve stalls the caller's checks instead.
+# the averaging step's other checks (`stabilize.kazhdan_step`).  numpy
+# (2.4.6) lets go of the GIL in a linalg call only when its loop is longer
+# than 500 (`eigvalsh`: the Gram dimension), so a smaller eigensolve stalls
+# the caller's checks instead.
 # Measured on a 2-core VM at one BLAS thread, the eigensolve beside the
 # checks against inline: `kazhdan_step` with the estimate checks took
 # 11.7 / 10.1 ms on cyclic:12 (144), 30.4 / 24.8 ms on cyclic:16 (256) and
@@ -468,24 +469,12 @@ def pd_min_eig(phi: GroupMap) -> float:
     when neither half of the Frobenius rule settles it from that norm.
     Each Gram is gathered into one ``(n d)^2`` array, a few block rows
     (``executor._BLOCK`` entries) at a time.  The eigensolve is one LAPACK
-    call on one BLAS thread; `_pd_min_eig_alongside` runs it on the spare
-    core while other work runs.
-    """
-    return _pd_min_eig_alongside(phi)[-1]
-
-
-def _pd_min_eig_alongside(phi: GroupMap, *jobs: Callable[[], object]) -> list:
-    """The results of ``jobs``, in order, then ``pd_min_eig(phi)``.
-
-    The refusals and the Hermitian gate are decided first, here.  The
-    eigensolve of a Gram of dimension `_MIN_GRAM_ALONGSIDE` or more then runs
-    beside ``jobs`` (`executor._alongside`); a smaller one runs inline after
-    them.
+    call on one BLAS thread; this function schedules nothing, and
+    `stabilize.kazhdan_step` runs it on the spare core beside its other checks.
     """
     g = require_finite(phi.domain, "the full-group Gram")
+    _require_gram_dim(g, phi.dim)
     n, d = g.order, phi.dim
-    if n * d > MAX_GRAM_DIM:
-        raise SizeLimitError(f"Gram dimension {n * d} exceeds MAX_GRAM_DIM = {MAX_GRAM_DIM}")
     v, cols = phi.values, np.arange(n)
     mirror = adj(v[g.inv])
     gram = np.empty((n, d, n, d), dtype=np.complex128)
@@ -496,9 +485,6 @@ def _pd_min_eig_alongside(phi: GroupMap, *jobs: Callable[[], object]) -> list:
             gram[sl] = blocks[g.mul[g.inv[sl, None], cols]].transpose(0, 2, 1, 3)
         return gram.reshape(n * d, n * d)
 
-    def eigensolve() -> float:
-        return float(np.linalg.eigvalsh(fill((v + mirror) / 2.0))[0])
-
     s = v - mirror
     frobenius = np.sqrt(n) * np.linalg.norm(s)
     # ||G - G*|| >= F / sqrt(n d) >= tol (1 + S), and S exceeds the rounding of F and
@@ -507,10 +493,17 @@ def _pd_min_eig_alongside(phi: GroupMap, *jobs: Callable[[], object]) -> list:
         not linalg._frobenius_within(frobenius, GRAM_HERMITIAN_TOL)
         and linalg.singular_values(fill(s))[0] > GRAM_HERMITIAN_TOL
     ):
-        return [job() for job in jobs] + [float("-inf")]
-    if n * d < _MIN_GRAM_ALONGSIDE:
-        return [job() for job in (*jobs, eigensolve)]
-    return _alongside(*jobs, eigensolve)
+        return float("-inf")
+    return float(np.linalg.eigvalsh(fill((v + mirror) / 2.0))[0])
+
+
+def _require_gram_dim(domain: FiniteGroup | FreeBall, dim: int) -> None:
+    """Refuse a map of dimension ``dim`` on a finite ``domain`` whose full-group
+    Gram exceeds `MAX_GRAM_DIM`; a free ball is left to its caller's refusal."""
+    if isinstance(domain, FiniteGroup) and domain.order * dim > MAX_GRAM_DIM:
+        raise SizeLimitError(
+            f"Gram dimension {domain.order * dim} exceeds MAX_GRAM_DIM = {MAX_GRAM_DIM}"
+        )
 
 
 @dataclass

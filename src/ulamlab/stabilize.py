@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg, maps
-from .executor import _for_blocks
+from .executor import _alongside, _for_blocks
 from .groups import require_finite
 from .maps import (
     UNITARY_TOL,
@@ -133,42 +133,43 @@ def polar_repair(phi: GroupMap) -> tuple[GroupMap, Certificate]:
     )
 
 
-def kazhdan_step(phi: GroupMap) -> tuple[GroupMap, Certificate]:
-    """One averaging round for a unitary-valued map.
+def kazhdan_step(phi: GroupMap, *also: Callable[[GroupMap], object]) -> tuple:
+    """One averaging round for a unitary-valued map: the averaged map, its
+    certificate, then ``job(psi)`` for each ``job`` of ``also`` on the
+    averaged map ``psi``.
 
     The averaged map is unital (``unital``) and positive definite (``pd``),
     sits within the multiplicative defect of the input (``distance``), and
     its unit defect drops to the square of that defect (``sharp``; ``crude``
-    is twice the square).  The Gram eigensolve of ``pd`` runs on the spare
-    core while the other checks run (`maps._pd_min_eig_alongside`).
+    is twice the square).  A Gram above `maps.MAX_GRAM_DIM` is refused before
+    averaging.  The checks run, then ``also``, then `maps.pd_min_eig`; for a
+    Gram of dimension `maps._MIN_GRAM_ALONGSIDE` or more the eigensolve runs
+    on the spare core beside the others (`executor._alongside`).
     """
-    psi, certificate, _ = _kazhdan_step(phi)
-    return psi, certificate
-
-
-def _kazhdan_step(
-    phi: GroupMap, *also: Callable[[GroupMap], object]
-) -> tuple[GroupMap, Certificate, list]:
-    """`kazhdan_step`, and the results of ``also`` on its averaged map, which
-    run with its checks beside the Gram eigensolve."""
     maps._require_defect(phi, "unit", UNITARY_TOL, "averaging step needs unitary values")
+    maps._require_gram_dim(phi.domain, phi.dim)
     psi = average_pd(phi)
     eye = np.eye(phi.dim, dtype=np.complex128)
-    eps, out_delta, unital_residual, moved, *rest, pd = maps._pd_min_eig_alongside(
-        psi,
+    jobs = (
         lambda: mult_defect(phi)[0],
         lambda: unit_defect(psi)[0],
         lambda: float(linalg.op_norm(psi.values[psi.domain.identity] - eye)),
         lambda: distance(phi, psi),
         *(partial(job, psi) for job in also),
+        partial(maps.pd_min_eig, psi),  # the module's name, which a tracer may wrap
     )
+    if psi.domain.order * psi.dim >= maps._MIN_GRAM_ALONGSIDE:
+        results = _alongside(*jobs)
+    else:
+        results = [job() for job in jobs]
+    eps, out_delta, unital_residual, moved, *rest, pd = results
     return psi, Certificate(
         unital=Bound(unital_residual, 0.0, tol=1e-11),
         pd=Bound(0.0, pd, tol=1e-9),
         distance=Bound(moved, eps, tol=1e-10),
         sharp=Bound(out_delta, eps**2, tol=1e-10),
         crude=Bound(out_delta, 2.0 * eps**2, tol=1e-10),
-    ), rest
+    ), *rest
 
 
 @dataclass

@@ -39,7 +39,7 @@ from .maps import (
     perturbation_bound_report,
     unit_defect,
 )
-from .stabilize import _kazhdan_step, dixmier_unitarize, kazhdan_step, polar_repair
+from .stabilize import dixmier_unitarize, kazhdan_step, polar_repair
 
 POOL_SPECS = (
     "cyclic:2",
@@ -269,7 +269,7 @@ def averaging_suite(seed: int, rng: np.random.Generator):
     theta = float(rng.uniform(0.0, AVERAGING_THETA_MAX))
     phi = perturb_unitary(regular_rep(g), theta, seed)
     estimates = partial(estimate_checks, phi, kinds=list(_ESTIMATED.values()))
-    _, step, [(checks, _, residual)] = _kazhdan_step(phi, estimates)
+    _, step, (checks, _, residual) = kazhdan_step(phi, estimates)
     yield "condition_c_margin", Bound(residual, 0.0, tol=1e-10).strict()
     for key, name in _CHECKED.items():
         yield key, checks.get(name, _SKIPPED)

@@ -169,8 +169,8 @@ class TestDeterminism:
         assert payloads[0] == payloads[1]
 
     def test_gram_beside_the_defects_does_not_change_the_report(self, runner):
-        # At two kernel threads the 576 x 576 Gram eigensolve runs on the spare
-        # core while defect_report runs; at one, after it on the same thread.
+        # defect_report and the 576 x 576 Gram eigensolve run one after the
+        # other; at two kernel threads the report's kernels may split, at one not.
         args = ["defects", "--group", "symmetric:4", "--genspec", '{"kind":"regular"}']
         reports = []
         for budget in (1, 2):

@@ -591,21 +591,23 @@ def test_gram_eigensolve_runs_beside_the_checks_only_above_its_floor(monkeypatch
     small = perturb_unitary(regular_rep(dihedral(4)), 0.03, seed=0)
     large = perturb_unitary(regular_rep(symmetric(4)), 0.03, seed=0)
     main = threading.current_thread().name
-    steps = {}
+    job = lambda psi: mult_defect(psi)[0]  # an `also` job, run with the checks
+    steps, bare = {}, {}
     for budget in (1, 2):
         with ulamlab.executor._kernel_threads(budget):
-            steps[budget] = [kazhdan_step(phi) for phi in (small, large)]
-    pool = [name for _, name in threads if name != main]
-    assert [n for n, _ in threads] == [64, 576] * 2
-    assert len(pool) == 1 and threads[-1][1] == pool[0] and pool[0].startswith("ulamlab-kernel")
-    # the certificates and averaged maps are the same bit for bit
-    for (psi, cert), (psi2, cert2) in zip(steps[1], steps[2]):
+            steps[budget] = [kazhdan_step(phi, job) for phi in (small, large)]
+            bare[budget] = [kazhdan_step(phi)[1] for phi in (small, large)]
+    assert [n for n, _ in threads] == [64, 576] * 4
+    # only the two large steps at two threads put their eigensolve on the pool
+    assert [name != main for _, name in threads] == [False] * 5 + [True, False, True]
+    assert all(name.startswith("ulamlab-kernel") for _, name in threads if name != main)
+    # the certificates and averaged maps are the same bit for bit, with and
+    # without the job, and the job's result is its value on the averaged map
+    hexes = lambda cert: {key: [x.hex() for x in dataclasses.astuple(cert[key])] for key in cert}
+    for (psi, cert, got), (psi2, cert2, got2), *alone in zip(steps[1], steps[2], bare[1], bare[2]):
         assert np.array_equal(psi.values, psi2.values)
-        assert cert.keys() == cert2.keys()
-        for key in cert:
-            assert [x.hex() for x in dataclasses.astuple(cert[key])] == [
-                x.hex() for x in dataclasses.astuple(cert2[key])
-            ], key
+        assert got == got2 == job(psi)
+        assert hexes(cert) == hexes(cert2) == hexes(alone[0]) == hexes(alone[1])
 
 
 # Stacks for the filtered operator-norm max: the gate lets through at least

@@ -12,6 +12,7 @@ from ulamlab import (
     GroupMap,
     NotRepairableError,
     PreconditionError,
+    SizeLimitError,
     UnsupportedDomainError,
     contraction_series,
     cyclic,
@@ -22,6 +23,7 @@ from ulamlab import (
     kazhdan_step,
     linalg,
     mult_defect,
+    pd_min_eig,
     perturb_unitary,
     polar_repair,
     random_map,
@@ -158,6 +160,27 @@ class TestKazhdanStep:
         with pytest.raises(PreconditionError, match="unitary"):
             kazhdan_step(random_map(cyclic(3), 2, seed=0))
 
+    def test_refuses_an_oversized_gram_before_averaging(self, monkeypatch):
+        monkeypatch.setattr(maps_module, "MAX_GRAM_DIM", 8)
+        # a free ball has no Gram: the averaging refuses it, whatever its size
+        ball = trivial_rep(free_ball(2, 2))
+        with pytest.raises(UnsupportedDomainError) as averaged:
+            stabilize_module.average_pd(ball)
+        with pytest.raises(UnsupportedDomainError) as stepped:
+            kazhdan_step(ball)
+        assert str(stepped.value) == str(averaged.value)
+
+        def no_average(phi):
+            raise AssertionError("average_pd ran")
+
+        monkeypatch.setattr(stabilize_module, "average_pd", no_average)
+        phi = perturb_unitary(regular_rep(cyclic(4)), 0.03, seed=0)
+        with pytest.raises(SizeLimitError) as gram:
+            pd_min_eig(phi)
+        with pytest.raises(SizeLimitError) as step:
+            kazhdan_step(phi)
+        assert str(step.value) == str(gram.value) == "Gram dimension 16 exceeds MAX_GRAM_DIM = 8"
+
     def test_perturbed_rep_contract(self):
         for seed in range(3):
             phi = perturb_unitary(regular_rep(dihedral(3)), 0.04, seed=seed)
@@ -265,7 +288,7 @@ class TestStabilize:
                      "polar_repair"):
             counted(stabilize_module, name)
         # the scans maps._defect_bound falls back to, and the Gram kazhdan_step checks
-        for name in ("mult_defect", "unit_defect", "_pd_min_eig_alongside"):
+        for name in ("mult_defect", "unit_defect", "pd_min_eig"):
             counted(maps_module, name)
         phi = perturb_unitary(regular_rep(dihedral(4)), 0.03, seed=0)
         _, trace = stabilize_module.stabilize(phi, measure=measure)
@@ -273,7 +296,7 @@ class TestStabilize:
         assert rounds >= 2 and trace.converged
         assert len(trace.iterations) == rounds
         assert calls["average_pd"] == rounds
-        assert calls["_pd_min_eig_alongside"] == calls["kazhdan_step"] == calls["polar_repair"] == 0
+        assert calls["pd_min_eig"] == calls["kazhdan_step"] == calls["polar_repair"] == 0
         if measure:  # each round's epsilon, delta and step, then the total distance
             assert calls["mult_defect"] == rounds + 1
             assert calls["unit_defect"] == rounds

@@ -136,8 +136,9 @@ def test_contract_suites_have_expected_margin_keys():
 
 
 def _count_kernels(monkeypatch) -> Counter:
-    """Count the calls of the stack kernels, through every module binding of
-    each, as the benchmark tracer patches them.
+    """Count the calls of the stack kernels, the averaging step and its Gram
+    eigensolve, through every module binding of each, as the benchmark tracer
+    patches them.
 
     ``_stack_norms`` and ``_op_argmax`` are keyed by the size of their stack.
     """
@@ -148,6 +149,8 @@ def _count_kernels(monkeypatch) -> Counter:
         (ulamlab.maps, "_stack_norms"),
         (ulamlab.maps, "_op_argmax"),
         (ulamlab.maps, "_op_bounds"),
+        (ulamlab.maps, "pd_min_eig"),
+        (sys.modules["ulamlab.stabilize"], "kazhdan_step"),  # ulamlab.stabilize is the function
     )
     for module, name in counted_names:
         original = getattr(module, name)
@@ -178,7 +181,9 @@ def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
     # Frobenius norms and decompose nothing.  Of the 8 values, the estimates
     # also take the norms of phi - psi and condition_c_check those of its
     # residuals; the perturbation takes the norms of its 7 generators.  The
-    # two filtered maxima decompose 1 and 0 survivors besides their tops.
+    # two filtered maxima decompose 1 and 0 survivors besides their tops.  The
+    # suite takes one averaging step, through the name the tracer wraps, and
+    # the step one Gram eigensolve.
     assert calls == {
         "condition_c_check": 1,
         "_stack_norms[64]": 1,
@@ -190,14 +195,24 @@ def test_averaging_seed_decomposes_each_stack_once(monkeypatch):
         "_op_argmax[16]": 1,
         "_op_argmax[8]": 1,
         "_op_bounds": 2,
+        "pd_min_eig": 1,
+        "kazhdan_step": 1,
     }
 
 
 @pytest.mark.parametrize("seed", [2, 8])
-def test_heavy_averaging_seed_is_the_same_at_every_budget(seed):
+def test_heavy_averaging_seed_is_the_same_at_every_budget(seed, monkeypatch):
     # At two kernel threads the 576 x 576 Gram eigensolve of the averaging
     # step runs on the spare core while the step's checks and the estimate
     # checks run; at one, after them on the same thread.
+    grams = []
+    pd_min_eig = ulamlab.maps.pd_min_eig
+
+    def recorded(phi):
+        grams.append(len(phi.values) * phi.dim)
+        return pd_min_eig(phi)
+
+    monkeypatch.setattr(ulamlab.maps, "pd_min_eig", recorded)
     rng = ulamlab.verify._suite_rng(seed, "averaging")
     assert POOL_SPECS[int(rng.integers(len(POOL_SPECS)))] == "symmetric:4"
     reports = []
@@ -205,6 +220,7 @@ def test_heavy_averaging_seed_is_the_same_at_every_budget(seed):
         with ulamlab.executor._kernel_threads(budget):
             reports.append(json.dumps(averaging_suite([seed]).to_dict()))
     assert reports[0] == reports[1]
+    assert grams == [576, 576]
 
 
 def test_stabilize_seed_takes_operator_maxima_only_for_reported_values(monkeypatch):

@@ -44,6 +44,9 @@ SEED_SALT_ENV = "ULAMLAB_SEED_SALT"
 MAX_SEEDS = 100000
 MAX_WORKERS = 64  # threads one run may start for seeds
 MAX_EMBEDDED_MAP = 65536  # entries; larger maps are left out of gen reports
+# entries of all the maps one gen report embeds: `gen --group cyclic:8 --seeds
+# 0..1999` (1.02M entries) peaked at 779 MiB RSS, so 2^21 stays under 2 GiB
+MAX_EMBEDDED_ENTRIES = 1 << 21
 MAX_DEFECTS_GRAM = 2048  # order * dim; larger maps are left out of pd_min_eig in defects reports
 
 EXIT_PASS = 0
@@ -252,14 +255,20 @@ def _seeded_map(config: ExperimentConfig, domains: dict, seed: int):
 
 def _defects_row(config: ExperimentConfig, domains: dict, seed: int) -> Iterator[dict]:
     spec, phi, row = _seeded_map(config, domains, seed)
-    row["defects"] = defect_report(phi, parse_norm(config.norm))
     gen = config.command == "gen"
+    entries = len(phi.values) * phi.dim * phi.dim
+    embed = gen and entries <= MAX_EMBEDDED_MAP
+    if embed and entries * len(config.seeds) > MAX_EMBEDDED_ENTRIES:  # seeds keep the shape
+        raise SizeLimitError(f"{len(config.seeds)} maps of {entries} entries would embed "
+                             f"{entries * len(config.seeds)} entries, more than "
+                             f"MAX_EMBEDDED_ENTRIES = {MAX_EMBEDDED_ENTRIES}")
+    row["defects"] = defect_report(phi, parse_norm(config.norm))
     if not gen and isinstance(phi.domain, FiniteGroup) and phi.domain.order * phi.dim <= MAX_DEFECTS_GRAM:
         row["pd_min_eig"] = pd_min_eig(phi)
     if gen:
         row["genspec"] = spec.to_dict()
-        if len(phi.values) * phi.dim * phi.dim <= MAX_EMBEDDED_MAP:
-            row["map"] = map_to_dict(phi)
+    if embed:
+        row["map"] = map_to_dict(phi)
     yield row
 
 

@@ -44,7 +44,9 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def regular_rep(g: FiniteGroup) -> GroupMap:
-    """Left regular representation as permutation matrices."""
+    """Left regular representation as permutation matrices, read-only so that
+    constructions can share it as a base (`verify.pool_regular`).  Its unit and
+    mult preconditions are settled from its entries (`maps._defect_bound`)."""
     require_finite(g, "the regular representation")
     if g.order > MAX_REGULAR_ORDER:
         raise ValueError(f"regular representation capped at order {MAX_REGULAR_ORDER}")
@@ -52,6 +54,7 @@ def regular_rep(g: FiniteGroup) -> GroupMap:
     vals = np.zeros((n, n, n), dtype=np.complex128)
     cols = np.tile(np.arange(n), n)
     vals[np.repeat(np.arange(n), n), g.mul.ravel(), cols] = 1.0
+    vals.flags.writeable = False
     return GroupMap(g, n, vals, label=f"regular[{g.label}]")
 
 

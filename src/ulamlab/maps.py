@@ -415,11 +415,39 @@ def _largest_residual(phi: GroupMap, which: str) -> float:
     return float(np.sqrt(np.max(_for_blocks(count, entries, worst, _BOUND_BLOCK))))
 
 
+def _exact_permutations(phi: GroupMap, which: str) -> bool:
+    """Whether every value of ``phi`` is a real 0/1 permutation matrix: ``d``
+    nonzero real or imaginary parts (the last value's are counted first, to
+    turn a dense map away at once), all real ones, in every row and column.
+    For ``"mult"`` the values must also compose by the table: the ones of
+    ``phi(x) phi(y)`` lie at ``p[y][p[x]]``, where ``phi(x)[i, p[x, i]] = 1``,
+    and ``p[xy]`` must be that at every pair, checked a block at a time."""
+    v, d = phi.values, phi.dim
+    parts = np.ascontiguousarray(v).view(np.float64)  # a transposed map is strided
+    if d == 0 or np.count_nonzero(v[-1]) != d or np.count_nonzero(parts) != len(v) * d:
+        return False
+    ones = v == 1.0
+    if not (np.count_nonzero(ones) == len(v) * d
+            and ones.any(axis=1).all() and ones.any(axis=2).all()):
+        return False
+    if which == "unit":
+        return True
+    p, blocks = np.argmax(ones, axis=2), _blocks(_pair_count(phi.domain), d, _BOUND_BLOCK)
+    return all(
+        (p[ys[:, None], p[xs]] == p[ks]).all()
+        for xs, ys, ks in (_pair_arrays(phi.domain, sl) for sl in blocks)
+    )
+
+
 def _defect_bound(phi: GroupMap, which: str, tol: float) -> float:
     """An upper bound on the ``"unit"`` or ``"mult"`` defect of ``phi``: the
     largest Frobenius norm of its residuals when `linalg._frobenius_within`
     certifies it within ``tol``, else the exact defect, so ``bound > tol``
-    refuses exactly what the exact test refuses, with the exact value."""
+    refuses exactly what the exact test refuses, with the exact value.  A map
+    of `_exact_permutations` gets 0.0, as `_largest_residual` would, with no
+    residual formed: its products of 0/1 entries are exact, so each is zero."""
+    if _exact_permutations(phi, which):
+        return 0.0
     frobenius = _largest_residual(phi, which)
     if linalg._frobenius_within(frobenius, tol):
         return frobenius

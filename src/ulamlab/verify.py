@@ -70,6 +70,12 @@ def pool_group(spec: str):
     return parse_group_spec(spec)
 
 
+@lru_cache(maxsize=None)
+def pool_regular(spec: str) -> GroupMap:
+    """The regular representation of ``pool_group(spec)``, shared read-only by every suite."""
+    return regular_rep(pool_group(spec))
+
+
 def _suite_rng(seed: int, label: str) -> np.random.Generator:
     return _rng(seed, f"suite:{label}")
 
@@ -180,14 +186,14 @@ def square_inequality_suite(seed: int, rng: np.random.Generator):
 @_suite("stinespring_inequality", "stinespring")
 def stinespring_inequality_suite(seed: int, rng: np.random.Generator):
     """Compression defect factors through the unit defects of both arguments."""
-    g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
-    sub_dim = int(rng.integers(1, min(8, g.order) + 1))
-    phi = compress_rep(regular_rep(g), sub_dim, seed)
+    pi = pool_regular(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
+    sub_dim = int(rng.integers(1, min(8, pi.domain.order) + 1))
+    phi = compress_rep(pi, sub_dim, seed)
     v = phi.values
     e = phi.domain.identity
     left_defect = batch_norms(v[e][None] - v @ adj(v))
     right_defect = batch_norms(v[e][None] - adj(v) @ v)
-    mults = pair_defect_norms(phi).reshape(g.order, g.order)
+    mults = pair_defect_norms(phi).reshape(pi.domain.order, pi.domain.order)
     bound = np.sqrt(left_defect[:, None] * right_defect[None, :])
     w = np.unravel_index(np.argmin(bound - mults), bound.shape)
     yield "stinespring_margin", Bound(float(mults[w]), float(bound[w]), tol=1e-10)
@@ -204,16 +210,17 @@ def _noisy_copy(phi: GroupMap, eta: float, rng: np.random.Generator) -> GroupMap
 @_suite("perturbation_bounds", "perturbation")
 def perturbation_bounds_suite(seed: int, rng: np.random.Generator):
     """Predicted defect growth under a uniform perturbation dominates measured."""
-    g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
+    spec = POOL_SPECS[int(rng.integers(len(POOL_SPECS)))]
+    g = pool_group(spec)
     pick = int(rng.integers(3))
     if pick == 0:
         phi = random_map(g, int(rng.integers(1, 7)), sup=rng.uniform(0.5, 1.5), seed=seed)
     elif pick == 1:
         # regular reps stay at dim <= 8 here, matching the other draws
-        small = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
-        phi = perturb_unitary(regular_rep(small), float(rng.uniform(0, 0.1)), seed)
+        small = pool_regular(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
+        phi = perturb_unitary(small, float(rng.uniform(0, 0.1)), seed)
     else:
-        phi = compress_rep(regular_rep(g), int(rng.integers(1, min(8, g.order) + 1)), seed)
+        phi = compress_rep(pool_regular(spec), int(rng.integers(1, min(8, g.order) + 1)), seed)
     psi = _noisy_copy(phi, float(rng.uniform(0, 0.2)), rng)
     report = perturbation_bound_report(phi, psi)
     for name in ("iso", "unit", "mult"):
@@ -223,12 +230,11 @@ def perturbation_bounds_suite(seed: int, rng: np.random.Generator):
 @_suite("unital_defect_equivalence", "unital")
 def unital_equivalence_suite(seed: int, rng: np.random.Generator):
     """For unital positive definite maps the unit and mult defects coincide."""
-    g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
-    sub_dim = int(rng.integers(1, min(8, g.order) + 1))
-    pi = regular_rep(g)
+    pi = pool_regular(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
+    sub_dim = int(rng.integers(1, min(8, pi.domain.order) + 1))
     z = rng.standard_normal((pi.dim, sub_dim)) + 1j * rng.standard_normal((pi.dim, sub_dim))
     q, _ = np.linalg.qr(z)  # exact isometry keeps the compression unital
-    phi = GroupMap(g, sub_dim, q.conj().T @ (pi.values @ q), label="unital")
+    phi = GroupMap(pi.domain, sub_dim, q.conj().T @ (pi.values @ q), label="unital")
     eps, _ = mult_defect(phi)
     delta, _ = unit_defect(phi)
     yield "unit_le_mult_margin", Bound(delta, eps, tol=1e-9)
@@ -265,9 +271,9 @@ def averaging_suite(seed: int, rng: np.random.Generator):
     """Averaging identity, closeness and norm estimates, and the sharp
     quadratic bound, over seeded unitary perturbations of regular
     representations."""
-    g = pool_group(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
+    pi = pool_regular(POOL_SPECS[int(rng.integers(len(POOL_SPECS)))])
     theta = float(rng.uniform(0.0, AVERAGING_THETA_MAX))
-    phi = perturb_unitary(regular_rep(g), theta, seed)
+    phi = perturb_unitary(pi, theta, seed)
     estimates = partial(estimate_checks, phi, kinds=list(_ESTIMATED.values()))
     _, step, (checks, _, residual) = kazhdan_step(phi, estimates)
     yield "condition_c_margin", Bound(residual, 0.0, tol=1e-10).strict()
@@ -282,15 +288,15 @@ def averaging_suite(seed: int, rng: np.random.Generator):
 @_suite("polar_repair_contract", "repair")
 def polar_repair_suite(seed: int, rng: np.random.Generator):
     """Polar repair contract on near-unitary maps with sizable unit defect."""
-    g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
-    rho = perturb_unitary(regular_rep(g), float(rng.uniform(0, 0.02)), seed)
+    pi = pool_regular(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
+    rho = perturb_unitary(pi, float(rng.uniform(0, 0.02)), seed)
     amplitude = float(rng.uniform(0, 0.12))
     # a real part, then an imaginary part, per element
     parts = rng.standard_normal((len(rho.values), 2, rho.dim, rho.dim))
     b = parts[:, 0] + 1j * parts[:, 1]
     scale = linalg.singular_values(b)[:, 0]  # positive: b is Gaussian
     vals = rho.values @ (np.eye(rho.dim) + b * (amplitude / scale)[:, None, None])
-    _, report = polar_repair(GroupMap(g, rho.dim, vals, label="near_unitary"))
+    _, report = polar_repair(GroupMap(pi.domain, rho.dim, vals, label="near_unitary"))
     for name in ("unit", "distance", "mult"):
         yield f"repair_{name}_margin", report[name].strict()
 
@@ -298,8 +304,8 @@ def polar_repair_suite(seed: int, rng: np.random.Generator):
 @_suite("kazhdan_contract", "kazhdan")
 def kazhdan_contract_suite(seed: int, rng: np.random.Generator):
     """Averaging-step certificate over seeded unitary perturbations."""
-    g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
-    phi = perturb_unitary(regular_rep(g), float(rng.uniform(0, 0.03)), seed)
+    pi = pool_regular(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
+    phi = perturb_unitary(pi, float(rng.uniform(0, 0.03)), seed)
     _, report = kazhdan_step(phi)
     yield "kazhdan_unital_margin", report["unital"].strict()
     yield "kazhdan_pd_min_eig", report["pd"]
@@ -313,8 +319,8 @@ TWIST_BOUND = 2.0  # the largest condition number of a twist
 @_suite("dixmier_contract", "dixmier")
 def dixmier_contract_suite(seed: int, rng: np.random.Generator):
     """Unitarization certificate over seeded similarity twists."""
-    g = pool_group(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
-    psi, cond = similarity_twist(regular_rep(g), TWIST_BOUND, seed)
+    pi = pool_regular(SMALL_POOL_SPECS[int(rng.integers(len(SMALL_POOL_SPECS)))])
+    psi, cond = similarity_twist(pi, TWIST_BOUND, seed)
     _, report = dixmier_unitarize(psi)
     yield "twist_condition_margin", Bound(cond, TWIST_BOUND, tol=1e-12)
     yield "dixmier_unit_margin", report.certificate["unit"].strict()

@@ -376,6 +376,28 @@ class TestExitCodes:
         assert "MAX_REGULAR_ORDER**3 = 16777216" in result.stderr
         assert "Traceback" not in result.output
 
+    def test_oversized_gen_report_exits_two_after_one_map(self, runner, monkeypatch):
+        built = []
+        real = ulamlab.cli.build_map
+        monkeypatch.setattr("ulamlab.cli.build_map", lambda *a: built.append(1) or real(*a))
+        monkeypatch.setattr("ulamlab.cli.map_to_dict", lambda phi: pytest.fail("a row was rendered"))
+        # a perturbed regular map of cyclic:40 holds 40**3 = 64,000 entries, under MAX_EMBEDDED_MAP
+        result = runner.invoke(main, ["gen", "--group", "cyclic:40", "--seeds", "0..99999"])
+        assert result.exit_code == 2, result.output
+        assert built == [1]
+        assert "would embed 6400000000 entries" in result.stderr
+        assert "MAX_EMBEDDED_ENTRIES = 2097152" in result.stderr
+        assert "Traceback" not in result.output
+
+    def test_gen_limit_counts_embedded_entries_only(self, runner, monkeypatch):
+        args = ["gen", "--group", "cyclic:3"]  # maps of 27 entries
+        monkeypatch.setattr("ulamlab.cli.MAX_EMBEDDED_ENTRIES", 2 * 27)
+        assert len(invoke_json(runner, args + ["--seeds", "0..1"])["results"]["records"]) == 2
+        assert runner.invoke(main, args + ["--seeds", "0..2"]).exit_code == 2
+        monkeypatch.setattr("ulamlab.cli.MAX_EMBEDDED_MAP", 26)  # too large to embed
+        rows = invoke_json(runner, args + ["--seeds", "0..2"])["results"]["records"]
+        assert len(rows) == 3 and not any("map" in row for row in rows)
+
     def test_table_order_limit_exits_two(self, runner, monkeypatch, tmp_path):
         table = tmp_path / "cyclic6.json"
         table.write_text(json.dumps({"mul": ulamlab.cyclic(6).mul.tolist()}))

@@ -64,6 +64,14 @@ def test_regular_rep_permutes_basis_vectors():
     assert eps == 0.0
 
 
+def test_regular_rep_values_are_read_only():
+    rho = regular_rep(dihedral(3))
+    with pytest.raises(ValueError, match="read-only"):
+        rho.values[0, 0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        rho.values *= 2.0
+
+
 def test_trivial_rep_on_both_domains():
     assert trivial_rep(cyclic(3)).dim == 1
     ball_map = trivial_rep(free_ball(2, 2))

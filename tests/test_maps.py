@@ -37,6 +37,10 @@ from ulamlab import (
     unit_defect,
 )
 from ulamlab.cli import jsonify
+from ulamlab.generators import trivial_rep
+from ulamlab.linalg import adj
+from ulamlab.groups import parse_group_spec
+from ulamlab.verify import POOL_SPECS, SMALL_POOL_SPECS
 
 from oracles import frobenius_skewed, reversed_labels
 
@@ -374,6 +378,122 @@ def test_defect_bound_certifies_by_frobenius_norm(which, monkeypatch):
     with np.errstate(all="ignore"):
         assert np.isnan(ulamlab.maps._defect_bound(broken, which, 1e-9))
     assert exact_calls == [1]
+
+
+def _frobenius_path(phi: GroupMap, which: str, tol: float) -> float:
+    """`_defect_bound` as it is for a map that is not a permutation representation."""
+    frobenius = ulamlab.maps._largest_residual(phi, which)
+    if ulamlab.linalg._frobenius_within(frobenius, tol):
+        return frobenius
+    return (unit_defect if which == "unit" else mult_defect)(phi)[0]
+
+
+def _permutation_representations() -> list[GroupMap]:
+    reps = [regular_rep(parse_group_spec(s)) for s in sorted({*POOL_SPECS, *SMALL_POOL_SPECS})]
+    for domain in (cyclic(5), free_ball(2, 3)):
+        reps += [trivial_rep(domain), constant_identity(domain, 3)]
+    # an abelian group's transposed regular representation is one too, with strided values
+    reps.append(_transposed(regular_rep(cyclic(6))))
+    return reps
+
+
+def _transposed(phi: GroupMap) -> GroupMap:
+    return GroupMap(phi.domain, phi.dim, phi.values.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("which", ["unit", "mult"])
+def test_permutation_representations_form_no_residual(which, monkeypatch):
+    reps = _permutation_representations()
+    residuals = [ulamlab.maps._largest_residual(phi, which) for phi in reps]
+    assert residuals == [0.0] * len(reps)
+    assert [ulamlab.maps._defect_bound(phi, which, 1e-9) for phi in reps] == residuals
+
+    def formed(phi, which):
+        raise AssertionError(f"the {which} residuals of {phi.label} were formed")
+
+    monkeypatch.setattr(ulamlab.maps, "_largest_residual", formed)
+    assert [ulamlab.maps._defect_bound(phi, which, 1e-9) for phi in reps] == residuals
+
+
+def _with_entry(phi: GroupMap, value: complex) -> GroupMap:
+    """``phi`` with the last 1 of its last value replaced by ``value``."""
+    vals = phi.values.copy()
+    row, col = np.argwhere(vals[-1] == 1.0)[-1]
+    vals[-1, row, col] = value
+    return GroupMap(phi.domain, phi.dim, vals)
+
+
+def _misordered(phi: GroupMap) -> GroupMap:
+    """Permutation matrices that do not compose by the table: the values of
+    the identity and of element 1 swapped."""
+    vals = phi.values[[1, 0, *range(2, len(phi.values))]]
+    return GroupMap(phi.domain, phi.dim, vals)
+
+
+def _with_last(phi: GroupMap, value: np.ndarray) -> GroupMap:
+    return GroupMap(phi.domain, phi.dim, np.concatenate([phi.values[:-1], value[None]]))
+
+
+_REGULAR_D3 = regular_rep(dihedral(3))
+_ONE_COLUMN = np.zeros((6, 6))
+_ONE_COLUMN[:, 0] = 1.0  # d ones, one in each row, all in one column
+# name -> a map off the permutation path, and the defects it is tested on
+_FROBENIUS_PATH = {
+    "perturbed": (perturb_unitary(_REGULAR_D3, 0.02, seed=0), ("unit", "mult")),
+    "signed": (_with_entry(_REGULAR_D3, -1.0), ("unit", "mult")),
+    "misordered": (_misordered(_REGULAR_D3), ("mult",)),
+    "transposed": (_transposed(_REGULAR_D3), ("mult",)),
+    "adjoint": (GroupMap(dihedral(3), 6, adj(_REGULAR_D3.values)), ("mult",)),
+    "one_column": (_with_last(_REGULAR_D3, _ONE_COLUMN), ("unit", "mult")),
+    "one_row": (_with_last(_REGULAR_D3, _ONE_COLUMN.T), ("unit", "mult")),
+    "one_ulp": (_with_entry(_REGULAR_D3, 1.0 + 2.0**-52), ("unit", "mult")),
+    "imaginary": (_with_entry(_REGULAR_D3, 1j), ("unit", "mult")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROBENIUS_PATH))
+def test_other_maps_keep_the_frobenius_path(name, monkeypatch):
+    phi, defects = _FROBENIUS_PATH[name]
+    expected = {which: _frobenius_path(phi, which, 1e-9) for which in defects}
+    formed = []
+    real = ulamlab.maps._largest_residual
+    monkeypatch.setattr(
+        ulamlab.maps, "_largest_residual", lambda phi, which: formed.append(which) or real(phi, which)
+    )
+    for which in defects:
+        assert ulamlab.maps._defect_bound(phi, which, 1e-9) == expected[which]
+    assert formed == list(defects)
+    if name in ("misordered", "transposed", "adjoint"):
+        assert expected["mult"] == mult_defect(phi)[0] > 0.0
+
+
+@pytest.mark.parametrize("which", ["unit", "mult"])
+def test_a_map_of_dimension_zero_is_no_permutation_map(which):
+    phi = GroupMap(dihedral(3), 0, np.zeros((6, 0, 0)))
+    assert not ulamlab.maps._exact_permutations(phi, which)
+
+
+@st.composite
+def permutation_maps(draw):
+    """Per-element permutation matrices on cyclic:4 or dihedral:3: the regular
+    representation, or each value drawn from its or from any permutation."""
+    regular = regular_rep(parse_group_spec(draw(st.sampled_from(["cyclic:4", "dihedral:3"]))))
+    if draw(st.booleans()):
+        return regular
+    n = regular.dim
+    eye = np.eye(n, dtype=complex)
+    vals = [
+        value if draw(st.booleans()) else eye[list(draw(st.permutations(range(n))))]
+        for value in regular.values
+    ]
+    return GroupMap(regular.domain, n, np.array(vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(phi=permutation_maps(), which=st.sampled_from(["unit", "mult"]))
+def test_permutation_maps_get_the_frobenius_paths_bound(phi, which):
+    tol = ulamlab.maps.UNITARY_TOL
+    assert ulamlab.maps._defect_bound(phi, which, tol) == _frobenius_path(phi, which, tol)
 
 
 def test_group_map_validates_shapes():

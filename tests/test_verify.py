@@ -3,6 +3,7 @@ import math
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import ulamlab
@@ -10,8 +11,10 @@ from ulamlab import SUITES, Bound, Certificate, SuiteResult, run_suite
 from ulamlab.generators import perturb_unitary, regular_rep
 from ulamlab.groups import parse_group_spec
 from ulamlab.stabilize import stabilize
+from ulamlab.cli import ExperimentConfig, run
 from ulamlab.verify import (
     POOL_SPECS,
+    SMALL_POOL_SPECS,
     averaging_suite,
     condition_b_suite,
     dixmier_contract_suite,
@@ -245,3 +248,35 @@ def test_stabilize_seed_takes_operator_maxima_only_for_reported_values(monkeypat
         "_op_argmax[16]": 1,
         "_op_argmax[8]": rounds + 1,
     }
+
+
+def test_verify_builds_each_pool_base_once_and_leaves_it_unchanged(monkeypatch):
+    built = Counter()
+    real = ulamlab.verify.regular_rep
+    monkeypatch.setattr(ulamlab.verify, "regular_rep", lambda g: built.update([g.label]) or real(g))
+    ulamlab.verify.pool_regular.cache_clear()
+    run(ExperimentConfig(command="verify", seeds=tuple(range(9))))
+    assert built and max(built.values()) == 1
+    drawn = set(built)
+    for spec in sorted({*POOL_SPECS, *SMALL_POOL_SPECS}):
+        base = ulamlab.verify.pool_regular(spec)
+        fresh = real(parse_group_spec(spec))
+        assert not base.values.flags.writeable
+        assert base.values.tobytes() == fresh.values.tobytes(), spec
+    # the suites drew these bases, each built once; asking again builds none of them
+    assert all(built[label] == 1 for label in drawn)
+
+
+def test_light_seed_forms_no_residual_of_a_permutation_representation(monkeypatch):
+    formed = []
+    real = ulamlab.maps._largest_residual
+
+    def spied(phi, which):
+        v = phi.values
+        formed.append(bool(np.all((v == 0.0) | (v == 1.0))))
+        return real(phi, which)
+
+    monkeypatch.setattr(ulamlab.maps, "_largest_residual", spied)
+    for name in SUITES:  # seed 0 draws no symmetric:4 averaging step
+        assert run_suite(name, [0]).passed
+    assert formed and not any(formed)

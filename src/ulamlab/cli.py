@@ -35,7 +35,7 @@ from .executor import _parallel
 from .linalg import SingularInputError, parse_norm
 from .groups import FiniteGroup, UnsupportedDomainError, parse_group_spec
 from .maps import Bound, PreconditionError, SizeLimitError, defect_report, map_to_dict, pd_min_eig
-from .generators import RECIPES, GenSpec, build_grid, build_map, derive_seed, parse_genspec
+from .generators import RECIPES, GenSpec, build_grid, derive_seed, parse_genspec
 from .stabilize import CERTIFIED_EPSILON, NotRepairableError, dixmier_unitarize, stabilize
 from .verify import SUITES, SuiteResult, run_suite
 
@@ -198,16 +198,6 @@ def _config_errors():
         raise ConfigError(str(err)) from err
 
 
-def _build(config: ExperimentConfig, spec: GenSpec, domains: dict, build):
-    """``build`` (`build_map`, or `build_grid` for a sweep) of the seeded spec
-    on its domain, parsed once per run into ``domains`` (keyed by group spec)."""
-    group = spec.group if spec.group is not None else config.group
-    with _config_errors():
-        if group not in domains:
-            domains[group] = parse_group_spec(group)
-        return build(dataclasses.replace(spec, group=None), domains[group])
-
-
 def _rows(config: ExperimentConfig, job) -> Iterator[tuple[int, object]]:
     """``(point, result)`` for the results of ``job(seed)``, a generator of
     the seed's results at its points in order, seed by seed, each seed's job
@@ -241,20 +231,27 @@ def _rows(config: ExperimentConfig, job) -> Iterator[tuple[int, object]]:
         raise first[1]
 
 
-def _opening(seed: int, phi) -> dict:
-    """The fields that open the row of ``seed``'s map ``phi``."""
-    return {"seed": seed, "group": phi.domain.label, "dim": phi.dim}
-
-
-def _seeded_map(config: ExperimentConfig, domains: dict, seed: int):
-    """The spec and map of ``seed``, and the fields that open its row."""
+def _seed_rows(config: ExperimentConfig, domains: dict, row, seed: int) -> Iterator[dict]:
+    """The rows of ``seed``: one at each theta of a sweep's grid, in grid
+    order, and one at its spec's own theta for every other command.  The
+    seeded spec is built once on its domain, parsed once per run into
+    ``domains`` (keyed by group spec), and a perturbed spec draws its
+    directions once (`build_grid`).  Each row opens with the seed, group and
+    dim of its map, followed by what ``row(config, spec, theta, phi)`` returns."""
     spec = _spec_for_seed(config, seed)
-    phi = _build(config, spec, domains, build_map)
-    return spec, phi, _opening(seed, phi)
+    group = spec.group if spec.group is not None else config.group
+    with _config_errors():
+        if group not in domains:
+            domains[group] = parse_group_spec(group)
+        at = build_grid(dataclasses.replace(spec, group=None), domains[group])
+    for theta in config.theta if config.command == "sweep" else (spec.theta,):
+        with _config_errors():
+            phi = at(theta)
+        yield {"seed": seed, "group": phi.domain.label, "dim": phi.dim,
+               **row(config, spec, theta, phi)}
 
 
-def _defects_row(config: ExperimentConfig, domains: dict, seed: int) -> Iterator[dict]:
-    spec, phi, row = _seeded_map(config, domains, seed)
+def _defects_row(config: ExperimentConfig, spec: GenSpec, theta: float, phi) -> dict:
     gen = config.command == "gen"
     entries = len(phi.values) * phi.dim * phi.dim
     embed = gen and entries <= MAX_EMBEDDED_MAP
@@ -262,70 +259,60 @@ def _defects_row(config: ExperimentConfig, domains: dict, seed: int) -> Iterator
         raise SizeLimitError(f"{len(config.seeds)} maps of {entries} entries would embed "
                              f"{entries * len(config.seeds)} entries, more than "
                              f"MAX_EMBEDDED_ENTRIES = {MAX_EMBEDDED_ENTRIES}")
-    row["defects"] = defect_report(phi, parse_norm(config.norm))
+    row = {"defects": defect_report(phi, parse_norm(config.norm))}
     if not gen and isinstance(phi.domain, FiniteGroup) and phi.domain.order * phi.dim <= MAX_DEFECTS_GRAM:
         row["pd_min_eig"] = pd_min_eig(phi)
     if gen:
         row["genspec"] = spec.to_dict()
     if embed:
         row["map"] = map_to_dict(phi)
-    yield row
+    return row
 
 
-def _cmd_defects(config: ExperimentConfig, domains: dict) -> Report:
+def _fold_defects(config: ExperimentConfig, rows) -> Report:
     """``gen`` and ``defects``: each map passes when ``iso_delta <= delta``."""
-    records = [row for _, row in _rows(config, partial(_defects_row, config, domains))]
+    records = [row for _, row in rows]
     passed = all(r["defects"].iso_delta <= r["defects"].delta + 1e-12 for r in records)
     return Report(config, {"maps": len(records)}, records, passed=passed)
 
 
-def _stabilize_rows(config: ExperimentConfig, domains: dict, seed: int) -> Iterator[dict]:
-    """The rows of ``seed``: a sweep's at each theta of its grid, in grid
-    order, and stabilize's one at its spec's theta, on one spec, one base and
-    one draw of directions (`build_grid`)."""
+def _stabilize_row(config: ExperimentConfig, spec: GenSpec, theta: float, phi) -> dict:
     sweep = config.command == "sweep"
-    spec = _spec_for_seed(config, seed)
-    at = _build(config, spec, domains, build_grid)
-    for theta in config.theta if sweep else (spec.theta,):
-        with _config_errors():
-            phi = at(theta)
-        # a sweep row reports no round: its loop measures only what decides it
-        trace = stabilize(phi, tol=config.tol, max_iter=config.max_iter, measure=not sweep)[1]
-        eps0 = trace.epsilon_0
-        certified = eps0 <= CERTIFIED_EPSILON
-        row = {
-            **_opening(seed, phi),
-            "epsilon_0": eps0,
-            "iterations": trace.rounds,
-            "converged": trace.converged,
-            "final_defect": trace.final_defect,
-            "total_distance": trace.total_distance,
-            "certified": certified,
-            "diverged_certified": certified and not trace.converged,
-            "theory": trace.theory,
-        }
-        if sweep:
-            row["theta"] = theta
-        else:
-            row["iteration_records"] = [
-                {"record": "iteration", "seed": seed, "iteration": i, **dataclasses.asdict(rec)}
-                for i, rec in enumerate(trace.iterations)
-            ]
-        if certified:
-            moved = Bound(trace.total_distance, 2.0 * eps0, tol=1e-9).strict()
-            row["distance_bound"] = moved.bound
-            row["distance_ok"] = moved.passed
-            row["ok"] = trace.converged and row["distance_ok"]
-        else:
-            row["ok"] = True  # outside the certified regime nothing is promised
-        yield row
+    # a sweep row reports no round: its loop measures only what decides it
+    trace = stabilize(phi, tol=config.tol, max_iter=config.max_iter, measure=not sweep)[1]
+    eps0 = trace.epsilon_0
+    certified = eps0 <= CERTIFIED_EPSILON
+    row = {
+        "epsilon_0": eps0,
+        "iterations": trace.rounds,
+        "converged": trace.converged,
+        "final_defect": trace.final_defect,
+        "total_distance": trace.total_distance,
+        "certified": certified,
+        "diverged_certified": certified and not trace.converged,
+        "theory": trace.theory,
+    }
+    if sweep:
+        row["theta"] = theta
+    else:
+        row["iteration_records"] = [
+            {"record": "iteration", "seed": spec.seed, "iteration": i, **dataclasses.asdict(rec)}
+            for i, rec in enumerate(trace.iterations)
+        ]
+    if certified:
+        moved = Bound(trace.total_distance, 2.0 * eps0, tol=1e-9).strict()
+        row["distance_bound"] = moved.bound
+        row["distance_ok"] = moved.passed
+        row["ok"] = trace.converged and row["distance_ok"]
+    else:
+        row["ok"] = True  # outside the certified regime nothing is promised
+    return row
 
 
-def _cmd_stabilize(config: ExperimentConfig, domains: dict) -> Report:
+def _fold_stabilize(config: ExperimentConfig, rows) -> Report:
     """``stabilize``, and ``sweep``, which reports its rows theta-major,
     without their iterations."""
-    per_seed = _rows(config, partial(_stabilize_rows, config, domains))
-    rows = [row for _, row in sorted(per_seed, key=lambda pair: pair[0])]
+    rows = [row for _, row in sorted(rows, key=lambda pair: pair[0])]
     diverged = any(row["diverged_certified"] for row in rows)
     passed = all(row["ok"] for row in rows) and not diverged
     if config.command == "sweep":
@@ -336,14 +323,12 @@ def _cmd_stabilize(config: ExperimentConfig, domains: dict) -> Report:
     return Report(config, summary, records, passed=passed, diverged_certified=diverged)
 
 
-def _dixmier_row(config: ExperimentConfig, domains: dict, seed: int) -> Iterator[dict]:
-    _, psi, row = _seeded_map(config, domains, seed)
-    row["report"] = dixmier_unitarize(psi)[1]
-    yield row
+def _dixmier_row(config: ExperimentConfig, spec: GenSpec, theta: float, psi) -> dict:
+    return {"report": dixmier_unitarize(psi)[1]}
 
 
-def _cmd_dixmier(config: ExperimentConfig, domains: dict) -> Report:
-    records = [row for _, row in _rows(config, partial(_dixmier_row, config, domains))]
+def _fold_dixmier(config: ExperimentConfig, rows) -> Report:
+    records = [row for _, row in rows]
     passed = all(r["report"].passed for r in records)
     return Report(config, {"runs": len(records)}, records, passed=passed)
 
@@ -354,12 +339,12 @@ def _suite_results(seed: int) -> Iterator[SuiteResult]:
         yield run_suite(name, [seed])
 
 
-def _cmd_verify(config: ExperimentConfig, domains: dict) -> Report:
+def _fold_verify(config: ExperimentConfig, parts) -> Report:
     # each one-seed result is folded into its suite as it arrives, in seed
     # order, which is SuiteResult.merge's, so each suite keeps the bound the
     # serial run keeps, whatever the workers
     folded: dict[int, SuiteResult] = {}
-    for k, part in _rows(config, _suite_results):
+    for k, part in parts:
         folded[k] = SuiteResult.merge([folded[k], part]) if k in folded else part
     results = list(folded.values())
     passed = all(r.passed for r in results)
@@ -379,7 +364,12 @@ def run(config: ExperimentConfig, domains: dict | None = None) -> Report:
     ``domains`` maps group specs to domains already parsed.
     """
     start = time.perf_counter()
-    report = _CLI[config.command][0](config, {} if domains is None else domains)
+    fold, row = _CLI[config.command][:2]
+    if row is None:  # verify's suites build their own maps
+        job = _suite_results
+    else:
+        job = partial(_seed_rows, config, {} if domains is None else domains, row)
+    report = fold(config, _rows(config, job))
     report.timings = {"run_ms": (time.perf_counter() - start) * 1000.0}
     return report
 
@@ -448,20 +438,26 @@ _OPTIONS = {
                    help="Line-delimited output: header line, then one record per line."),
 }
 
-# Each command: the function it runs, its help and the options it reads.
-# Click refuses any other.
+# Each command: the fold of its report, the row function of its maps (none
+# for verify), its help and the options it reads.  Click refuses any other.
 _CLI = {
-    "gen": (_cmd_defects, "Generate a map from a recipe and report its defects.",
+    "gen": (_fold_defects, _defects_row,
+            "Generate a map from a recipe and report its defects.",
             "group genspec theta norm seeds out ndjson"),
-    "defects": (_cmd_defects, "Measure defect and positivity diagnostics of a map.",
+    "defects": (_fold_defects, _defects_row,
+                "Measure defect and positivity diagnostics of a map.",
                 "group genspec theta norm seeds out ndjson"),
-    "stabilize": (_cmd_stabilize, "Run the averaging/repair iteration on seeded maps.",
+    "stabilize": (_fold_stabilize, _stabilize_row,
+                  "Run the averaging/repair iteration on seeded maps.",
                   "group genspec theta tol max_iter seeds workers out ndjson"),
-    "dixmier": (_cmd_dixmier, "Unitarize seeded similarity twists and certify distances.",
+    "dixmier": (_fold_dixmier, _dixmier_row,
+                "Unitarize seeded similarity twists and certify distances.",
                 "group genspec seeds out ndjson"),
-    "verify": (_cmd_verify, "Run every verification suite over the seed range.",
+    "verify": (_fold_verify, None,
+               "Run every verification suite over the seed range.",
                "seeds workers out ndjson"),
-    "sweep": (_cmd_stabilize, "Sweep perturbation sizes, stabilizing at every grid point.",
+    "sweep": (_fold_stabilize, _stabilize_row,
+              "Sweep perturbation sizes, stabilizing at every grid point.",
               "group genspec theta tol max_iter seeds workers out ndjson"),
 }
 
@@ -544,7 +540,7 @@ def main() -> None:
     """Deterministic experiments with almost-multiplicative matrix maps."""
 
 
-for _name, (_, _help, _fields) in _CLI.items():
+for _name, (_, _, _help, _fields) in _CLI.items():
     _params = [_option(f) for f in _fields.split()]
     main.add_command(click.Command(_name, help=_help, params=_params, callback=partial(_finish, _name)))
 

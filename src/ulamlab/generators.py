@@ -102,36 +102,34 @@ def conjugate_rep(pi: GroupMap, seed: int) -> GroupMap:
 
 
 def perturb_unitary(pi: GroupMap, theta: float, seed: int) -> GroupMap:
-    """Multiply each non-identity value by ``exp(i H_x)`` with ``||H_x|| = theta``.
+    """Multiply each non-identity value by ``exp(i H_x)`` with ``||H_x|| = theta``:
+    `perturb_grid` at one theta.
 
     The result stays exactly unitary-valued; the multiplicative defect grows
     by at most ``3 * theta``.
     """
-    _require_theta(theta)
-    return _rotated(pi, _directions(pi, seed), theta)
+    return perturb_grid(pi, seed)(theta)
 
 
 def perturb_grid(pi: GroupMap, seed: int) -> Callable[[float], GroupMap]:
-    """``theta -> perturb_unitary(pi, theta, seed)`` for the thetas of a grid.
+    """``theta -> perturb_unitary(pi, theta, seed)`` for the thetas of a grid,
+    the one construction of a perturbed map.
 
-    The base's unit precondition and the draw of the directions with their
-    norms run once, at the first theta in range; the directions, one array
-    the size of the map, are then held for the rest of the grid.
+    Each theta is checked to lie in ``[0, 1]`` first.  The base's unit
+    precondition and the draw of the directions with their norms run once,
+    at the first theta in range; the directions, one array the size of the
+    map, are then held for the rest of the grid, a one-point grid included.
     """
     drawn: list = []
 
     def at(theta: float) -> GroupMap:
-        _require_theta(theta)
+        if not 0.0 <= theta <= 1.0:
+            raise ValueError(f"theta must lie in [0, 1], got {theta}")
         if not drawn:
             drawn.append(list(_directions(pi, seed)))
         return _rotated(pi, drawn[0], theta)
 
     return at
-
-
-def _require_theta(theta: float) -> None:
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError(f"theta must lie in [0, 1], got {theta}")
 
 
 def _directions(pi: GroupMap, seed: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:

@@ -106,6 +106,8 @@ class GroupMap:
     label: str = ""
 
     def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.dim}")
         vals = np.asarray(self.values, dtype=np.complex128)
         n = n_elements(self.domain)
         if vals.shape != (n, self.dim, self.dim):
@@ -424,7 +426,7 @@ def _exact_permutations(phi: GroupMap, which: str) -> bool:
     and ``p[xy]`` must be that at every pair, checked a block at a time."""
     v, d = phi.values, phi.dim
     parts = np.ascontiguousarray(v).view(np.float64)  # a transposed map is strided
-    if d == 0 or np.count_nonzero(v[-1]) != d or np.count_nonzero(parts) != len(v) * d:
+    if np.count_nonzero(v[-1]) != d or np.count_nonzero(parts) != len(v) * d:
         return False
     ones = v == 1.0
     if not (np.count_nonzero(ones) == len(v) * d
@@ -585,15 +587,13 @@ def perturbation_bound_report(phi: GroupMap, psi: GroupMap) -> Certificate:
     )
 
 
-def _encode_matrix(m: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in m]
-
-
 def map_to_dict(phi: GroupMap) -> dict:
     """JSON form: complex scalars as [re, im] pairs, matrices row-major."""
     return {
         "group": phi.domain.label,
         "dim": phi.dim,
-        "values": {str(i): _encode_matrix(phi.values[i]) for i in range(len(phi.values))},
+        "values": {
+            str(i): np.stack([v.real, v.imag], axis=-1).tolist() for i, v in enumerate(phi.values)
+        },
     }
 

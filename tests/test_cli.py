@@ -20,6 +20,7 @@ from ulamlab.cli import (
     EXIT_DIVERGED,
     EXIT_FAIL,
     EXIT_INTERNAL,
+    EXIT_PASS,
     EXIT_PRECONDITION,
     MAX_SEEDS,
     MAX_WORKERS,
@@ -378,8 +379,13 @@ class TestExitCodes:
 
     def test_oversized_gen_report_exits_two_after_one_map(self, runner, monkeypatch):
         built = []
-        real = ulamlab.cli.build_map
-        monkeypatch.setattr("ulamlab.cli.build_map", lambda *a: built.append(1) or real(*a))
+        real = ulamlab.cli.build_grid
+
+        def counted(*args):
+            at = real(*args)
+            return lambda theta: built.append(1) or at(theta)
+
+        monkeypatch.setattr("ulamlab.cli.build_grid", counted)
         monkeypatch.setattr("ulamlab.cli.map_to_dict", lambda phi: pytest.fail("a row was rendered"))
         # a perturbed regular map of cyclic:40 holds 40**3 = 64,000 entries, under MAX_EMBEDDED_MAP
         result = runner.invoke(main, ["gen", "--group", "cyclic:40", "--seeds", "0..99999"])
@@ -472,7 +478,7 @@ class TestExitCodes:
     def test_failed_bound_exits_one(self, runner, monkeypatch):
         import ulamlab.cli as cli_mod
 
-        def failing(config, domains):
+        def failing(config, rows):
             return Report(config, {"note": "forced"}, [], passed=False)
 
         monkeypatch.setitem(cli_mod._CLI, "gen", (failing, *cli_mod._CLI["gen"][1:]))
@@ -657,6 +663,28 @@ class TestRowDriver:
         # the run's own list of seeds adds 8 bytes
         assert peaks[1000] - peaks[100] < 64 * 900, peaks
 
+    @pytest.mark.parametrize("command", ["gen", "defects", "dixmier", "stabilize", "sweep"])
+    def test_every_map_command_builds_each_seed_through_its_grid(self, runner, monkeypatch, command):
+        grids, built = [], []
+        real_grid, real_map = ulamlab.cli.build_grid, ulamlab.generators.build_map
+
+        def grid(spec, on):
+            grids.append(spec.seed)
+            return real_grid(spec, on)
+
+        def build_map(spec, on=None):
+            built.append(spec.kind)
+            return real_map(spec, on)
+
+        monkeypatch.setattr("ulamlab.cli.build_grid", grid)
+        monkeypatch.setattr("ulamlab.generators.build_map", build_map)
+        monkeypatch.setattr("ulamlab.cli.build_map", build_map, raising=False)
+        args = [command, "--group", "cyclic:3", "--seeds", "0..2"]
+        result = runner.invoke(main, args + (["--theta", "0.01,0.02"] if command == "sweep" else []))
+        assert result.exit_code == EXIT_PASS, result.output
+        assert grids == [0, 1, 2]
+        assert built == ["regular"] * 3  # each seed's base, never the seed's own map
+
 
 class TestSweepJobs:
     """A sweep runs one job per seed over its whole theta grid."""
@@ -774,6 +802,35 @@ class TestErrorOrder:
         assert result.stdout == ""
         assert result.stderr == "precondition error: first suite, seed 2\n"
         assert ("first", 2) in ran and ("second", 2) not in ran
+
+    @pytest.mark.parametrize("command", ["gen", "defects", "dixmier"])
+    def test_one_thread_commands_raise_the_first_failing_seeds_error(
+        self, runner, monkeypatch, command
+    ):
+        # seeds 1 and 3 fail; seed 1's job ends the run before seed 3's starts
+        rep = ulamlab.regular_rep(ulamlab.cyclic(3))
+        failures = {1: ulamlab.PreconditionError("seed 1"), 3: ulamlab.SizeLimitError("seed 3")}
+        if command == "dixmier":
+            name = "dixmier_unitarize"
+            built = {seed: ulamlab.similarity_twist(rep, 2.0, seed)[0] for seed in range(4)}
+        else:
+            name = "defect_report"
+            built = {seed: ulamlab.perturb_unitary(rep, 0.05, seed) for seed in range(4)}
+        real, seen = getattr(ulamlab.cli, name), []
+
+        def failing(phi, *args):
+            seed = next(s for s, m in built.items() if np.array_equal(phi.values, m.values))
+            seen.append(seed)
+            if seed in failures:
+                raise failures[seed]
+            return real(phi, *args)
+
+        monkeypatch.setattr(f"ulamlab.cli.{name}", failing)
+        result = runner.invoke(main, [command, "--group", "cyclic:3", "--seeds", "0..3"])
+        assert result.exit_code == EXIT_PRECONDITION, result.output
+        assert result.stdout == ""
+        assert result.stderr == "precondition error: seed 1\n"
+        assert seen == [0, 1]
 
     @pytest.mark.parametrize("workers", ["1", "3"])
     def test_stabilize_raises_the_first_failing_seeds_error(self, runner, monkeypatch, workers):

@@ -467,10 +467,28 @@ def test_other_maps_keep_the_frobenius_path(name, monkeypatch):
         assert expected["mult"] == mult_defect(phi)[0] > 0.0
 
 
+def test_map_to_dict_writes_each_entry_as_a_real_and_imaginary_float():
+    value = np.array([[complex(-0.0, 1e-300), 2.5], [complex(0.0, -0.0), -1j]])
+    encoded = ulamlab.maps.map_to_dict(GroupMap(cyclic(2), 2, np.stack([value, value.T])))
+    for key, matrix in (("0", value), ("1", value.T)):
+        expected = [[[float(z.real), float(z.imag)] for z in row] for row in matrix]
+        got = encoded["values"][key]
+        assert repr(got) == repr(expected)  # -0.0 keeps its sign
+        assert all(type(x) is float for row in got for pair in row for x in pair)
+
+
 @pytest.mark.parametrize("which", ["unit", "mult"])
 def test_a_map_of_dimension_zero_is_no_permutation_map(which):
-    phi = GroupMap(dihedral(3), 0, np.zeros((6, 0, 0)))
-    assert not ulamlab.maps._exact_permutations(phi, which)
+    """A map of dimension 0 is refused when built, so `_exact_permutations`
+    never sees one; dimension 1 is the smallest it is asked about."""
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        GroupMap(dihedral(3), 0, np.zeros((6, 0, 0)))
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        constant_identity(dihedral(3), 0)
+    assert ulamlab.maps._exact_permutations(constant_identity(dihedral(3), 1), which)
+    assert not ulamlab.maps._exact_permutations(
+        GroupMap(dihedral(3), 1, np.full((6, 1, 1), -1.0)), which
+    )
 
 
 @st.composite
